@@ -1,0 +1,351 @@
+"""Chain- and order-polytope geometry.
+
+The order polytope O(P) is the set of points in [0,1]^n consistent with the
+order; the chain polytope C(P) is cut out by nonnegativity and one sum
+constraint per maximal chain.  The predecessor-gap map
+
+    z_i = y_i                      if i is minimal,
+    z_i = y_i - max_{j < i} y_j    otherwise
+
+is a volume-preserving piecewise-linear bijection O(P) -> C(P); its inverse
+accumulates maxima in topological order.
+
+The entropy program
+
+    H(P) = min { -(1/n) sum ln z_i : z in C(P) }
+
+is solved by a log-barrier interior-point method over the maximal-chain
+inequalities (the objective itself bars z > 0), followed by an active-set
+Newton polish.  The reported kkt_residual is a certified duality gap,
+obtained by evaluating the Lagrange dual at explicit multipliers.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import (
+    NonConvergenceError,
+    NotConsistentError,
+    NotInChainPolytopeError,
+)
+from .linext import _sample_order, count_extensions, extension_orders
+from .poset import Poset, maximal_chains
+
+FEAS_TOL = 1e-12
+
+# Above this many extensions the batched sampler walks the counting DP per
+# sample instead of indexing into the enumerated list.
+_BATCH_ENUM_CAP = 500_000
+
+
+def chain_matrix(P: Poset) -> np.ndarray:
+    """0/1 incidence matrix of maximal chains (rows) versus elements."""
+    cached = getattr(P, "_chain_matrix", None)
+    if cached is None:
+        chains = maximal_chains(P)
+        cached = np.zeros((len(chains), P.n))
+        for r, chain in enumerate(chains):
+            cached[r, list(chain)] = 1.0
+        cached.setflags(write=False)
+        P._chain_matrix = cached
+    return cached
+
+
+def _check_order_point(P: Poset, y: np.ndarray) -> None:
+    if y.shape != (P.n,):
+        raise NotConsistentError(f"point has shape {y.shape}, expected ({P.n},)")
+    if (y < -FEAS_TOL).any() or (y > 1.0 + FEAS_TOL).any():
+        raise NotConsistentError("point leaves the unit cube")
+    rows, cols = np.nonzero(P.rel)
+    if (y[rows] > y[cols] + FEAS_TOL).any():
+        raise NotConsistentError("point is not consistent with the order")
+
+
+def transfer(P: Poset, y) -> np.ndarray:
+    """Predecessor-gap image of an order-polytope point."""
+    y = np.asarray(y, dtype=float)
+    _check_order_point(P, y)
+    z = y.copy()
+    for i in range(P.n):
+        preds = P.predecessors(i)
+        if preds:
+            z[i] = y[i] - np.max(y[preds])
+    return z
+
+
+def transfer_batch(P: Poset, Y: np.ndarray) -> np.ndarray:
+    """transfer applied to each row of Y (no per-row feasibility checks)."""
+    Z = Y.copy()
+    for i in range(P.n):
+        preds = P.predecessors(i)
+        if preds:
+            Z[:, i] = Y[:, i] - Y[:, preds].max(axis=1)
+    return Z
+
+
+def _check_chain_point(P: Poset, z: np.ndarray) -> None:
+    if z.shape != (P.n,):
+        raise NotInChainPolytopeError(f"point has shape {z.shape}, expected ({P.n},)")
+    if (z < -FEAS_TOL).any():
+        raise NotInChainPolytopeError("point has a negative coordinate")
+    sums = chain_matrix(P) @ z
+    if (sums > 1.0 + FEAS_TOL).any():
+        raise NotInChainPolytopeError("a chain sum exceeds 1")
+
+
+def _topological_order(P: Poset) -> list[int]:
+    # Predecessor counts strictly increase along the order, so they sort
+    # elements topologically.
+    return sorted(range(P.n), key=lambda i: int(P.rel[:, i].sum()))
+
+
+def transfer_inverse(P: Poset, z) -> np.ndarray:
+    """Inverse of transfer: accumulate predecessor maxima topologically."""
+    z = np.asarray(z, dtype=float)
+    _check_chain_point(P, z)
+    y = np.empty(P.n)
+    for i in _topological_order(P):
+        preds = P.predecessors(i)
+        y[i] = z[i] + (np.max(y[preds]) if preds else 0.0)
+    return y
+
+
+def transfer_inverse_batch(P: Poset, Z: np.ndarray) -> np.ndarray:
+    Y = np.empty_like(Z)
+    for i in _topological_order(P):
+        preds = P.predecessors(i)
+        base = Y[:, preds].max(axis=1) if preds else 0.0
+        Y[:, i] = Z[:, i] + base
+    return Y
+
+
+# ---------------------------------------------------------------------------
+# Uniform samplers
+# ---------------------------------------------------------------------------
+
+def _order_to_point(order, rng: np.random.Generator) -> np.ndarray:
+    n = len(order)
+    u = np.sort(rng.random(n))
+    y = np.empty(n)
+    y[list(order)] = u
+    return y
+
+
+def sample_order_point(P: Poset, seed: int) -> np.ndarray:
+    """One exactly-uniform point of O(P): a uniform extension assigns which
+    sorted uniform each element receives."""
+    import random as _random
+
+    order = _sample_order(P, _random.Random(seed))
+    return _order_to_point(order, np.random.default_rng(seed))
+
+
+def sample_chain_point(P: Poset, seed: int) -> np.ndarray:
+    """One exactly-uniform point of C(P) via the measure-preserving transfer."""
+    return transfer(P, sample_order_point(P, seed))
+
+
+def order_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """(samples, n) of uniform O(P) points; enumerates extensions when small."""
+    n = P.n
+    if count_extensions(P) <= _BATCH_ENUM_CAP:
+        orders = extension_orders(P, max_extensions=_BATCH_ENUM_CAP)
+        idx = rng.integers(0, len(orders), size=samples)
+        chosen = orders[idx].astype(np.int64)
+    else:
+        import random as _random
+
+        walker = _random.Random(int(rng.integers(0, 2**63)))
+        chosen = np.array([_sample_order(P, walker) for _ in range(samples)])
+    u = rng.random((samples, n))
+    u.sort(axis=1)
+    y = np.empty_like(u)
+    np.put_along_axis(y, chosen, u, axis=1)
+    return y
+
+
+def chain_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.ndarray:
+    return transfer_batch(P, order_point_batch(P, samples, rng))
+
+
+def chain_polytope_volume_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
+    """Hit-or-miss volume of C(P) in the unit cube: (estimate, stderr)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    A = chain_matrix(P)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    left = samples
+    while left > 0:
+        chunk = min(left, 100_000)
+        u = rng.random((chunk, P.n))
+        hits += int(((u @ A.T) <= 1.0).all(axis=1).sum())
+        left -= chunk
+    p = hits / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+# ---------------------------------------------------------------------------
+# Entropy program
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EntropySolution:
+    H: float
+    z_star: np.ndarray
+    kkt_residual: float
+    newton_steps: int
+
+
+def _objective(z: np.ndarray) -> float:
+    return -float(np.log(z).mean()) + 0.0  # +0.0 normalizes -0.0
+
+
+def _dual_value(A: np.ndarray, lam: np.ndarray) -> float:
+    """Lagrange dual of the entropy program at multipliers lam >= 0.
+
+    The inner minimization is solved by z_i = 1 / (n * w_i) with
+    w = A^T lam, giving g(lam) = (1/n) sum ln(n w_i) + 1 - sum lam."""
+    w = A.T @ lam
+    if (w <= 0.0).any():
+        return -math.inf
+    n = A.shape[1]
+    return float(np.log(n * w).mean() + 1.0 - lam.sum())
+
+
+def entropy(P: Poset, tol: float = 1e-8, max_newton: int = 1000) -> EntropySolution:
+    """Minimize -(1/n) sum ln z_i over the chain polytope.
+
+    Log-barrier interior point on the maximal-chain inequalities with damped
+    Newton centering, then an active-set Newton polish of the KKT system.
+    The returned kkt_residual is the duality gap certified by explicit
+    multipliers; NonConvergence is raised if it cannot be brought below tol
+    within max_newton Newton steps.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    n = P.n
+    A = chain_matrix(P)
+    m = A.shape[0]
+    longest = int(A.sum(axis=1).max())
+    # Strictly feasible start: every chain sum is at most longest/(longest+1).
+    z = np.full(n, 1.0 / (longest + 1))
+    t = max(1.0, float(m))
+    mu = 20.0
+    steps = 0
+
+    def center(z: np.ndarray, t: float, steps: int) -> tuple[np.ndarray, int]:
+        # Damped Newton on the barrier; bail out on the float64 noise floor
+        # (tiny decrement or stalled line search) and let the duality
+        # certificate judge the iterate.
+        for _ in range(60):
+            s = 1.0 - A @ z
+            grad = -(t / n) / z + A.T @ (1.0 / s)
+            hess = np.diag((t / n) / z**2) + (A.T * (1.0 / s**2)) @ A
+            dz = np.linalg.solve(hess, -grad)
+            decrement2 = float(-grad @ dz)
+            if decrement2 / 2.0 <= 1e-13 or steps >= max_newton:
+                return z, steps
+            steps += 1
+            # Largest step keeping z > 0 and all slacks > 0, then backtrack.
+            alpha = 1.0
+            neg = dz < 0
+            if neg.any():
+                alpha = min(alpha, 0.99 * float(np.min(-z[neg] / dz[neg])))
+            ds = A @ dz
+            grow = ds > 0
+            if grow.any():
+                alpha = min(alpha, 0.99 * float(np.min(s[grow] / ds[grow])))
+            psi0 = -t * float(np.log(z).sum()) / n - float(np.log(s).sum())
+            slope = float(grad @ dz)
+            while True:
+                zn = z + alpha * dz
+                sn = 1.0 - A @ zn
+                if (zn > 0).all() and (sn > 0).all():
+                    psi = -t * float(np.log(zn).sum()) / n - float(np.log(sn).sum())
+                    if psi <= psi0 + 0.25 * alpha * slope:
+                        break
+                alpha *= 0.5
+                if alpha < 1e-13:
+                    return z, steps
+            z = z + alpha * dz
+        return z, steps
+
+    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    while True:
+        z, steps = center(z, t, steps)
+        s = 1.0 - A @ z
+        lam = 1.0 / (t * np.maximum(s, 1e-300))
+        gap = _objective(z) - _dual_value(A, lam)
+        if best is None or gap < best[0]:
+            best = (gap, z.copy(), lam.copy())
+        if gap <= max(tol, 1e-10) or t > 1e15 or steps >= max_newton:
+            break
+        t *= mu
+
+    gap, z, lam = best
+    z, lam, gap = _polish(P, A, z, lam, gap)
+    if gap > tol:
+        raise NonConvergenceError(f"certified duality gap {gap:.3e} above tol {tol:.3e}")
+    if (z < 1e-9).any():
+        raise NonConvergenceError("optimal point degenerate: some z*[i] < 1e-9")
+    z = z.copy()
+    z.setflags(write=False)
+    return EntropySolution(H=_objective(z), z_star=z, kkt_residual=max(gap, 0.0), newton_steps=steps)
+
+
+def _polish(
+    P: Poset, A: np.ndarray, z: np.ndarray, lam_barrier: np.ndarray, gap: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Newton polish of the KKT system on the apparently-active chains.
+
+    Keeps the barrier iterate whenever the polished point is not strictly
+    better certified."""
+    n = P.n
+    s = 1.0 - A @ z
+    active = (s < 1e-4) & (lam_barrier > 1e-4 * lam_barrier.max())
+    if not active.any():
+        return z, lam_barrier, gap
+    Aact = A[active]
+    k = Aact.shape[0]
+    zp = z.copy()
+    lam = lam_barrier[active].copy()
+    ok = False
+    for _ in range(40):
+        w = Aact.T @ lam
+        F = np.concatenate([-1.0 / (n * zp) + w, Aact @ zp - 1.0])
+        if np.abs(F).max() < 1e-13:
+            ok = True
+            break
+        J = np.block(
+            [[np.diag(1.0 / (n * zp**2)), Aact.T], [Aact, np.zeros((k, k))]]
+        )
+        try:
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        raw = step[:n]
+        limit = np.where(raw < 0, -0.9 * zp / np.minimum(raw, -1e-300), 1.0)
+        alpha = min(1.0, float(limit.min()))
+        zp = zp + alpha * raw
+        lam = lam + alpha * step[n:]
+    feasible = ok and (zp > 0).all() and ((A @ zp) <= 1.0 + 1e-12).all() and (lam >= -1e-10).all()
+    if not feasible:
+        return z, lam_barrier, gap
+    lam_full = np.zeros(A.shape[0])
+    lam_full[active] = np.maximum(lam, 0.0)
+    candidates = [
+        (zc, lc, _objective(zc) - _dual_value(A, lc))
+        for zc in (zp, z)
+        for lc in (lam_full, lam_barrier)
+    ]
+    zbest, lbest, gbest = min(candidates, key=lambda t: t[2])
+    return zbest, lbest, max(gbest, 0.0)
+
+
+def lb(P: Poset, tol: float = 1e-8) -> float:
+    """Entropy-based classical comparison bound n(ln n - H(P))."""
+    return P.n * (math.log(P.n) - entropy(P, tol=tol).H)

@@ -1,0 +1,252 @@
+"""Finite strict partial orders on the ground set {0, ..., n-1}.
+
+The relation is stored transitively closed and strict; the reflexive pairs of
+the textbook convention are implicit.  Elements are 0-based throughout the
+Python API.  The text format and :func:`build_poset` accept 1-based labels,
+so conversion happens only at that boundary.
+
+A ``Poset`` is immutable after construction and safe to share across workers;
+lazy caches (cover relation, predecessor bitmasks, extension counts) are
+attached on first use and never mutated afterwards.
+"""
+from __future__ import annotations
+
+import itertools
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import CycleError, SizeMismatchError
+
+
+def _transitive_closure(rel: np.ndarray) -> np.ndarray:
+    out = rel.copy()
+    n = out.shape[0]
+    for k in range(n):
+        out |= out[:, k : k + 1] & out[k : k + 1, :]
+    return out
+
+
+class Poset:
+    """Immutable strict partial order given by a closed boolean relation.
+
+    ``rel[i, j]`` is true iff ``i < j`` in the order.  The constructor
+    validates irreflexivity, antisymmetry and transitive closure.
+    """
+
+    def __init__(self, rel: np.ndarray):
+        rel = np.array(rel, dtype=bool)
+        if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
+            raise ValueError(f"relation must be a square matrix, got shape {rel.shape}")
+        if rel.diagonal().any():
+            raise CycleError("relation is not irreflexive")
+        if (rel & rel.T).any():
+            raise CycleError("relation is not antisymmetric")
+        if ((rel @ rel) & ~rel).any():
+            raise ValueError("relation is not transitively closed")
+        rel.setflags(write=False)
+        self.n: int = int(rel.shape[0])
+        self.rel: np.ndarray = rel
+
+    def less(self, i: int, j: int) -> bool:
+        return bool(self.rel[i, j])
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """All strict pairs (i, j) with i < j in the order, 0-based."""
+        rows, cols = np.nonzero(self.rel)
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    @cached_property
+    def covers(self) -> np.ndarray:
+        """Cover relation (Hasse diagram): i <: j with nothing in between."""
+        reachable_2 = (self.rel @ self.rel) > 0
+        out = self.rel & ~reachable_2
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def pred_masks(self) -> tuple[int, ...]:
+        """Bitmask of strict predecessors for each element."""
+        masks = []
+        for j in range(self.n):
+            m = 0
+            for i in np.nonzero(self.rel[:, j])[0]:
+                m |= 1 << int(i)
+            masks.append(m)
+        return tuple(masks)
+
+    @cached_property
+    def succ_masks(self) -> tuple[int, ...]:
+        """Bitmask of strict successors for each element."""
+        masks = []
+        for i in range(self.n):
+            m = 0
+            for j in np.nonzero(self.rel[i])[0]:
+                m |= 1 << int(j)
+            masks.append(m)
+        return tuple(masks)
+
+    def predecessors(self, i: int) -> list[int]:
+        return np.nonzero(self.rel[:, i])[0].tolist()
+
+    def minimal_elements(self) -> list[int]:
+        return [i for i in range(self.n) if not self.rel[:, i].any()]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Poset):
+            return NotImplemented
+        return self.n == other.n and bool(np.array_equal(self.rel, other.rel))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rel.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Poset(n={self.n}, pairs={self.pairs()})"
+
+
+def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
+    """Build the transitive closure of 1-based pairs ``(i, j)`` meaning i < j.
+
+    Raises CycleError if the closure would violate antisymmetry and
+    IndexError for labels outside 1..n.
+    """
+    if n < 1:
+        raise ValueError(f"element count must be positive, got {n}")
+    rel = np.zeros((n, n), dtype=bool)
+    for i, j in relations:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"element pair ({i}, {j}) out of range 1..{n}")
+        if i == j:
+            raise CycleError(f"pair ({i}, {j}) relates an element to itself")
+        rel[i - 1, j - 1] = True
+    closed = _transitive_closure(rel)
+    if closed.diagonal().any() or (closed & closed.T).any():
+        raise CycleError("input relation contains a directed cycle")
+    return Poset(closed)
+
+
+def relabel(P: Poset, perm: Sequence[int]) -> Poset:
+    """Rename element i to perm[i]; perm must be a 0-based permutation."""
+    if sorted(perm) != list(range(P.n)):
+        raise ValueError("perm is not a permutation of 0..n-1")
+    idx = np.asarray(perm)
+    rel = np.zeros_like(P.rel)
+    rel[np.ix_(idx, idx)] = P.rel
+    return Poset(rel)
+
+
+def extends(Q: Poset, P: Poset) -> bool:
+    """True iff Q refines P, i.e. every relation of P also holds in Q."""
+    if Q.n != P.n:
+        raise SizeMismatchError(f"ground sets differ: {Q.n} != {P.n}")
+    return not (P.rel & ~Q.rel).any()
+
+
+def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
+    """All inclusion-maximal chains, as tuples of elements in increasing order.
+
+    Every maximal chain is a source-to-sink path of the cover relation, so a
+    DFS over the Hasse diagram enumerates each exactly once.  Isolated
+    elements yield singleton chains.  Worst case exponential; intended for
+    the desk scale n <= 20.
+    """
+    covers = P.covers
+    succ_lists = [np.nonzero(covers[i])[0].tolist() for i in range(P.n)]
+    chains: list[tuple[int, ...]] = []
+
+    def walk(path: list[int]) -> None:
+        succs = succ_lists[path[-1]]
+        if not succs:
+            chains.append(tuple(path))
+            return
+        for s in succs:
+            path.append(s)
+            walk(path)
+            path.pop()
+
+    for start in P.minimal_elements():
+        walk([start])
+    return chains
+
+
+def _pattern_codes() -> frozenset[int]:
+    # 12-bit codes (one bit per ordered pair among 4 elements) of every
+    # labeling of the 4-element poset with relation {a<b, c<b, c<d}.
+    base = {(0, 1), (2, 1), (2, 3)}
+    pair_index = {
+        (p, q): t for t, (p, q) in enumerate((p, q) for p in range(4) for q in range(4) if p != q)
+    }
+    codes = set()
+    for perm in itertools.permutations(range(4)):
+        code = 0
+        for (p, q) in base:
+            code |= 1 << pair_index[(perm[p], perm[q])]
+        codes.add(code)
+    return frozenset(codes)
+
+
+_N_CODES = _pattern_codes()
+_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(4) if p != q]
+
+
+def count_induced_N(P: Poset) -> int:
+    """Number of 4-subsets inducing the N-shaped poset {a<b, c<b, c<d}.
+
+    Series-parallel posets are exactly the posets with none; the k-fold
+    chain blowup of N has k**4 of them.
+    """
+    n = P.n
+    if n < 4:
+        return 0
+    quads = np.array(list(itertools.combinations(range(n), 4)))
+    bits = np.empty((len(quads), 12), dtype=np.int64)
+    for t, (p, q) in enumerate(_QUAD_PAIRS):
+        bits[:, t] = P.rel[quads[:, p], quads[:, q]]
+    codes = bits @ (1 << np.arange(12, dtype=np.int64))
+    return int(np.isin(codes, np.fromiter(_N_CODES, dtype=np.int64)).sum())
+
+
+def poset_to_text(P: Poset) -> str:
+    """Serialize in the .poset text format (1-based, transitive reduction)."""
+    lines = [str(P.n)]
+    rows, cols = np.nonzero(P.covers)
+    for i, j in sorted(zip(rows.tolist(), cols.tolist())):
+        lines.append(f"{i + 1} {j + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def poset_from_text(text: str) -> Poset:
+    """Parse the .poset text format.
+
+    Lines starting with '#' are comments; the first significant line is n;
+    each further line is '<i> <j>' (1-based) meaning i < j.
+    """
+    n: int | None = None
+    pairs: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if n is None:
+            if len(fields) != 1:
+                raise ValueError(f"line {lineno}: expected the element count, got {line!r}")
+            n = int(fields[0])
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
+        pairs.append((int(fields[0]), int(fields[1])))
+    if n is None:
+        raise ValueError("empty poset file: missing element count")
+    return build_poset(n, pairs)
+
+
+def read_poset(path) -> Poset:
+    with open(path, "r", encoding="ascii") as fh:
+        return poset_from_text(fh.read())
+
+
+def write_poset(P: Poset, path) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(poset_to_text(P))

@@ -1,0 +1,517 @@
+"""Quantum-side quantities: predecessor-gap ranks, the harmonic lower bound,
+its compositional recurrences, and adversary matrices with spectral-norm
+certificates.
+
+For an extension with ranks sigma, the gap of element i is
+
+    d_i = sigma(i)                         if i is minimal,
+    d_i = sigma(i) - max_{j < i} sigma(j)  otherwise,
+
+and the quantum lower bound is QLB(P) = E_sigma[ sum_i H_{d_i - 1} ], the
+average taken uniformly over all extensions and H_q the q-th harmonic
+number.  QLB(P) = n (H_n - QH(P)) holds exactly, where QH averages
+-(1/n) sum ln z_i over the uniform distribution on the chain polytope.
+
+The adversary matrix puts weight 1/d on every pair of extensions that differ
+by one element moving d ranks down past incomparable elements; masking it by
+the outcome of a single comparison can never push the spectral norm past
+2*pi, which is what turns QLB into a query lower bound.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
+from scipy import sparse
+
+from .errors import (
+    DomainError,
+    LimitExceededError,
+    NonConvergenceError,
+    NotAnExtensionError,
+    UnsupportedNBlockError,
+)
+from .linext import (
+    DEFAULT_ENUM_CAP,
+    LinearExtension,
+    count_extensions,
+    extension_orders,
+    is_extension,
+    itlb,
+)
+from .orderstats import harmonic, harmonic_float
+from .polytopes import chain_point_batch, entropy
+from .poset import Poset
+from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size
+
+DEFAULT_MATRIX_CAP = 4000
+
+TWO_PI = 2.0 * math.pi
+
+
+# ---------------------------------------------------------------------------
+# Gap vectors and the exact lower bound
+# ---------------------------------------------------------------------------
+
+def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
+    """Predecessor-gap vector of an extension; raises NotAnExtension."""
+    if not is_extension(P, ext):
+        raise NotAnExtensionError(f"{ext.rank} is not an extension of the poset")
+    out = []
+    for i in range(P.n):
+        preds = P.predecessors(i)
+        if preds:
+            out.append(ext.rank[i] - max(ext.rank[j] for j in preds))
+        else:
+            out.append(ext.rank[i])
+    return tuple(out)
+
+
+def _rank_matrix(orders: np.ndarray) -> np.ndarray:
+    """ranks[s, i] = 1-based rank of element i in row s of element orders."""
+    n = orders.shape[1]
+    ranks = np.empty_like(orders, dtype=np.int64)
+    np.put_along_axis(ranks, orders.astype(np.int64), np.arange(1, n + 1)[None, :], axis=1)
+    return ranks
+
+
+def _d_matrix(P: Poset, ranks: np.ndarray) -> np.ndarray:
+    d = np.empty_like(ranks)
+    for i in range(P.n):
+        preds = P.predecessors(i)
+        if preds:
+            d[:, i] = ranks[:, i] - ranks[:, preds].max(axis=1)
+        else:
+            d[:, i] = ranks[:, i]
+    return d
+
+
+def _gap_counts(P: Poset, max_extensions: int) -> tuple[np.ndarray, int]:
+    """(counts of each gap value over all (extension, element) pairs, N)."""
+    orders = extension_orders(P, max_extensions=max_extensions)
+    d = _d_matrix(P, _rank_matrix(orders))
+    return np.bincount(d.ravel(), minlength=P.n + 1), len(orders)
+
+
+def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
+    """Exact rational QLB by enumeration of all extensions."""
+    counts, num = _gap_counts(P, max_extensions)
+    total = sum(
+        (int(c) * harmonic(dv - 1) for dv, c in enumerate(counts) if c and dv >= 1),
+        Fraction(0),
+    )
+    return total / num
+
+
+def qlb_enum(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> float:
+    """QLB rendered to a float (exact rational arithmetic internally)."""
+    return float(qlb_fraction(P, max_extensions=max_extensions))
+
+
+def qh_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
+    """Exact QH via the identity QLB = n (H_n - QH)."""
+    return harmonic(P.n) - qlb_fraction(P, max_extensions=max_extensions) / P.n
+
+
+def qh_exact(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> float:
+    return float(qh_fraction(P, max_extensions=max_extensions))
+
+
+def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo QH: mean of -(1/n) sum ln z_i over uniform chain-polytope
+    points; returns (estimate, stderr).  Rows with a zero coordinate (a
+    measure-zero tie) are redrawn."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
+    filled = 0
+    while filled < samples:
+        want = samples - filled
+        Z = chain_point_batch(P, want, rng)
+        good = (Z > 0.0).all(axis=1)
+        got = int(good.sum())
+        vals[filled : filled + got] = -np.log(Z[good]).mean(axis=1)
+        filled += got
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+# ---------------------------------------------------------------------------
+# Series-parallel recurrences
+# ---------------------------------------------------------------------------
+
+def qlb_sp_fraction(e: SPExpr) -> Fraction:
+    """Exact QLB of an SP expression by structural recursion.
+
+    Series adds the parts; parallel adds the parts plus the harmonic merge
+    cost n H_n - n1 H_{n1} - n2 H_{n2}, folded left over n-ary nodes.
+    """
+    if isinstance(e, Singleton):
+        return Fraction(0)
+    if isinstance(e, NBlock):
+        raise UnsupportedNBlockError("QLB of N blocks has no product form")
+    if isinstance(e, Series):
+        return sum((qlb_sp_fraction(c) for c in e.children), Fraction(0))
+    total = Fraction(0)
+    acc_n = 0
+    for child in e.children:
+        child_n = expr_size(child)
+        child_q = qlb_sp_fraction(child)
+        if acc_n == 0:
+            total, acc_n = child_q, child_n
+            continue
+        merged = acc_n + child_n
+        total = (
+            total
+            + child_q
+            + merged * harmonic(merged)
+            - acc_n * harmonic(acc_n)
+            - child_n * harmonic(child_n)
+        )
+        acc_n = merged
+    return total
+
+
+def qlb_sp(e: SPExpr) -> float:
+    return float(qlb_sp_fraction(e))
+
+
+@dataclass(frozen=True)
+class NkBounds:
+    """Bracketing bounds for the k-fold chain blowup of the N poset."""
+
+    itlb_lo: float  # ln C(2k, k)
+    itlb_hi: float  # ln C(4k, 2k)
+    qlb_lo: float   # 2 (2k H_{2k} - 2k H_k)
+
+
+def nk_bounds(k: int) -> NkBounds:
+    if k < 1:
+        raise DomainError(f"k must be >= 1, got {k}")
+    qlb_lo = 2 * (2 * k * harmonic(2 * k) - 2 * k * harmonic(k))
+    return NkBounds(
+        itlb_lo=math.log(math.comb(2 * k, k)),
+        itlb_hi=math.log(math.comb(4 * k, 2 * k)),
+        qlb_lo=float(qlb_lo),
+    )
+
+
+@dataclass(frozen=True)
+class TechConstant:
+    """Minimum over 1 <= n1 <= n2 <= max_n of the merge-cost ratio
+
+        ((n1+n2) H_{n1+n2} - n1 H_{n1} - n2 H_{n2}) / ln C(n1+n2, n1).
+    """
+
+    c_min: float
+    argmin: tuple[int, int]
+    c_min_numerator: Fraction  # exact merge cost at the argmin
+    table: np.ndarray | None   # rows (n1, n2, ratio) when collected
+
+
+@lru_cache(maxsize=8)
+def _tech_constant_cached(max_n: int) -> TechConstant:
+    return _tech_scan(max_n, collect_table=False)
+
+
+def tech_constant(max_n: int, collect_table: bool = False) -> TechConstant:
+    """Exhaustive exact-rational scan of the merge-cost ratio.
+
+    The numerator is evaluated in exact integer arithmetic over the common
+    denominator lcm(1..2*max_n); only the division by the (irrational) log
+    binomial is floating point.
+    """
+    if collect_table:
+        return _tech_scan(max_n, collect_table=True)
+    return _tech_constant_cached(max_n)
+
+
+def _tech_scan(max_n: int, collect_table: bool) -> TechConstant:
+    if max_n < 2:
+        raise DomainError(f"max_n must be >= 2, got {max_n}")
+    den = math.lcm(*range(1, 2 * max_n + 1))
+    # acc[q] = q * H_q * den, exactly.
+    acc = [0] * (2 * max_n + 1)
+    run = 0
+    for q in range(1, 2 * max_n + 1):
+        run += den // q
+        acc[q] = q * run
+    shift = 1 << 64
+    best = math.inf
+    best_arg = (0, 0)
+    best_num = 0
+    rows = [] if collect_table else None
+    for n1 in range(1, max_n + 1):
+        for n2 in range(n1, max_n + 1):
+            merge_scaled = acc[n1 + n2] - acc[n1] - acc[n2]
+            merge = float((merge_scaled * shift) // den) / shift
+            ratio = merge / math.log(math.comb(n1 + n2, n1))
+            if rows is not None:
+                rows.append((n1, n2, ratio))
+            if ratio < best:
+                best, best_arg, best_num = ratio, (n1, n2), merge_scaled
+    return TechConstant(
+        c_min=best,
+        argmin=best_arg,
+        c_min_numerator=Fraction(best_num, den),
+        table=np.array(rows) if rows is not None else None,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Adversary matrices
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AdversaryMatrix:
+    """Sparse symmetric nonnegative matrix on extension pairs.
+
+    Rows/columns follow the lexicographic enumeration order of extensions.
+    Both orientations of every nonzero are stored, so a single scatter pass
+    realizes the symmetric matvec.
+    """
+
+    dim: int
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    ranks: np.ndarray  # (dim, n) rank matrix of the indexing extensions
+
+    def index_of(self, ext: LinearExtension | Sequence[int]) -> int:
+        rank = tuple(ext.rank) if isinstance(ext, LinearExtension) else tuple(ext)
+        matches = np.nonzero((self.ranks == np.asarray(rank)).all(axis=1))[0]
+        if len(matches) != 1:
+            raise KeyError(f"rank vector {rank} is not an indexed extension")
+        return int(matches[0])
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim))
+        np.add.at(out, (self.rows, self.cols), self.vals)
+        return out
+
+    def to_csr(self) -> sparse.csr_matrix:
+        return sparse.coo_matrix(
+            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
+        ).tocsr()
+
+    def nonzero_entries(self) -> dict[tuple[int, int], float]:
+        return {(int(r), int(c)): float(v) for r, c, v in zip(self.rows, self.cols, self.vals)}
+
+
+def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> AdversaryMatrix:
+    """Adversary matrix: weight 1/d between an extension and the one obtained
+    by moving an element d ranks down.
+
+    A down-move of element i by d keeps the sequence an extension exactly
+    when d <= d_i - 1: the passed elements rank above every predecessor of i
+    and below i itself, hence are incomparable to i.  Both (sigma, tau) and
+    (tau, sigma) are set to 1/d; adjacent swaps (d = 1) arise once from each
+    endpoint with the same weight, so the assignment is consistent.
+    """
+    num = count_extensions(P)
+    if num > matrix_cap:
+        raise LimitExceededError(f"{num} extensions exceed the matrix cap {matrix_cap}")
+    orders = extension_orders(P, max_extensions=matrix_cap)
+    ranks = _rank_matrix(orders)
+    d = _d_matrix(P, ranks)
+    index = {tuple(o): s for s, o in enumerate(orders.tolist())}
+    seen: set[tuple[int, int]] = set()
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for s, order in enumerate(orders.tolist()):
+        for i in range(P.n):
+            pos = ranks[s, i] - 1
+            for dd in range(1, int(d[s, i])):
+                moved = (
+                    order[: pos - dd] + [i] + order[pos - dd : pos] + order[pos + 1 :]
+                )
+                tgt = index[tuple(moved)]
+                if (s, tgt) in seen:
+                    continue
+                seen.add((s, tgt))
+                seen.add((tgt, s))
+                rows.extend((s, tgt))
+                cols.extend((tgt, s))
+                vals.extend((1.0 / dd, 1.0 / dd))
+    return AdversaryMatrix(
+        dim=int(num),
+        n=P.n,
+        rows=np.asarray(rows, dtype=np.int64),
+        cols=np.asarray(cols, dtype=np.int64),
+        vals=np.asarray(vals, dtype=np.float64),
+        ranks=ranks,
+    )
+
+
+def gamma_ij(gamma: AdversaryMatrix, P: Poset, i: int, j: int) -> AdversaryMatrix:
+    """Mask keeping entries where extensions disagree on the i-vs-j comparison."""
+    if i == j:
+        raise DomainError("the two compared elements must differ")
+    if not (0 <= i < P.n and 0 <= j < P.n):
+        raise DomainError(f"elements ({i}, {j}) out of range 0..{P.n - 1}")
+    below = gamma.ranks[:, i] < gamma.ranks[:, j]
+    keep = below[gamma.rows] != below[gamma.cols]
+    return AdversaryMatrix(
+        dim=gamma.dim,
+        n=gamma.n,
+        rows=gamma.rows[keep],
+        cols=gamma.cols[keep],
+        vals=gamma.vals[keep],
+        ranks=gamma.ranks,
+    )
+
+
+def spectral_norm(
+    M: AdversaryMatrix | np.ndarray,
+    tol: float = 1e-9,
+    max_iter: int = 200_000,
+    seed: int = 0,
+) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
+
+    The matrix is shifted by its max absolute row sum so the target
+    eigenvalue is simple-dominant even for bipartite-like spectra.  The
+    Rayleigh quotient rho stops once the residual ||Av - rho v|| certifies
+    |rho - lambda| <= tol * max(|rho|, 1); a plain change-based stop is not
+    safe when the top of the spectrum clusters (e.g. Hilbert sections).
+    """
+    if isinstance(M, AdversaryMatrix):
+        dim = M.dim
+        if len(M.vals) == 0:
+            return 0.0
+        op = M.to_csr()
+        row_abs = np.zeros(dim)
+        np.add.at(row_abs, M.rows, np.abs(M.vals))
+    else:
+        M = np.asarray(M, dtype=float)
+        dim = M.shape[0]
+        if dim == 0 or not M.any():
+            return 0.0
+        op = M
+        row_abs = np.abs(M).sum(axis=1)
+    shift = float(row_abs.max())
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    for _ in range(max_iter):
+        w = op @ v + shift * v
+        rho = float(v @ w)
+        residual = float(np.linalg.norm(w - rho * v))
+        if residual <= tol * max(abs(rho), 1.0):
+            return max(rho - shift, 0.0)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return 0.0
+        v = w / norm_w
+    raise NonConvergenceError(f"power iteration did not converge in {max_iter} steps")
+
+
+def hilbert_norm(m: int, tol: float = 1e-9) -> float:
+    """Spectral norm of the m-by-m Hilbert matrix 1/(k+l-1); approaches pi
+    from below as m grows."""
+    if m < 1:
+        raise DomainError(f"matrix size must be >= 1, got {m}")
+    idx = np.arange(m)
+    return spectral_norm(1.0 / (idx[:, None] + idx[None, :] + 1.0), tol=tol)
+
+
+def uniform_rayleigh(gamma: AdversaryMatrix) -> float:
+    """Rayleigh quotient of the uniform unit vector: total weight / dim."""
+    if gamma.dim == 0:
+        return 0.0
+    return float(gamma.vals.sum()) / gamma.dim
+
+
+# ---------------------------------------------------------------------------
+# Certificates
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class BoundsReport:
+    """Flat summary of every bound and certificate for one poset.
+
+    Adversary-dependent fields are None when the extension count exceeds the
+    matrix cap.
+    """
+
+    n: int
+    num_extensions: int
+    itlb: float
+    entropy: float
+    lb: float
+    qlb: float | None
+    qh: float | None
+    gamma_norm: float | None
+    max_gamma_ij_norm: float | None
+    lemma1_ok: bool | None
+    lemma2_ok: bool | None
+    lemma3_ok: bool | None
+    sandwich_ok: bool
+
+    def flags(self) -> list[bool | None]:
+        return [self.lemma1_ok, self.lemma2_ok, self.lemma3_ok, self.sandwich_ok]
+
+    def any_failed(self) -> bool:
+        return any(f is False for f in self.flags())
+
+
+def _sandwich_ok(itlb_val: float, lb_val: float, tol: float) -> bool:
+    return lb_val >= itlb_val * (1.0 - tol) - 1e-9 and lb_val <= 2.0 * itlb_val + tol
+
+
+def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset, tol: float = 1e-9) -> float:
+    worst = 0.0
+    for i in range(P.n):
+        for j in range(i + 1, P.n):
+            worst = max(worst, spectral_norm(gamma_ij(gamma, P, i, j), tol=tol))
+    return worst
+
+
+def verify_adversary(
+    P: Poset,
+    tol: float = 1e-6,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    norm_tol: float = 1e-9,
+) -> BoundsReport:
+    """Build the adversary matrix and certify the three norm statements:
+
+    (a) ||Gamma|| >= QLB, up to relative tol;
+    (b) every masked norm ||Gamma^{ij}|| <= 2 pi + tol;
+    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi) - tol.
+
+    Failures are reported as False flags, never raised.
+    """
+    num = count_extensions(P)
+    itlb_val = itlb(P)
+    sol = entropy(P, tol=min(1e-9, tol))
+    lb_val = P.n * (math.log(P.n) - sol.H)
+    qlb_val = qlb_enum(P, max_extensions=max(num, 1))
+    qh_val = harmonic_float(P.n) - qlb_val / P.n
+    gamma = build_adversary(P, matrix_cap=matrix_cap)
+    gnorm = spectral_norm(gamma, tol=norm_tol)
+    mnorm = max_gamma_ij_norm(gamma, P, tol=norm_tol)
+    lemma1 = gnorm >= qlb_val * (1.0 - tol)
+    lemma2 = mnorm <= TWO_PI + tol
+    ratio = gnorm / mnorm if mnorm > 0 else 0.0
+    lemma3 = ratio >= qlb_val / TWO_PI - tol
+    return BoundsReport(
+        n=P.n,
+        num_extensions=int(num),
+        itlb=itlb_val,
+        entropy=sol.H,
+        lb=lb_val,
+        qlb=qlb_val,
+        qh=qh_val,
+        gamma_norm=gnorm,
+        max_gamma_ij_norm=mnorm,
+        lemma1_ok=bool(lemma1),
+        lemma2_ok=bool(lemma2),
+        lemma3_ok=bool(lemma3),
+        sandwich_ok=_sandwich_ok(itlb_val, lb_val, tol),
+    )

@@ -1,0 +1,355 @@
+"""Expression language for (extended) series-parallel posets.
+
+Grammar, whitespace-insensitive::
+
+    expr := term ('+' term)*           parallel composition (direct sum)
+    term := atom ('*' atom)*           series composition (ordinal sum), binds tighter
+    atom := '.'                        singleton
+          | 'chain' '(' INT ')'        k-fold series of singletons
+          | 'antichain' '(' INT ')'    k-fold parallel of singletons
+          | 'N' '(' INT ')'            four k-chains A, B, C, D with A < B, C < B, C < D
+          | '(' expr ')'
+
+Both compositions are n-ary and flattened, so every expression has a unique
+normal form; the binary compositions of the literature are recovered by a
+left fold.  ``realize`` numbers elements 0..n-1 in left-to-right leaf order:
+a series places every element of an earlier block below every element of a
+later block, a parallel adds no cross relations.
+"""
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from functools import cmp_to_key
+from typing import Union
+
+import numpy as np
+
+from .errors import ParseError
+from .poset import Poset
+
+
+@dataclass(frozen=True)
+class Singleton:
+    def __str__(self) -> str:
+        return "."
+
+
+@dataclass(frozen=True)
+class Series:
+    children: tuple["SPExpr", ...]
+
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise ValueError("series node needs at least two children")
+
+    def __str__(self) -> str:
+        return " * ".join(_paren(c, inside_series=True) for c in self.children)
+
+
+@dataclass(frozen=True)
+class Parallel:
+    children: tuple["SPExpr", ...]
+
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise ValueError("parallel node needs at least two children")
+
+    def __str__(self) -> str:
+        return " + ".join(str(c) for c in self.children)
+
+
+@dataclass(frozen=True)
+class NBlock:
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"N block size must be >= 1, got {self.k}")
+
+    def __str__(self) -> str:
+        return f"N({self.k})"
+
+
+SPExpr = Union[Singleton, Series, Parallel, NBlock]
+
+
+def _paren(e: SPExpr, *, inside_series: bool) -> str:
+    if inside_series and isinstance(e, Parallel):
+        return f"({e})"
+    return str(e)
+
+
+class NotSeriesParallel:
+    """Falsy sentinel returned when a poset has no series-parallel form."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "NotSeriesParallel"
+
+    def __bool__(self) -> bool:
+        return False
+
+
+NOT_SERIES_PARALLEL = NotSeriesParallel()
+
+
+def series(*children: SPExpr) -> SPExpr:
+    """n-ary series composition, flattening nested series nodes."""
+    flat: list[SPExpr] = []
+    for c in children:
+        flat.extend(c.children if isinstance(c, Series) else [c])
+    if len(flat) == 1:
+        return flat[0]
+    return Series(tuple(flat))
+
+
+def parallel(*children: SPExpr) -> SPExpr:
+    """n-ary parallel composition, flattening nested parallel nodes."""
+    flat: list[SPExpr] = []
+    for c in children:
+        flat.extend(c.children if isinstance(c, Parallel) else [c])
+    if len(flat) == 1:
+        return flat[0]
+    return Parallel(tuple(flat))
+
+
+def expr_size(e: SPExpr) -> int:
+    """Number of elements of the realized poset."""
+    if isinstance(e, Singleton):
+        return 1
+    if isinstance(e, NBlock):
+        return 4 * e.k
+    return sum(expr_size(c) for c in e.children)
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<dot>\.)|(?P<plus>\+)|(?P<star>\*)|(?P<lp>\()|(?P<rp>\))"
+                       r"|(?P<name>[A-Za-z]+)|(?P<int>\d+))")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
+        kind = m.lastgroup
+        assert kind is not None
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
+        tok = self.take()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, found {tok[1] or 'end of input'!r}", tok[2])
+        return tok
+
+    def parse(self) -> SPExpr:
+        e = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        return e
+
+    def expr(self) -> SPExpr:
+        parts = [self.term()]
+        while self.peek()[0] == "plus":
+            self.take()
+            parts.append(self.term())
+        return parallel(*parts)
+
+    def term(self) -> SPExpr:
+        parts = [self.atom()]
+        while self.peek()[0] == "star":
+            self.take()
+            parts.append(self.atom())
+        return series(*parts)
+
+    def atom(self) -> SPExpr:
+        kind, value, pos = self.take()
+        if kind == "dot":
+            return Singleton()
+        if kind == "lp":
+            e = self.expr()
+            self.expect("rp", "')'")
+            return e
+        if kind == "name":
+            if value not in ("N", "chain", "antichain"):
+                raise ParseError(f"unknown primitive {value!r}", pos)
+            self.expect("lp", "'(' after primitive name")
+            num = self.expect("int", "an integer")
+            self.expect("rp", "')'")
+            k = int(num[1])
+            if k < 1:
+                raise ValueError(f"{value}({k}): size must be >= 1")
+            if value == "N":
+                return NBlock(k)
+            if k == 1:
+                return Singleton()
+            leaves = tuple(Singleton() for _ in range(k))
+            return Series(leaves) if value == "chain" else Parallel(leaves)
+        raise ParseError(f"expected an expression, found {value or 'end of input'!r}", pos)
+
+
+def parse_sp(text: str) -> SPExpr:
+    """Parse an expression in the grammar above."""
+    return _Parser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# Realization
+# ---------------------------------------------------------------------------
+
+def realize(e: SPExpr) -> Poset:
+    """Build the poset of an expression on elements 0..n-1 in leaf order."""
+    n = expr_size(e)
+    rel = np.zeros((n, n), dtype=bool)
+
+    def fill(node: SPExpr, offset: int) -> int:
+        if isinstance(node, Singleton):
+            return offset + 1
+        if isinstance(node, NBlock):
+            k = node.k
+            blocks = [range(offset + t * k, offset + (t + 1) * k) for t in range(4)]
+            a, b, c, d = blocks
+            for chain_elems in blocks:
+                for lo in chain_elems:
+                    for hi in chain_elems:
+                        if lo < hi:
+                            rel[lo, hi] = True
+            for lo_block, hi_block in ((a, b), (c, b), (c, d)):
+                for lo in lo_block:
+                    for hi in hi_block:
+                        rel[lo, hi] = True
+            return offset + 4 * k
+        starts = []
+        cur = offset
+        for child in node.children:
+            starts.append(cur)
+            cur = fill(child, cur)
+        starts.append(cur)
+        if isinstance(node, Series):
+            for t in range(len(node.children)):
+                rel[starts[t] : starts[t + 1], starts[t + 1] : cur] = True
+        return cur
+
+    fill(e, 0)
+    return Poset(rel)
+
+
+# ---------------------------------------------------------------------------
+# Recognition
+# ---------------------------------------------------------------------------
+
+def _components(adj: np.ndarray) -> list[list[int]]:
+    n = adj.shape[0]
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in np.nonzero(adj[v])[0]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        comps.append(sorted(comp))
+    return comps
+
+
+def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
+    """Decompose P into a series-parallel expression, or None.
+
+    On success returns ``(expr, leaves)`` where ``leaves[t]`` is the element
+    of P realized by the t-th leaf of ``expr``; so ``realize(expr)`` equals P
+    after renaming element ``leaves[t]`` to ``t``.
+
+    Recursive split: a disconnected comparability graph gives a parallel
+    node over its components; a disconnected incomparability graph gives a
+    series node over its co-components, which the relation orders totally.
+    """
+    comparable = P.rel | P.rel.T
+
+    def rec(elems: list[int]) -> tuple[SPExpr, list[int]] | None:
+        sub = comparable[np.ix_(elems, elems)]
+        comps = _components(sub)
+        if len(comps) > 1:
+            children, leaves = [], []
+            for comp in sorted(comps, key=min):
+                got = rec([elems[t] for t in comp])
+                if got is None:
+                    return None
+                children.append(got[0])
+                leaves.extend(got[1])
+            return parallel(*children), leaves
+        co = _components(~sub & ~np.eye(len(elems), dtype=bool))
+        if len(co) > 1:
+            # Distinct co-components are uniformly comparable; order them by
+            # the relation through representatives and check uniformity.
+            blocks = [[elems[t] for t in comp] for comp in co]
+            blocks.sort(key=cmp_to_key(lambda a, b: -1 if P.rel[a[0], b[0]] else 1))
+            for lo_blk, hi_blk in zip(blocks, blocks[1:]):
+                if not all(P.rel[x, y] for x in lo_blk for y in hi_blk):
+                    return None
+            children, leaves = [], []
+            for blk in blocks:
+                got = rec(blk)
+                if got is None:
+                    return None
+                children.append(got[0])
+                leaves.extend(got[1])
+            return series(*children), leaves
+        if len(elems) == 1:
+            return Singleton(), list(elems)
+        return None
+
+    got = rec(list(range(P.n)))
+    if got is None:
+        return None
+    return got[0], tuple(got[1])
+
+
+def recognize_sp(P: Poset) -> SPExpr | NotSeriesParallel:
+    """Series-parallel expression realizing P up to renumbering, or the
+    NOT_SERIES_PARALLEL sentinel."""
+    got = sp_decomposition(P)
+    if got is None:
+        return NOT_SERIES_PARALLEL
+    return got[0]
