@@ -38,6 +38,7 @@ from .linext import (
     extension_orders,
     is_extension,
     itlb,
+    ln_count,
     sample_extension,
 )
 from .orderstats import (
@@ -81,6 +82,7 @@ from .quantum import (
     BoundsReport,
     NkBounds,
     TechConstant,
+    analyze,
     build_adversary,
     d_vector,
     gamma_ij,

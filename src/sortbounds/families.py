@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poset import Poset, build_poset, _transitive_closure
+from .poset import Poset, build_poset
 from .spexpr import NBlock, Singleton, SPExpr, parallel, realize, series
 
 
@@ -43,13 +43,13 @@ def fence_poset(n: int) -> Poset:
 def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
     """Transitive closure of a random DAG: pairs oriented along a hidden
     random topological order, each kept with probability p."""
-    perm = rng.permutation(n)
-    rel = np.zeros((n, n), dtype=bool)
+    labels = (rng.permutation(n) + 1).tolist()
+    pairs = []
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < p:
-                rel[perm[a], perm[b]] = True
-    return Poset(_transitive_closure(rel))
+                pairs.append((labels[a], labels[b]))
+    return build_poset(n, pairs)
 
 
 def random_sp_expr(rng: np.random.Generator, n: int) -> SPExpr:

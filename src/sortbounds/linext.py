@@ -93,7 +93,7 @@ def count_extensions(P: Poset, max_n: int = DEFAULT_N_CAP) -> int:
     return _count_upset(P, (1 << P.n) - 1)
 
 
-def _ln_big(x: int) -> float:
+def ln_count(x: int) -> float:
     """Natural log of a positive big integer, error well below 1e-12."""
     if x <= 0:
         raise ValueError("log of a non-positive count")
@@ -106,7 +106,7 @@ def _ln_big(x: int) -> float:
 
 def itlb(P: Poset, max_n: int = DEFAULT_N_CAP) -> float:
     """Information-theoretic lower bound ln |extensions|; 0 for a chain."""
-    return _ln_big(count_extensions(P, max_n=max_n))
+    return ln_count(count_extensions(P, max_n=max_n))
 
 
 def _orders_list(P: Poset, cap: int) -> list[tuple[int, ...]]:

@@ -216,8 +216,9 @@ def poset_to_text(P: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def poset_from_text(text: str) -> Poset:
-    """Parse the .poset text format.
+def parse_poset_text(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse the .poset text format into (n, 1-based pairs) without building
+    the relation, so a caller can check n first.
 
     Lines starting with '#' are comments; the first significant line is n;
     each further line is '<i> <j>' (1-based) meaning i < j.
@@ -239,7 +240,12 @@ def poset_from_text(text: str) -> Poset:
         pairs.append((int(fields[0]), int(fields[1])))
     if n is None:
         raise ValueError("empty poset file: missing element count")
-    return build_poset(n, pairs)
+    return n, pairs
+
+
+def poset_from_text(text: str) -> Poset:
+    """Parse and build a poset from the .poset text format."""
+    return build_poset(*parse_poset_text(text))
 
 
 def read_poset(path) -> Poset:

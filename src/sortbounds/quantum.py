@@ -37,16 +37,18 @@ from .errors import (
 )
 from .linext import (
     DEFAULT_ENUM_CAP,
+    DEFAULT_N_CAP,
     LinearExtension,
     count_extensions,
+    count_extensions_sp,
     extension_orders,
     is_extension,
-    itlb,
+    ln_count,
 )
 from .orderstats import harmonic, harmonic_float
 from .polytopes import chain_point_batch, entropy
 from .poset import Poset
-from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size
+from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size, sp_decomposition
 
 DEFAULT_MATRIX_CAP = 4000
 
@@ -461,10 +463,6 @@ class BoundsReport:
         return any(f is False for f in self.flags())
 
 
-def _sandwich_ok(itlb_val: float, lb_val: float, tol: float) -> bool:
-    return lb_val >= itlb_val * (1.0 - tol) - 1e-9 and lb_val <= 2.0 * itlb_val + tol
-
-
 def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset, tol: float = 1e-9) -> float:
     worst = 0.0
     for i in range(P.n):
@@ -473,33 +471,64 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset, tol: float = 1e-9) -> fl
     return worst
 
 
-def verify_adversary(
-    P: Poset,
-    tol: float = 1e-6,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-    norm_tol: float = 1e-9,
-) -> BoundsReport:
-    """Build the adversary matrix and certify the three norm statements:
+LEMMA_TOL = 1e-6
 
-    (a) ||Gamma|| >= QLB, up to relative tol;
-    (b) every masked norm ||Gamma^{ij}|| <= 2 pi + tol;
-    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi) - tol.
+
+def sandwich_holds(itlb_val: float, lb_val: float) -> bool:
+    """ITLB <= LB <= 2 ITLB, each side relaxed by LEMMA_TOL."""
+    return (lb_val >= itlb_val * (1.0 - LEMMA_TOL) - 1e-9
+            and lb_val <= 2.0 * itlb_val + LEMMA_TOL)
+
+
+def analyze(
+    P: Poset,
+    *,
+    max_n: int = DEFAULT_N_CAP,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    entropy_tol: float = 1e-8,
+) -> BoundsReport:
+    """Every bound and certificate for one poset.
+
+    The count and QLB come from the series-parallel product form and
+    recurrence when P decomposes, and otherwise from the ideal DP and
+    enumeration; QLB and QH are None when enumeration would pass enum_cap.
+    The adversary matrix is built only when the count is within matrix_cap
+    and QLB is known, else its fields are None.  The certificates are
+
+    (a) ||Gamma|| >= QLB, up to relative LEMMA_TOL;
+    (b) every masked norm ||Gamma^{ij}|| <= 2 pi + LEMMA_TOL;
+    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi) - LEMMA_TOL;
+    and the sandwich ITLB <= LB <= 2 ITLB.
 
     Failures are reported as False flags, never raised.
     """
-    num = count_extensions(P)
-    itlb_val = itlb(P)
-    sol = entropy(P, tol=min(1e-9, tol))
+    if P.n > max_n:
+        raise LimitExceededError(f"n={P.n} exceeds the cap max_n={max_n}")
+    qlb_val: float | None = None
+    decomposed = sp_decomposition(P)
+    if decomposed is not None:
+        num = count_extensions_sp(decomposed[0])
+        qlb_val = qlb_sp(decomposed[0])
+    else:
+        num = count_extensions(P, max_n=max_n)
+        if num <= enum_cap:
+            qlb_val = qlb_enum(P, max_extensions=enum_cap)
+    itlb_val = ln_count(num)
+    sol = entropy(P, tol=entropy_tol)
     lb_val = P.n * (math.log(P.n) - sol.H)
-    qlb_val = qlb_enum(P, max_extensions=max(num, 1))
-    qh_val = harmonic_float(P.n) - qlb_val / P.n
-    gamma = build_adversary(P, matrix_cap=matrix_cap)
-    gnorm = spectral_norm(gamma, tol=norm_tol)
-    mnorm = max_gamma_ij_norm(gamma, P, tol=norm_tol)
-    lemma1 = gnorm >= qlb_val * (1.0 - tol)
-    lemma2 = mnorm <= TWO_PI + tol
-    ratio = gnorm / mnorm if mnorm > 0 else 0.0
-    lemma3 = ratio >= qlb_val / TWO_PI - tol
+    qh_val = harmonic_float(P.n) - qlb_val / P.n if qlb_val is not None else None
+
+    gnorm = mnorm = None
+    lemma1 = lemma2 = lemma3 = None
+    if num <= matrix_cap and qlb_val is not None:
+        gamma = build_adversary(P, matrix_cap=matrix_cap)
+        gnorm = spectral_norm(gamma)
+        mnorm = max_gamma_ij_norm(gamma, P)
+        lemma1 = bool(gnorm >= qlb_val * (1.0 - LEMMA_TOL))
+        lemma2 = bool(mnorm <= TWO_PI + LEMMA_TOL)
+        ratio = gnorm / mnorm if mnorm > 0 else 0.0
+        lemma3 = bool(ratio >= qlb_val / TWO_PI - LEMMA_TOL)
     return BoundsReport(
         n=P.n,
         num_extensions=int(num),
@@ -510,8 +539,25 @@ def verify_adversary(
         qh=qh_val,
         gamma_norm=gnorm,
         max_gamma_ij_norm=mnorm,
-        lemma1_ok=bool(lemma1),
-        lemma2_ok=bool(lemma2),
-        lemma3_ok=bool(lemma3),
-        sandwich_ok=_sandwich_ok(itlb_val, lb_val, tol),
+        lemma1_ok=lemma1,
+        lemma2_ok=lemma2,
+        lemma3_ok=lemma3,
+        sandwich_ok=sandwich_holds(itlb_val, lb_val),
     )
+
+
+def verify_adversary(
+    P: Poset,
+    tol: float = 1e-6,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
+) -> BoundsReport:
+    """`analyze` with the adversary certificates required: raises
+    LimitExceededError when the extension count exceeds matrix_cap.  The
+    entropy program is solved to min(tol, 1e-8), as `analyze --tol` does."""
+    report = analyze(P, enum_cap=matrix_cap, matrix_cap=matrix_cap,
+                     entropy_tol=min(tol, 1e-8))
+    if report.gamma_norm is None:
+        raise LimitExceededError(
+            f"{report.num_extensions} extensions exceed the matrix cap {matrix_cap}"
+        )
+    return report

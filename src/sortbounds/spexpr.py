@@ -156,11 +156,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Each parenthesis level costs three parser frames; the bound keeps the
+# parser and the recursive walks over its output far inside the
+# interpreter's default recursion limit of 1000.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -202,8 +209,12 @@ class _Parser:
         if kind == "dot":
             return Singleton()
         if kind == "lp":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             e = self.expr()
             self.expect("rp", "')'")
+            self.depth -= 1
             return e
         if kind == "name":
             if value not in ("N", "chain", "antichain"):

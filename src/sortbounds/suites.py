@@ -16,8 +16,6 @@ from . import families, linext, orderstats, polytopes, quantum
 from .poset import count_induced_N, extends
 from .spexpr import parallel, parse_sp, realize, series, sp_decomposition
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -217,7 +215,7 @@ def suite_polytopes(seed: int, samples: int, tol: float) -> list[CheckResult]:
     for _, P in fam:
         it = linext.itlb(P)
         l = polytopes.lb(P, tol=1e-9)
-        if it > 1e-12 and not (it * (1 - 1e-6) - 1e-9 <= l <= 2 * it + 1e-6):
+        if it > 1e-12 and not quantum.sandwich_holds(it, l):
             sandwich_bad += 1
     out.append(_result("polytopes", "entropy_sandwich", sandwich_bad == 0,
                        "ITLB <= LB <= 2 ITLB on the family"))
@@ -325,7 +323,7 @@ def suite_adversary(seed: int, samples: int, tol: float) -> list[CheckResult]:
     flag_bad = []
     rayleigh_bad = []
     for name, P in fam:
-        rep = quantum.verify_adversary(P, tol=max(tol, 1e-6))
+        rep = quantum.verify_adversary(P)
         if rep.any_failed():
             flag_bad.append(name)
         gamma = quantum.build_adversary(P)

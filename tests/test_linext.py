@@ -70,7 +70,7 @@ def test_itlb_examples(wedge):
 
 
 def test_ln_big_precision():
-    from sortbounds.linext import _ln_big
+    from sortbounds.linext import ln_count as _ln_big
 
     # counts too wide for float conversion still get 1e-12 accuracy
     x = (2**5000) * 3

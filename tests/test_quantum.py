@@ -372,6 +372,9 @@ def test_verify_adversary_examples(wedge):
     assert rep.lemma1_ok and rep.lemma2_ok and rep.lemma3_ok and rep.sandwich_ok
     assert rep.num_extensions == 3
 
+    with pytest.raises(LimitExceededError):
+        verify_adversary(antichain_poset(4), matrix_cap=10)
+
 
 def test_uniform_rayleigh_dominates_qlb(family8):
     for name, P in family8:
