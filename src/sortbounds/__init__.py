@@ -40,6 +40,7 @@ from .linext import (
     itlb,
     ln_count,
     sample_extension,
+    sample_order,
 )
 from .orderstats import (
     ClosedFormResiduals,

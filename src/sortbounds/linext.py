@@ -2,9 +2,11 @@
 
 Counting is a dynamic program over the unranked part of the ground set,
 memoized on its bitmask: the ranked prefix of any partial schedule is an
-order ideal, so the states are exactly the up-sets of the poset.  Counts are
-arbitrary-precision integers throughout; n is capped (default 20) so the
-state space stays at most 2**20.
+order ideal, so the states are exactly the up-sets of the poset.  The table
+lives in ``Poset.upset_counts``: counting reads its full-set entry,
+enumeration checks its cap against that count, and sampling walks it.
+Counts are arbitrary-precision integers throughout; n is capped (default 20)
+so the state space stays at most 2**20.
 """
 from __future__ import annotations
 
@@ -59,38 +61,11 @@ def is_extension(P: Poset, ext: LinearExtension) -> bool:
     return bool(np.all(rank[rows] < rank[cols]))
 
 
-def _memo(P: Poset) -> dict[int, int]:
-    memo = getattr(P, "_linext_memo", None)
-    if memo is None:
-        memo = {0: 1}
-        P._linext_memo = memo
-    return memo
-
-
-def _count_upset(P: Poset, mask: int) -> int:
-    """Number of linear extensions of P restricted to the up-set `mask`."""
-    memo = _memo(P)
-    got = memo.get(mask)
-    if got is not None:
-        return got
-    preds = P.pred_masks
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        e = low.bit_length() - 1
-        if preds[e] & mask == 0:
-            total += _count_upset(P, mask ^ low)
-    memo[mask] = total
-    return total
-
-
 def count_extensions(P: Poset, max_n: int = DEFAULT_N_CAP) -> int:
     """Exact number of linear extensions (arbitrary precision)."""
     if P.n > max_n:
         raise LimitExceededError(f"n={P.n} exceeds the counting cap {max_n}")
-    return _count_upset(P, (1 << P.n) - 1)
+    return P.upset_counts[(1 << P.n) - 1]
 
 
 def ln_count(x: int) -> float:
@@ -113,9 +88,6 @@ def _orders_list(P: Poset, cap: int) -> list[tuple[int, ...]]:
     total = count_extensions(P)
     if total > cap:
         raise LimitExceededError(f"{total} extensions exceed the enumeration cap {cap}")
-    cached = getattr(P, "_orders_cache", None)
-    if cached is not None:
-        return cached
     preds = P.pred_masks
     out: list[tuple[int, ...]] = []
 
@@ -132,7 +104,6 @@ def _orders_list(P: Poset, cap: int) -> list[tuple[int, ...]]:
                 rec(mask ^ low, prefix + (e,))
 
     rec((1 << P.n) - 1, ())
-    P._orders_cache = out
     return out
 
 
@@ -149,11 +120,16 @@ def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.nda
     return np.array(_orders_list(P, max_extensions), dtype=np.int16).reshape(-1, P.n)
 
 
-def _sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
-    # Rank 1 first: pick each minimal element of the unranked up-set with
-    # probability proportional to the number of completions, in exact
-    # integer arithmetic.
+def sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
+    """One exactly-uniform extension as an element sequence, drawn with rng.
+
+    Rank 1 first: each minimal element of the unranked up-set is picked with
+    probability proportional to its number of completions, read from the
+    up-set table in exact integer arithmetic.  The table is built on first
+    use, so callers cap n first.
+    """
     preds = P.pred_masks
+    counts = P.upset_counts
     mask = (1 << P.n) - 1
     order = []
     while mask:
@@ -166,7 +142,7 @@ def _sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
             e = low.bit_length() - 1
             if preds[e] & mask == 0:
                 choices.append((e, low))
-                weights.append(_count_upset(P, mask ^ low))
+                weights.append(counts[mask ^ low])
         r = rng.randrange(sum(weights))
         acc = 0
         for (e, low), w in zip(choices, weights):
@@ -183,7 +159,7 @@ def sample_extension(P: Poset, seed: int, max_n: int = DEFAULT_N_CAP) -> LinearE
     if P.n > max_n:
         raise LimitExceededError(f"n={P.n} exceeds the sampling cap {max_n}")
     count_extensions(P, max_n=max_n)
-    return LinearExtension.from_order(_sample_order(P, random.Random(seed)))
+    return LinearExtension.from_order(sample_order(P, random.Random(seed)))
 
 
 def count_extensions_sp(e: SPExpr) -> int:

@@ -20,6 +20,7 @@ from scipy import integrate
 
 from .errors import DomainError, QuadratureFailureError
 from .linext import LinearExtension, is_extension
+from .polytopes import transfer_batch
 from .poset import Poset
 
 
@@ -218,8 +219,7 @@ def exp_ln_gap_check(
         raise DomainError("ext is not a linear extension of P")
     n = P.n
     r = ext.rank[i]
-    pred_ranks = [ext.rank[j] for j in P.predecessors(i)]
-    r_prev = max(pred_ranks) if pred_ranks else 0
+    r_prev = r - int(transfer_batch(P, np.array([ext.rank]))[0, i])
     rng = np.random.default_rng(seed)
     z = sorted_uniforms(n, samples, rng)
     lower = z[:, r_prev - 1] if r_prev >= 1 else 0.0

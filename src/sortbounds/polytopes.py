@@ -22,6 +22,7 @@ obtained by evaluating the Lagrange dual at explicit multipliers.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     NotConsistentError,
     NotInChainPolytopeError,
 )
-from .linext import _sample_order, count_extensions, extension_orders
+from .linext import count_extensions, extension_orders, sample_order
 from .poset import Poset, maximal_chains
 
 FEAS_TOL = 1e-12
@@ -43,15 +44,11 @@ _BATCH_ENUM_CAP = 500_000
 
 def chain_matrix(P: Poset) -> np.ndarray:
     """0/1 incidence matrix of maximal chains (rows) versus elements."""
-    cached = getattr(P, "_chain_matrix", None)
-    if cached is None:
-        chains = maximal_chains(P)
-        cached = np.zeros((len(chains), P.n))
-        for r, chain in enumerate(chains):
-            cached[r, list(chain)] = 1.0
-        cached.setflags(write=False)
-        P._chain_matrix = cached
-    return cached
+    chains = maximal_chains(P)
+    A = np.zeros((len(chains), P.n))
+    for r, chain in enumerate(chains):
+        A[r, list(chain)] = 1.0
+    return A
 
 
 def _check_order_point(P: Poset, y: np.ndarray) -> None:
@@ -68,16 +65,14 @@ def transfer(P: Poset, y) -> np.ndarray:
     """Predecessor-gap image of an order-polytope point."""
     y = np.asarray(y, dtype=float)
     _check_order_point(P, y)
-    z = y.copy()
-    for i in range(P.n):
-        preds = P.predecessors(i)
-        if preds:
-            z[i] = y[i] - np.max(y[preds])
-    return z
+    return transfer_batch(P, y[None, :])[0]
 
 
 def transfer_batch(P: Poset, Y: np.ndarray) -> np.ndarray:
-    """transfer applied to each row of Y (no per-row feasibility checks)."""
+    """transfer applied to each row of Y (no per-row feasibility checks).
+
+    The one implementation of the predecessor-gap map: on integer rank rows
+    it gives the d-vectors of :mod:`sortbounds.quantum`."""
     Z = Y.copy()
     for i in range(P.n):
         preds = P.predecessors(i)
@@ -106,14 +101,11 @@ def transfer_inverse(P: Poset, z) -> np.ndarray:
     """Inverse of transfer: accumulate predecessor maxima topologically."""
     z = np.asarray(z, dtype=float)
     _check_chain_point(P, z)
-    y = np.empty(P.n)
-    for i in _topological_order(P):
-        preds = P.predecessors(i)
-        y[i] = z[i] + (np.max(y[preds]) if preds else 0.0)
-    return y
+    return transfer_inverse_batch(P, z[None, :])[0]
 
 
 def transfer_inverse_batch(P: Poset, Z: np.ndarray) -> np.ndarray:
+    """transfer_inverse applied to each row of Z (no feasibility checks)."""
     Y = np.empty_like(Z)
     for i in _topological_order(P):
         preds = P.predecessors(i)
@@ -137,9 +129,8 @@ def _order_to_point(order, rng: np.random.Generator) -> np.ndarray:
 def sample_order_point(P: Poset, seed: int) -> np.ndarray:
     """One exactly-uniform point of O(P): a uniform extension assigns which
     sorted uniform each element receives."""
-    import random as _random
-
-    order = _sample_order(P, _random.Random(seed))
+    count_extensions(P)
+    order = sample_order(P, random.Random(seed))
     return _order_to_point(order, np.random.default_rng(seed))
 
 
@@ -156,10 +147,8 @@ def order_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.nd
         idx = rng.integers(0, len(orders), size=samples)
         chosen = orders[idx].astype(np.int64)
     else:
-        import random as _random
-
-        walker = _random.Random(int(rng.integers(0, 2**63)))
-        chosen = np.array([_sample_order(P, walker) for _ in range(samples)])
+        walker = random.Random(int(rng.integers(0, 2**63)))
+        chosen = np.array([sample_order(P, walker) for _ in range(samples)])
     u = rng.random((samples, n))
     u.sort(axis=1)
     y = np.empty_like(u)

@@ -5,14 +5,17 @@ the textbook convention are implicit.  Elements are 0-based throughout the
 Python API.  The text format and :func:`build_poset` accept 1-based labels,
 so conversion happens only at that boundary.
 
-A ``Poset`` is immutable after construction and safe to share across workers;
-lazy caches (cover relation, predecessor bitmasks, extension counts) are
-attached on first use and never mutated afterwards.
+A ``Poset`` is immutable after construction and safe to share across workers.
+Its only caches are the declared cached properties below: the cover
+relation, the predecessor bitmasks and the up-set table ``upset_counts``,
+from which :mod:`sortbounds.linext` counts, enumerates and samples linear
+extensions.  Each is built on first use and never mutated afterwards.
 """
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -77,15 +80,33 @@ class Poset:
         return tuple(masks)
 
     @cached_property
-    def succ_masks(self) -> tuple[int, ...]:
-        """Bitmask of strict successors for each element."""
-        masks = []
-        for i in range(self.n):
-            m = 0
-            for j in np.nonzero(self.rel[i])[0]:
-                m |= 1 << int(j)
-            masks.append(m)
-        return tuple(masks)
+    def upset_counts(self) -> MappingProxyType:
+        """Read-only map from the bitmask of each up-set to its number of
+        linear extensions; the full set maps to the extension count of P.
+
+        Ranking a minimal element of an up-set leaves an up-set, so one
+        memoized recursion from the full set visits exactly the up-sets.
+        The table can hold 2**n entries: callers cap n before reading it.
+        """
+        preds = self.pred_masks
+        memo = {0: 1}
+
+        def count(mask: int) -> int:
+            got = memo.get(mask)
+            if got is not None:
+                return got
+            total = 0
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                if preds[low.bit_length() - 1] & mask == 0:
+                    total += count(mask ^ low)
+            memo[mask] = total
+            return total
+
+        count((1 << self.n) - 1)
+        return MappingProxyType(memo)
 
     def predecessors(self, i: int) -> list[int]:
         return np.nonzero(self.rel[:, i])[0].tolist()
@@ -237,7 +258,10 @@ def parse_poset_text(text: str) -> tuple[int, list[tuple[int, int]]]:
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
-        pairs.append((int(fields[0]), int(fields[1])))
+        i, j = int(fields[0]), int(fields[1])
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"line {lineno}: element pair ({i}, {j}) out of range 1..{n}")
+        pairs.append((i, j))
     if n is None:
         raise ValueError("empty poset file: missing element count")
     return n, pairs

@@ -46,7 +46,7 @@ from .linext import (
     ln_count,
 )
 from .orderstats import harmonic, harmonic_float
-from .polytopes import chain_point_batch, entropy
+from .polytopes import chain_point_batch, entropy, transfer_batch
 from .poset import Poset
 from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size, sp_decomposition
 
@@ -63,14 +63,7 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
     """Predecessor-gap vector of an extension; raises NotAnExtension."""
     if not is_extension(P, ext):
         raise NotAnExtensionError(f"{ext.rank} is not an extension of the poset")
-    out = []
-    for i in range(P.n):
-        preds = P.predecessors(i)
-        if preds:
-            out.append(ext.rank[i] - max(ext.rank[j] for j in preds))
-        else:
-            out.append(ext.rank[i])
-    return tuple(out)
+    return tuple(transfer_batch(P, np.array([ext.rank]))[0].tolist())
 
 
 def _rank_matrix(orders: np.ndarray) -> np.ndarray:
@@ -81,21 +74,10 @@ def _rank_matrix(orders: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _d_matrix(P: Poset, ranks: np.ndarray) -> np.ndarray:
-    d = np.empty_like(ranks)
-    for i in range(P.n):
-        preds = P.predecessors(i)
-        if preds:
-            d[:, i] = ranks[:, i] - ranks[:, preds].max(axis=1)
-        else:
-            d[:, i] = ranks[:, i]
-    return d
-
-
 def _gap_counts(P: Poset, max_extensions: int) -> tuple[np.ndarray, int]:
     """(counts of each gap value over all (extension, element) pairs, N)."""
     orders = extension_orders(P, max_extensions=max_extensions)
-    d = _d_matrix(P, _rank_matrix(orders))
+    d = transfer_batch(P, _rank_matrix(orders))
     return np.bincount(d.ravel(), minlength=P.n + 1), len(orders)
 
 
@@ -320,7 +302,7 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
         raise LimitExceededError(f"{num} extensions exceed the matrix cap {matrix_cap}")
     orders = extension_orders(P, max_extensions=matrix_cap)
     ranks = _rank_matrix(orders)
-    d = _d_matrix(P, ranks)
+    d = transfer_batch(P, ranks)
     index = {tuple(o): s for s, o in enumerate(orders.tolist())}
     seen: set[tuple[int, int]] = set()
     rows: list[int] = []

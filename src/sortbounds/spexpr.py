@@ -160,6 +160,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # parser and the recursive walks over its output far inside the
 # interpreter's default recursion limit of 1000.
 MAX_NESTING = 100
+# Bound on the element count of a whole expression, counted before any leaf
+# tuple is built, so a short text cannot allocate millions of leaves.  It
+# sits far above the analysis caps (n <= 20 by default), which still report
+# their own error for every expression below it.
+MAX_SIZE = 10_000
 
 
 class _Parser:
@@ -168,6 +173,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.size = 0
+
+    def grow(self, k: int, pos: int) -> None:
+        self.size += k
+        if self.size > MAX_SIZE:
+            raise ParseError(f"expression has more than {MAX_SIZE} elements", pos)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -207,6 +218,7 @@ class _Parser:
     def atom(self) -> SPExpr:
         kind, value, pos = self.take()
         if kind == "dot":
+            self.grow(1, pos)
             return Singleton()
         if kind == "lp":
             if self.depth == MAX_NESTING:
@@ -225,6 +237,7 @@ class _Parser:
             k = int(num[1])
             if k < 1:
                 raise ValueError(f"{value}({k}): size must be >= 1")
+            self.grow(4 * k if value == "N" else k, pos)
             if value == "N":
                 return NBlock(k)
             if k == 1:

@@ -1,9 +1,26 @@
 import itertools
+import shutil
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from sortbounds import chain2_plus_point, standard_family, tech_constant
+
+# Property tests draw the same examples on every run and leave no example
+# database behind.
+settings.register_profile("sortbounds", derandomize=True, deadline=None, database=None)
+settings.load_profile("sortbounds")
+
+
+def pytest_configure(config):
+    # Hypothesis also caches what it mines from the sources at collection;
+    # keep that cache out of the working tree and drop it after the run.
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from sortbounds import (
     realize,
     sample_extension,
 )
-from sortbounds.linext import _sample_order
+from sortbounds.linext import sample_order as _sample_order
 
 from conftest import brute_force_extensions
 

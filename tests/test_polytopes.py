@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from sortbounds import (
+    LimitExceededError,
     NonConvergenceError,
     NotConsistentError,
     NotInChainPolytopeError,
+    Poset,
     antichain_poset,
     build_poset,
     chain_matrix,
@@ -191,6 +193,19 @@ def test_sample_order_point_respects_order():
     for seed in range(50):
         y = sample_order_point(P, seed)
         assert y[0] <= y[1]
+
+
+def test_single_point_samplers_cap_n(monkeypatch):
+    # n = 21 is over the default cap; the up-set DP must not even start
+    P = antichain_poset(21)
+
+    def reached(_):
+        pytest.fail("the up-set DP started before the n cap was checked")
+
+    monkeypatch.setattr(Poset, "pred_masks", property(reached))
+    for sampler in (sample_order_point, sample_chain_point):
+        with pytest.raises(LimitExceededError):
+            sampler(P, 0)
 
 
 def test_sample_order_point_uniform_marginals():

@@ -1,13 +1,19 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from sortbounds import (
     CycleError,
+    Poset,
     SizeMismatchError,
+    analyze,
     antichain_poset,
     build_poset,
+    chain_matrix,
     chain_poset,
     count_induced_N,
+    entropy,
     extends,
     maximal_chains,
     n_poset,
@@ -15,7 +21,9 @@ from sortbounds import (
     poset_to_text,
     random_poset,
     relabel,
+    sample_extension,
 )
+from sortbounds.polytopes import order_point_batch
 from sortbounds.spexpr import parse_sp, realize
 
 
@@ -150,6 +158,8 @@ def test_text_format_errors():
         poset_from_text("3\n1 2 3\n")
     with pytest.raises(CycleError):
         poset_from_text("2\n1 2\n2 1\n")
+    with pytest.raises(ValueError, match="line 3"):
+        poset_from_text("2\n1 2\n1 5\n")
 
 
 def test_file_roundtrip(tmp_path):
@@ -159,3 +169,16 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "p.poset"
     write_poset(P, path)
     assert read_poset(path) == P
+
+
+def test_caches_are_declared_properties():
+    # the pipeline may fill cached properties only; nothing else is attached
+    P = n_poset(1)
+    analyze(P)
+    sample_extension(P, 0)
+    order_point_batch(P, 10, np.random.default_rng(0))
+    entropy(P)
+    chain_matrix(P)
+    declared = {k for k, v in vars(Poset).items() if isinstance(v, cached_property)}
+    assert "upset_counts" in vars(P)
+    assert set(vars(P)) <= {"n", "rel"} | declared

@@ -1,0 +1,142 @@
+"""Property tests: the fast paths against the brute-force oracles."""
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sortbounds import (
+    LinearExtension,
+    Singleton,
+    SortboundsError,
+    build_poset,
+    count_extensions,
+    count_extensions_sp,
+    d_vector,
+    expr_size,
+    extension_orders,
+    parallel,
+    parse_sp,
+    poset_from_text,
+    qlb_fraction,
+    qlb_sp_fraction,
+    realize,
+    sample_order,
+    series,
+    transfer,
+)
+from sortbounds.poset import parse_poset_text
+
+from conftest import brute_force_extensions, brute_force_qlb
+
+
+@st.composite
+def posets(draw, max_n=7):
+    """(P, 0-based pairs): a random pair set oriented along a hidden order."""
+    n = draw(st.integers(1, max_n))
+    labels = draw(st.permutations(range(n)))
+    candidates = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n)]
+    pairs = sorted(draw(st.sets(st.sampled_from(candidates)))) if candidates else []
+    return build_poset(n, [(a + 1, b + 1) for a, b in pairs]), pairs
+
+
+sp_exprs = st.recursive(
+    st.just(Singleton()),
+    lambda kids: st.builds(
+        lambda cs, in_series: series(*cs) if in_series else parallel(*cs),
+        st.lists(kids, min_size=2, max_size=3),
+        st.booleans(),
+    ),
+    max_leaves=7,
+).filter(lambda e: expr_size(e) <= 7)
+
+
+def _suffix_counts(n, orders):
+    """Oracle table: up-set bitmask -> number of distinct orders of it that
+    end some extension, which is the extension count of that up-set."""
+    suffixes = {}
+    for order in orders:
+        for k in range(n + 1):
+            tail = order[n - k:]
+            mask = sum(1 << e for e in tail)
+            suffixes.setdefault(mask, set()).add(tail)
+    return {mask: len(tails) for mask, tails in suffixes.items()}
+
+
+@given(posets())
+def test_upset_table_matches_brute_force(case):
+    P, pairs = case
+    orders = brute_force_extensions(P.n, pairs)
+    assert count_extensions(P) == len(orders)
+    upsets = {
+        m for m in range(1 << P.n)
+        if all(m >> b & 1 for a, b in pairs if m >> a & 1)
+    }
+    assert set(P.upset_counts) == upsets
+    assert dict(P.upset_counts) == _suffix_counts(P.n, orders)
+
+
+@given(posets())
+def test_extension_orders_are_brute_force_in_lex_order(case):
+    P, pairs = case
+    assert [tuple(o) for o in extension_orders(P).tolist()] == brute_force_extensions(P.n, pairs)
+
+
+@given(posets(), st.integers(0, 2**32))
+def test_sample_order_is_an_extension(case, seed):
+    P, pairs = case
+    rng = random.Random(seed)
+    orders = set(brute_force_extensions(P.n, pairs))
+    for _ in range(5):
+        assert sample_order(P, rng) in orders
+
+
+@settings(max_examples=40)
+@given(posets())
+def test_qlb_fraction_matches_brute_force(case):
+    P, pairs = case
+    assert qlb_fraction(P) == brute_force_qlb(P.n, pairs)
+
+
+@given(posets(), st.integers(0, 2**32))
+def test_d_vector_is_transfer_at_ranks(case, seed):
+    # the gap vector is the transfer map evaluated at ranks/n, scaled back
+    P, _ = case
+    ext = LinearExtension.from_order(sample_order(P, random.Random(seed)))
+    scaled = transfer(P, np.asarray(ext.rank) / P.n) * P.n
+    assert tuple(np.rint(scaled).astype(int).tolist()) == d_vector(P, ext)
+
+
+@settings(max_examples=40)
+@given(sp_exprs)
+def test_sp_recurrences_match_enumeration(e):
+    P = realize(e)
+    pairs = P.pairs()
+    assert count_extensions_sp(e) == len(brute_force_extensions(P.n, pairs))
+    assert qlb_sp_fraction(e) == brute_force_qlb(P.n, pairs)
+
+
+_EXPR_TOKENS = [".", "+", "*", "(", ")", " ", "chain", "antichain", "N", "foo", "0", "3", "99999"]
+_POSET_TOKENS = ["\n", " ", "#", "-", "x", "0", "1", "2", "3", "12", "99999"]
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=40)
+
+
+@given(st.lists(st.sampled_from(_EXPR_TOKENS), max_size=25).map("".join) | _ANY_TEXT)
+def test_parse_sp_raises_only_package_errors(text):
+    try:
+        parse_sp(text)
+    except (SortboundsError, ValueError):
+        pass
+
+
+@given(st.lists(st.sampled_from(_POSET_TOKENS), max_size=25).map("".join) | _ANY_TEXT)
+def test_poset_reader_raises_only_package_errors(text):
+    try:
+        n, _ = parse_poset_text(text)
+        # as in the CLI, n is checked before the relation is built
+        if n <= 12:
+            poset_from_text(text)
+    except (SortboundsError, ValueError):
+        pass

@@ -53,6 +53,11 @@ def test_parse_errors_carry_position():
         parse_sp("foo(2)")
     with pytest.raises(ValueError):
         parse_sp("chain(0)")
+    with pytest.raises(ParseError):
+        parse_sp("chain(10001)")
+    with pytest.raises(ParseError) as err:
+        parse_sp(". + chain(10000)")
+    assert err.value.pos == 4
 
 
 def test_parse_whitespace_insensitive():
