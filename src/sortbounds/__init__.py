@@ -90,6 +90,7 @@ from .quantum import (
     hilbert_norm,
     max_gamma_ij_norm,
     nk_bounds,
+    norm_bracket,
     qh_exact,
     qh_fraction,
     qh_mc,

@@ -46,19 +46,13 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _report_json(report: BoundsReport) -> str:
-    parts = [f'"{k}": {_fmt_value(getattr(report, k))}' for k in REPORT_KEYS]
-    return "{" + ", ".join(parts) + "}"
-
-
 def _emit_report(report: BoundsReport, fmt: str) -> str:
+    vals = [_fmt_value(getattr(report, k)) for k in REPORT_KEYS]
     if fmt == "json":
-        return _report_json(report)
+        return "{" + ", ".join(f'"{k}": {v}' for k, v in zip(REPORT_KEYS, vals)) + "}"
     if fmt == "csv":
-        head = ",".join(REPORT_KEYS)
-        row = ",".join(_fmt_value(getattr(report, k)) for k in REPORT_KEYS)
-        return f"{head}\n{row}"
-    return "\n".join(f"{k} = {_fmt_value(getattr(report, k))}" for k in REPORT_KEYS)
+        return ",".join(REPORT_KEYS) + "\n" + ",".join(vals)
+    return "\n".join(f"{k} = {v}" for k, v in zip(REPORT_KEYS, vals))
 
 
 def _check_size(n: int, max_n: int) -> None:

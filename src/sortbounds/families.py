@@ -34,21 +34,14 @@ def diamond_poset() -> Poset:
 def fence_poset(n: int) -> Poset:
     """Zigzag 1 < 2 > 3 < 4 > ...; plenty of incomparability, never SP for
     n >= 4."""
-    pairs = []
-    for i in range(1, n):
-        pairs.append((i, i + 1) if i % 2 == 1 else (i + 1, i))
-    return build_poset(n, pairs)
+    return build_poset(n, [(i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, n)])
 
 
 def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
     """Transitive closure of a random DAG: pairs oriented along a hidden
     random topological order, each kept with probability p."""
     labels = (rng.permutation(n) + 1).tolist()
-    pairs = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < p:
-                pairs.append((labels[a], labels[b]))
+    pairs = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
     return build_poset(n, pairs)
 
 

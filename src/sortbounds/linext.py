@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import LimitExceededError, UnsupportedNBlockError
-from .poset import Poset
+from .poset import Poset, check_recursion_headroom
 from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size
 
 DEFAULT_N_CAP = 20
@@ -39,11 +39,7 @@ class LinearExtension:
     @property
     def order(self) -> tuple[int, ...]:
         """Elements listed from rank 1 to rank n (0-based elements)."""
-        n = len(self.rank)
-        out = [0] * n
-        for elem, r in enumerate(self.rank):
-            out[r - 1] = elem
-        return tuple(out)
+        return tuple(sorted(range(len(self.rank)), key=self.rank.__getitem__))
 
     @classmethod
     def from_order(cls, order) -> "LinearExtension":
@@ -88,6 +84,7 @@ def _orders_list(P: Poset, cap: int) -> list[tuple[int, ...]]:
     total = count_extensions(P)
     if total > cap:
         raise LimitExceededError(f"{total} extensions exceed the enumeration cap {cap}")
+    check_recursion_headroom(P.n)
     preds = P.pred_masks
     out: list[tuple[int, ...]] = []
 

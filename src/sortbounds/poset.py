@@ -13,14 +13,29 @@ extensions.  Each is built on first use and never mutated afterwards.
 """
 from __future__ import annotations
 
+import inspect
 import itertools
+import sys
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CycleError, SizeMismatchError
+from .errors import CycleError, LimitExceededError, SizeMismatchError
+
+RECURSION_SLACK = 50  # frames kept free beside a recursion over the elements
+
+
+def check_recursion_headroom(n: int) -> None:
+    """Raise LimitExceededError unless a recursion one frame per element,
+    from the caller, stays RECURSION_SLACK frames below the recursion limit."""
+    depth, frame = 0, inspect.currentframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if depth + n + RECURSION_SLACK > sys.getrecursionlimit():
+        raise LimitExceededError(f"n={n} needs a recursion {n} deep, past the "
+                                 f"recursion limit {sys.getrecursionlimit()}")
 
 
 def _transitive_closure(rel: np.ndarray) -> np.ndarray:
@@ -88,6 +103,7 @@ class Poset:
         memoized recursion from the full set visits exactly the up-sets.
         The table can hold 2**n entries: callers cap n before reading it.
         """
+        check_recursion_headroom(self.n)
         preds = self.pred_masks
         memo = {0: 1}
 

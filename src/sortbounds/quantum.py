@@ -27,11 +27,11 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
 from .errors import (
     DomainError,
     LimitExceededError,
-    NonConvergenceError,
     NotAnExtensionError,
     UnsupportedNBlockError,
 )
@@ -351,58 +351,77 @@ def gamma_ij(gamma: AdversaryMatrix, P: Poset, i: int, j: int) -> AdversaryMatri
     )
 
 
-def spectral_norm(
-    M: AdversaryMatrix | np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-    seed: int = 0,
-) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
+DENSE_MAX = 128  # larger components go to ARPACK, not the batched dense eigh
 
-    The matrix is shifted by its max absolute row sum so the target
-    eigenvalue is simple-dominant even for bipartite-like spectra.  The
-    Rayleigh quotient rho stops once the residual ||Av - rho v|| certifies
-    |rho - lambda| <= tol * max(|rho|, 1); a plain change-based stop is not
-    safe when the top of the spectrum clusters (e.g. Hilbert sections).
+
+def _bracket(x: np.ndarray, y: np.ndarray, size: int) -> tuple[float, float]:
+    """Widened (max Rayleigh quotient, max Collatz-Wielandt ratio) of rows x > 0, y = Ax."""
+    slack = (size + 8) * math.ulp(1.0)  # eps
+    return (float(((x * y).sum(axis=-1) / (x * x).sum(axis=-1)).max()) * (1.0 - slack),
+            float((y / x).max()) * (1.0 + slack))
+
+
+def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
+    """Certified bracket lo <= ||M||_2 <= hi of a nonnegative symmetric
+    matrix; raises DomainError on any other input.
+
+    ||M||_2 is the largest Perron root over the connected components.  On a
+    component of size s with approximate Perron vector x (|x|, floored at
+    the smallest positive float), lo is the Rayleigh quotient x'Ax / x'x
+    and hi = max_i (Ax)_i / x_i (Collatz-Wielandt), both widened outward by
+    a relative (s + 8) eps, more than the rounding of the matvec (at most s
+    terms a row) and of the quotient's two pairwise sums.  x comes from one
+    batched dense eigh per component size up to DENSE_MAX, and from ARPACK
+    (eigsh, started from the all-ones vector so reruns agree) above it.
     """
-    if isinstance(M, AdversaryMatrix):
-        dim = M.dim
-        if len(M.vals) == 0:
-            return 0.0
-        op = M.to_csr()
-        row_abs = np.zeros(dim)
-        np.add.at(row_abs, M.rows, np.abs(M.vals))
-    else:
-        M = np.asarray(M, dtype=float)
-        dim = M.shape[0]
-        if dim == 0 or not M.any():
-            return 0.0
-        op = M
-        row_abs = np.abs(M).sum(axis=1)
-    shift = float(row_abs.max())
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        w = op @ v + shift * v
-        rho = float(v @ w)
-        residual = float(np.linalg.norm(w - rho * v))
-        if residual <= tol * max(abs(rho), 1.0):
-            return max(rho - shift, 0.0)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        v = w / norm_w
-    raise NonConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    # imported here: it adds about 1 MB to every process that imports the package
+    from scipy.sparse.csgraph import connected_components
+
+    A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(np.asarray(M, float))
+    A.eliminate_zeros()
+    if not (np.isfinite(A.data).all() and (A.data > 0).all()):
+        raise DomainError("matrix entries must be finite and nonnegative")
+    if A.shape[0] != A.shape[1] or (A != A.T).nnz:
+        raise DomainError(f"matrix of shape {A.shape} is not square and symmetric")
+    if A.nnz == 0:
+        return 0.0, 0.0
+    ncomp, labels = connected_components(A, directed=False)
+    sizes = np.bincount(labels)
+    # a vertex's position in its component: its rank by label minus the earlier sizes
+    pos = np.argsort(np.argsort(labels, kind="stable")) - (np.cumsum(sizes) - sizes)[labels]
+    coo = A.tocoo()
+    comp = labels[coo.row]
+    brackets = [(0.0, 0.0)]
+    for size in np.unique(sizes[comp]).tolist():
+        sel = sizes[comp] == size
+        comps = np.unique(comp[sel])
+        if size > DENSE_MAX:
+            for c in comps.tolist():
+                block = A[labels == c][:, labels == c]
+                vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
+                x = np.maximum(np.abs(vec), np.finfo(float).tiny)
+                brackets.append(_bracket(x, block @ x, size))
+            continue
+        slot = np.zeros(ncomp, dtype=np.int64)
+        slot[comps] = np.arange(len(comps))
+        blocks = np.zeros((len(comps), size, size))
+        blocks[slot[comp[sel]], pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
+        x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
+        brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
+    return tuple(map(max, zip(*brackets)))
 
 
-def hilbert_norm(m: int, tol: float = 1e-9) -> float:
+def spectral_norm(M: AdversaryMatrix | np.ndarray) -> float:
+    """Lower side of `norm_bracket`: the safe side for ||Gamma|| >= QLB."""
+    return norm_bracket(M)[0]
+
+
+def hilbert_norm(m: int) -> float:
     """Spectral norm of the m-by-m Hilbert matrix 1/(k+l-1); approaches pi
     from below as m grows."""
     if m < 1:
         raise DomainError(f"matrix size must be >= 1, got {m}")
-    idx = np.arange(m)
-    return spectral_norm(1.0 / (idx[:, None] + idx[None, :] + 1.0), tol=tol)
+    return spectral_norm(1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0))
 
 
 def uniform_rayleigh(gamma: AdversaryMatrix) -> float:
@@ -445,11 +464,13 @@ class BoundsReport:
         return any(f is False for f in self.flags())
 
 
-def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset, tol: float = 1e-9) -> float:
+def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
+    """Upper side of `norm_bracket`, maximized over the masks: the safe side
+    for every ||Gamma^{ij}|| <= 2 pi."""
     worst = 0.0
     for i in range(P.n):
         for j in range(i + 1, P.n):
-            worst = max(worst, spectral_norm(gamma_ij(gamma, P, i, j), tol=tol))
+            worst = max(worst, norm_bracket(gamma_ij(gamma, P, i, j))[1])
     return worst
 
 
@@ -476,7 +497,10 @@ def analyze(
     recurrence when P decomposes, and otherwise from the ideal DP and
     enumeration; QLB and QH are None when enumeration would pass enum_cap.
     The adversary matrix is built only when the count is within matrix_cap
-    and QLB is known, else its fields are None.  The certificates are
+    and QLB is known, else its fields are None.  Each norm is a side of its
+    `norm_bracket`, the safe one for its lemma: `gamma_norm` is the lower
+    side of ||Gamma||, `max_gamma_ij_norm` the largest upper side over the
+    masks.  The certificates are
 
     (a) ||Gamma|| >= QLB, up to relative LEMMA_TOL;
     (b) every masked norm ||Gamma^{ij}|| <= 2 pi + LEMMA_TOL;

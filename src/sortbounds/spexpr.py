@@ -100,24 +100,19 @@ class NotSeriesParallel:
 NOT_SERIES_PARALLEL = NotSeriesParallel()
 
 
+def _compose(node: type, children: tuple[SPExpr, ...]) -> SPExpr:
+    flat = [g for c in children for g in (c.children if isinstance(c, node) else [c])]
+    return flat[0] if len(flat) == 1 else node(tuple(flat))
+
+
 def series(*children: SPExpr) -> SPExpr:
     """n-ary series composition, flattening nested series nodes."""
-    flat: list[SPExpr] = []
-    for c in children:
-        flat.extend(c.children if isinstance(c, Series) else [c])
-    if len(flat) == 1:
-        return flat[0]
-    return Series(tuple(flat))
+    return _compose(Series, children)
 
 
 def parallel(*children: SPExpr) -> SPExpr:
     """n-ary parallel composition, flattening nested parallel nodes."""
-    flat: list[SPExpr] = []
-    for c in children:
-        flat.extend(c.children if isinstance(c, Parallel) else [c])
-    if len(flat) == 1:
-        return flat[0]
-    return Parallel(tuple(flat))
+    return _compose(Parallel, children)
 
 
 def expr_size(e: SPExpr) -> int:
@@ -266,17 +261,11 @@ def realize(e: SPExpr) -> Poset:
             return offset + 1
         if isinstance(node, NBlock):
             k = node.k
-            blocks = [range(offset + t * k, offset + (t + 1) * k) for t in range(4)]
-            a, b, c, d = blocks
-            for chain_elems in blocks:
-                for lo in chain_elems:
-                    for hi in chain_elems:
-                        if lo < hi:
-                            rel[lo, hi] = True
+            a, b, c, d = (slice(offset + t * k, offset + (t + 1) * k) for t in range(4))
+            for chain_block in (a, b, c, d):
+                rel[chain_block, chain_block] = np.triu(np.ones((k, k), dtype=bool), 1)
             for lo_block, hi_block in ((a, b), (c, b), (c, d)):
-                for lo in lo_block:
-                    for hi in hi_block:
-                        rel[lo, hi] = True
+                rel[lo_block, hi_block] = True
             return offset + 4 * k
         starts = []
         cur = offset
@@ -331,18 +320,21 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
     """
     comparable = P.rel | P.rel.T
 
+    def join(compose, parts: list[list[int]]) -> tuple[SPExpr, list[int]] | None:
+        children, leaves = [], []
+        for part in parts:
+            got = rec(part)
+            if got is None:
+                return None
+            children.append(got[0])
+            leaves.extend(got[1])
+        return compose(*children), leaves
+
     def rec(elems: list[int]) -> tuple[SPExpr, list[int]] | None:
         sub = comparable[np.ix_(elems, elems)]
         comps = _components(sub)
         if len(comps) > 1:
-            children, leaves = [], []
-            for comp in sorted(comps, key=min):
-                got = rec([elems[t] for t in comp])
-                if got is None:
-                    return None
-                children.append(got[0])
-                leaves.extend(got[1])
-            return parallel(*children), leaves
+            return join(parallel, [[elems[t] for t in comp] for comp in sorted(comps, key=min)])
         co = _components(~sub & ~np.eye(len(elems), dtype=bool))
         if len(co) > 1:
             # Distinct co-components are uniformly comparable; order them by
@@ -352,14 +344,7 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
             for lo_blk, hi_blk in zip(blocks, blocks[1:]):
                 if not all(P.rel[x, y] for x in lo_blk for y in hi_blk):
                     return None
-            children, leaves = [], []
-            for blk in blocks:
-                got = rec(blk)
-                if got is None:
-                    return None
-                children.append(got[0])
-                leaves.extend(got[1])
-            return series(*children), leaves
+            return join(series, blocks)
         if len(elems) == 1:
             return Singleton(), list(elems)
         return None

@@ -82,6 +82,13 @@ def test_analyze_deep_nesting_exits_1(capsys):
     assert "position" in err
 
 
+def test_analyze_past_recursion_limit_exits_1(capsys):
+    # N(250) has 1000 elements: the up-set recursion would need 1000 frames
+    code, out, err = run_cli(capsys, "analyze", "--expr", "N(250)", "--max-n", "1000")
+    assert code == 1 and out == ""
+    assert "recursion limit" in err and "Traceback" not in err
+
+
 def test_analyze_non_sp_over_enum_cap(capsys):
     # N(1)+. is not series-parallel and has 25 extensions, past the cap of
     # 10: QLB and everything that needs it is reported as null

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sortbounds import (
     count_extensions,
     count_extensions_sp,
     enumerate_extensions,
+    extension_orders,
     extends,
     is_extension,
     itlb,
@@ -108,6 +110,17 @@ def test_enumeration_cap_enforced_after_caching():
     assert len(list(enumerate_extensions(P))) == 24
     with pytest.raises(LimitExceededError):
         list(enumerate_extensions(P, max_extensions=5))
+
+
+def test_recursions_check_headroom_first(monkeypatch):
+    P = antichain_poset(4)
+    filled = antichain_poset(4)
+    assert count_extensions(filled) == 24  # its up-set table is cached
+    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 10)
+    with pytest.raises(LimitExceededError, match="recursion limit"):
+        count_extensions(P)
+    with pytest.raises(LimitExceededError, match="recursion limit"):
+        extension_orders(filled)
 
 
 def test_sample_deterministic(wedge):

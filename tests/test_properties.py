@@ -2,19 +2,22 @@
 import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sortbounds import (
     LinearExtension,
     Singleton,
     SortboundsError,
+    build_adversary,
     build_poset,
     count_extensions,
     count_extensions_sp,
     d_vector,
     expr_size,
     extension_orders,
+    gamma_ij,
+    norm_bracket,
     parallel,
     parse_sp,
     poset_from_text,
@@ -26,6 +29,7 @@ from sortbounds import (
     transfer,
 )
 from sortbounds.poset import parse_poset_text
+from sortbounds.quantum import DENSE_MAX
 
 from conftest import brute_force_extensions, brute_force_qlb
 
@@ -114,6 +118,53 @@ def test_sp_recurrences_match_enumeration(e):
     pairs = P.pairs()
     assert count_extensions_sp(e) == len(brute_force_extensions(P.n, pairs))
     assert qlb_sp_fraction(e) == brute_force_qlb(P.n, pairs)
+
+
+def _assert_brackets_norm(M):
+    lo, hi = norm_bracket(M)
+    dense = M.to_dense() if hasattr(M, "to_dense") else M
+    exact = float(np.abs(np.linalg.eigvalsh(dense)).max()) if len(dense) else 0.0
+    assert lo <= exact <= hi
+    assert hi - lo <= 1e-10 * hi
+
+
+@st.composite
+def nonnegative_symmetric(draw):
+    """A random nonnegative symmetric matrix: plain, block-diagonal,
+    bipartite, or with zeroed rows; small, or past DENSE_MAX so that large
+    components reach the sparse eigensolver."""
+    n = draw(st.integers(1, 12) | st.integers(DENSE_MAX + 1, DENSE_MAX + 40))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    A = rng.choice([0.25, 1 / 3, 0.5, 1.0, 2.0], size=(n, n)) * (rng.random((n, n)) < density)
+    A = np.triu(A) + np.triu(A, 1).T
+    kind = draw(st.sampled_from(["plain", "blocks", "bipartite", "zero_rows"]))
+    cut = draw(st.integers(0, n))
+    if kind == "blocks":
+        A[:cut, cut:] = A[cut:, :cut] = 0.0
+    elif kind == "bipartite":
+        A[:cut, :cut] = A[cut:, cut:] = 0.0
+    elif kind == "zero_rows":
+        A[:cut] = A[:, :cut] = 0.0
+    return A
+
+
+@given(nonnegative_symmetric())
+def test_norm_bracket_contains_dense_norm(A):
+    _assert_brackets_norm(A)
+
+
+@settings(max_examples=40)
+@given(posets())
+@example((realize(parse_sp("chain(2)+chain(2)+.+.")), []))  # dim 180 > DENSE_MAX
+def test_norm_bracket_on_adversary_matrices(case):
+    P, _ = case
+    assume(count_extensions(P) <= 400)
+    gamma = build_adversary(P)
+    _assert_brackets_norm(gamma)
+    for i in range(P.n):
+        for j in range(i + 1, P.n):
+            _assert_brackets_norm(gamma_ij(gamma, P, i, j))
 
 
 _EXPR_TOKENS = [".", "+", "*", "(", ")", " ", "chain", "antichain", "N", "foo", "0", "3", "99999"]

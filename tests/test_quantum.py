@@ -24,6 +24,7 @@ from sortbounds import (
     itlb,
     n_poset,
     nk_bounds,
+    norm_bracket,
     parallel,
     parse_sp,
     qh_exact,
@@ -41,7 +42,8 @@ from sortbounds import (
     uniform_rayleigh,
     verify_adversary,
 )
-from sortbounds.quantum import TWO_PI, max_gamma_ij_norm
+from sortbounds import quantum
+from sortbounds.quantum import LEMMA_TOL, TWO_PI, analyze, max_gamma_ij_norm
 
 from conftest import brute_force_qlb
 
@@ -347,6 +349,37 @@ def test_spectral_norm_oracle_dense(family8):
 
 def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_norm_bracket_rejects_non_perron_input():
+    # the Collatz-Wielandt upper side holds only for nonnegative symmetric input
+    for bad in ([[0.0, -1.0], [-1.0, 0.0]],
+                [[0.0, 1.0], [2.0, 0.0]],
+                [[0.0, np.nan], [np.nan, 0.0]],
+                [[1.0, 0.0, 0.0]]):
+        with pytest.raises(DomainError):
+            norm_bracket(np.array(bad))
+    g = build_adversary(antichain_poset(3))
+    flipped = quantum.AdversaryMatrix(g.dim, g.n, g.rows, g.cols, -g.vals, g.ranks)
+    with pytest.raises(DomainError):
+        norm_bracket(flipped)
+    assert norm_bracket(np.zeros((3, 3))) == (0.0, 0.0)
+
+
+def test_lemmas_judged_on_the_safe_side(monkeypatch):
+    P = antichain_poset(3)  # QLB = 2.5
+    # the upper side straddles 2 pi + LEMMA_TOL: lemma 2 fails, though the
+    # lower side alone would pass it
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (TWO_PI, TWO_PI + 2 * LEMMA_TOL))
+    rep = analyze(P)
+    assert rep.max_gamma_ij_norm == TWO_PI + 2 * LEMMA_TOL
+    assert rep.lemma1_ok and rep.lemma2_ok is False
+    # the lower side just under QLB fails lemma 1, though the upper side passes
+    lo = 2.5 * (1.0 - 2 * LEMMA_TOL)
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (lo, 3.0))
+    rep = analyze(P)
+    assert rep.gamma_norm == lo
+    assert rep.lemma1_ok is False and rep.lemma2_ok
 
 
 def test_hilbert_norm_matches_dense_eigensolve():
