@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterator
@@ -101,6 +102,7 @@ def _orders_list(P: Poset, cap: int) -> list[tuple[int, ...]]:
                 rec(mask ^ low, prefix + (e,))
 
     rec((1 << P.n) - 1, ())
+    del rec  # break the closure's cycle through its own cell
     return out
 
 
@@ -131,23 +133,20 @@ def sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
     order = []
     while mask:
         choices = []
-        weights = []
+        cumulative = []
+        acc = 0
         m = mask
         while m:
             low = m & -m
             m ^= low
             e = low.bit_length() - 1
             if preds[e] & mask == 0:
+                acc += counts[mask ^ low]
                 choices.append((e, low))
-                weights.append(counts[mask ^ low])
-        r = rng.randrange(sum(weights))
-        acc = 0
-        for (e, low), w in zip(choices, weights):
-            acc += w
-            if r < acc:
-                order.append(e)
-                mask ^= low
-                break
+                cumulative.append(acc)
+        e, low = choices[bisect_right(cumulative, rng.randrange(acc))]
+        order.append(e)
+        mask ^= low
     return tuple(order)
 
 

@@ -122,6 +122,7 @@ class Poset:
             return total
 
         count((1 << self.n) - 1)
+        del count  # break the closure's cycle through its own cell
         return MappingProxyType(memo)
 
     def predecessors(self, i: int) -> list[int]:

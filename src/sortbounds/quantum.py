@@ -19,6 +19,7 @@ the outcome of a single comparison can never push the spectral norm past
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,18 +67,10 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
     return tuple(transfer_batch(P, np.array([ext.rank]))[0].tolist())
 
 
-def _rank_matrix(orders: np.ndarray) -> np.ndarray:
-    """ranks[s, i] = 1-based rank of element i in row s of element orders."""
-    n = orders.shape[1]
-    ranks = np.empty_like(orders, dtype=np.int64)
-    np.put_along_axis(ranks, orders.astype(np.int64), np.arange(1, n + 1)[None, :], axis=1)
-    return ranks
-
-
 def _gap_counts(P: Poset, max_extensions: int) -> tuple[np.ndarray, int]:
     """(counts of each gap value over all (extension, element) pairs, N)."""
     orders = extension_orders(P, max_extensions=max_extensions)
-    d = transfer_batch(P, _rank_matrix(orders))
+    d = transfer_batch(P, orders.argsort(axis=1) + 1)  # the 1-based rank of each element
     return np.bincount(d.ravel(), minlength=P.n + 1), len(orders)
 
 
@@ -287,6 +280,14 @@ class AdversaryMatrix:
         return {(int(r), int(c)): float(v) for r, c, v in zip(self.rows, self.cols, self.vals)}
 
 
+def _lehmer_keys(orders: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row among the permutations of 0..n-1 (its
+    Lehmer code), below n! <= 20! < 2**63."""
+    n = orders.shape[1]
+    return sum((orders[:, k + 1:] < orders[:, k, None]).sum(axis=1) * math.factorial(n - 1 - k)
+               for k in range(n))
+
+
 def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> AdversaryMatrix:
     """Adversary matrix: weight 1/d between an extension and the one obtained
     by moving an element d ranks down.
@@ -294,41 +295,33 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     A down-move of element i by d keeps the sequence an extension exactly
     when d <= d_i - 1: the passed elements rank above every predecessor of i
     and below i itself, hence are incomparable to i.  Both (sigma, tau) and
-    (tau, sigma) are set to 1/d; adjacent swaps (d = 1) arise once from each
-    endpoint with the same weight, so the assignment is consistent.
+    (tau, sigma) are set to 1/d.  The moves are listed row-major over
+    (extension, element), then by d, and their targets found by Lehmer key;
+    an adjacent swap (d = 1), the one move that arises twice (once from each
+    endpoint), is kept from the endpoint listed first.
     """
     num = count_extensions(P)
     if num > matrix_cap:
         raise LimitExceededError(f"{num} extensions exceed the matrix cap {matrix_cap}")
     orders = extension_orders(P, max_extensions=matrix_cap)
-    ranks = _rank_matrix(orders)
-    d = transfer_batch(P, ranks)
-    index = {tuple(o): s for s, o in enumerate(orders.tolist())}
-    seen: set[tuple[int, int]] = set()
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for s, order in enumerate(orders.tolist()):
-        for i in range(P.n):
-            pos = ranks[s, i] - 1
-            for dd in range(1, int(d[s, i])):
-                moved = (
-                    order[: pos - dd] + [i] + order[pos - dd : pos] + order[pos + 1 :]
-                )
-                tgt = index[tuple(moved)]
-                if (s, tgt) in seen:
-                    continue
-                seen.add((s, tgt))
-                seen.add((tgt, s))
-                rows.extend((s, tgt))
-                cols.extend((tgt, s))
-                vals.extend((1.0 / dd, 1.0 / dd))
+    ranks = orders.argsort(axis=1) + 1  # ranks[s, i]: 1-based rank of element i in row s
+    steps = transfer_batch(P, ranks).ravel() - 1  # the moves of each (s, i)
+    move = np.repeat(np.arange(len(steps)), steps)
+    dd = np.arange(len(move)) - np.repeat(np.cumsum(steps) - steps, steps) + 1
+    src, pos = move // P.n, ranks.ravel()[move, None] - 1
+    # the moved order holds order[pos] at pos - dd and order[k - 1] at k in (pos - dd, pos]
+    k, lo = np.arange(P.n), pos - dd[:, None]
+    take = np.where(k == lo, pos, k - ((k > lo) & (k <= pos)))
+    tgt = np.searchsorted(_lehmer_keys(orders),
+                          _lehmer_keys(orders.ravel()[src[:, None] * P.n + take]))
+    keep = (dd > 1) | (src < tgt)
+    src, tgt, dd = src[keep], tgt[keep], dd[keep]
     return AdversaryMatrix(
         dim=int(num),
         n=P.n,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        vals=np.asarray(vals, dtype=np.float64),
+        rows=np.stack([src, tgt], axis=1).ravel(),
+        cols=np.stack([tgt, src], axis=1).ravel(),
+        vals=np.repeat(1.0 / dd, 2),
         ranks=ranks,
     )
 
@@ -371,8 +364,9 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
     and hi = max_i (Ax)_i / x_i (Collatz-Wielandt), both widened outward by
     a relative (s + 8) eps, more than the rounding of the matvec (at most s
     terms a row) and of the quotient's two pairwise sums.  x comes from one
-    batched dense eigh per component size up to DENSE_MAX, and from ARPACK
-    (eigsh, started from the all-ones vector so reruns agree) above it.
+    batched dense eigh per component size up to DENSE_MAX, over the distinct
+    blocks of that size only, and from ARPACK (eigsh, started from the
+    all-ones vector so reruns agree) above it.
     """
     # imported here: it adds about 1 MB to every process that imports the package
     from scipy.sparse.csgraph import connected_components
@@ -385,7 +379,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
         raise DomainError(f"matrix of shape {A.shape} is not square and symmetric")
     if A.nnz == 0:
         return 0.0, 0.0
-    ncomp, labels = connected_components(A, directed=False)
+    labels = connected_components(A, directed=False)[1]
     sizes = np.bincount(labels)
     # a vertex's position in its component: its rank by label minus the earlier sizes
     pos = np.argsort(np.argsort(labels, kind="stable")) - (np.cumsum(sizes) - sizes)[labels]
@@ -394,7 +388,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
     brackets = [(0.0, 0.0)]
     for size in np.unique(sizes[comp]).tolist():
         sel = sizes[comp] == size
-        comps = np.unique(comp[sel])
+        comps, slot = np.unique(comp[sel], return_inverse=True)
         if size > DENSE_MAX:
             for c in comps.tolist():
                 block = A[labels == c][:, labels == c]
@@ -402,10 +396,12 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
                 x = np.maximum(np.abs(vec), np.finfo(float).tiny)
                 brackets.append(_bracket(x, block @ x, size))
             continue
-        slot = np.zeros(ncomp, dtype=np.int64)
-        slot[comps] = np.arange(len(comps))
         blocks = np.zeros((len(comps), size, size))
-        blocks[slot[comp[sel]], pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
+        blocks[slot, pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
+        # equal blocks have equal brackets: solve each distinct block once
+        flat = blocks.reshape(len(comps), -1)
+        distinct = np.unique(flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))))
+        blocks = distinct.view(float).reshape(-1, size, size)
         x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
         brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
     return tuple(map(max, zip(*brackets)))
@@ -466,12 +462,11 @@ class BoundsReport:
 
 def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     """Upper side of `norm_bracket`, maximized over the masks: the safe side
-    for every ||Gamma^{ij}|| <= 2 pi."""
-    worst = 0.0
-    for i in range(P.n):
-        for j in range(i + 1, P.n):
-            worst = max(worst, norm_bracket(gamma_ij(gamma, P, i, j))[1])
-    return worst
+    for every ||Gamma^{ij}|| <= 2 pi.  Comparable pairs are skipped: every
+    extension orders them alike, so their masks are empty."""
+    return max((norm_bracket(gamma_ij(gamma, P, i, j))[1]
+                for i, j in itertools.combinations(range(P.n), 2)
+                if not (P.rel[i, j] or P.rel[j, i])), default=0.0)
 
 
 LEMMA_TOL = 1e-6

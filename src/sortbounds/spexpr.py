@@ -350,6 +350,7 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
         return None
 
     got = rec(list(range(P.n)))
+    del rec, join  # break the cycle between the two closures
     if got is None:
         return None
     return got[0], tuple(got[1])

@@ -3,11 +3,12 @@ import shutil
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from sortbounds import chain2_plus_point, standard_family, tech_constant
+from sortbounds import chain2_plus_point, extension_orders, standard_family, tech_constant
 
 # Property tests draw the same examples on every run and leave no example
 # database behind.
@@ -68,3 +69,31 @@ def brute_force_qlb(n, pairs01):
             d = rank[i] - max(rank[j] for j in ps) if ps else rank[i]
             total += harm(d - 1)
     return total / len(exts)
+
+
+def loop_adversary(P):
+    """Oracle: the adversary matrix's (rows, cols, vals) triplets from one
+    Python loop over (extension, element, step), each target looked up by
+    its element order, and the first of each unordered pair kept."""
+    orders = extension_orders(P, max_extensions=10**6).tolist()
+    index = {tuple(o): s for s, o in enumerate(orders)}
+    seen = set()
+    rows, cols, vals = [], [], []
+    for s, order in enumerate(orders):
+        place = {e: p for p, e in enumerate(order)}
+        for i in range(P.n):
+            pos = place[i]
+            preds = P.predecessors(i)
+            gap = pos - max(place[j] for j in preds) if preds else pos + 1
+            for dd in range(1, gap):
+                moved = order[: pos - dd] + [i] + order[pos - dd : pos] + order[pos + 1 :]
+                tgt = index[tuple(moved)]
+                if (s, tgt) in seen:
+                    continue
+                seen.add((s, tgt))
+                seen.add((tgt, s))
+                rows.extend((s, tgt))
+                cols.extend((tgt, s))
+                vals.extend((1.0 / dd, 1.0 / dd))
+    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64))

@@ -2,6 +2,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from sortbounds import (
 from sortbounds.poset import parse_poset_text
 from sortbounds.quantum import DENSE_MAX
 
-from conftest import brute_force_extensions, brute_force_qlb
+from conftest import brute_force_extensions, brute_force_qlb, loop_adversary
 
 
 @st.composite
@@ -165,6 +166,29 @@ def test_norm_bracket_on_adversary_matrices(case):
     for i in range(P.n):
         for j in range(i + 1, P.n):
             _assert_brackets_norm(gamma_ij(gamma, P, i, j))
+
+
+def _assert_same_triplets(P):
+    gamma = build_adversary(P)
+    for got, want in zip((gamma.rows, gamma.cols, gamma.vals), loop_adversary(P)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@given(posets())
+def test_build_adversary_matches_loop(case):
+    P, _ = case
+    assume(count_extensions(P) <= 400)
+    _assert_same_triplets(P)
+
+
+@pytest.mark.parametrize("text", ["chain(17)+chain(3)", "chain(18)+antichain(2)"])
+def test_build_adversary_matches_loop_at_n20(text):
+    # n = 20 under the matrix cap: the largest Lehmer keys come within a
+    # factor 1.2 of 20!
+    P = realize(parse_sp(text))
+    assert P.n == 20
+    _assert_same_triplets(P)
 
 
 _EXPR_TOKENS = [".", "+", "*", "(", ")", " ", "chain", "antichain", "N", "foo", "0", "3", "99999"]

@@ -366,6 +366,47 @@ def test_norm_bracket_rejects_non_perron_input():
     assert norm_bracket(np.zeros((3, 3))) == (0.0, 0.0)
 
 
+def test_norm_bracket_solves_repeated_blocks_once():
+    from scipy.linalg import block_diag
+
+    B = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    C = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1 / 3], [0.0, 1 / 3, 0.0]])
+    expected = tuple(map(max, zip(norm_bracket(B), norm_bracket(C))))  # C's, the larger
+    assert norm_bracket(block_diag(B, B, C, B)) == norm_bracket(block_diag(B, C)) == expected
+    # on the masks of a Gamma with repeated components, the batched solve over
+    # distinct blocks equals one solve per component, to the last bit
+    from scipy.sparse.csgraph import connected_components
+
+    P = realize(parse_sp("N(1)+."))
+    gamma = build_adversary(P)
+    repeats = 0
+    for i, j in itertools.combinations(range(P.n), 2):
+        dense = gamma_ij(gamma, P, i, j).to_dense()
+        ncomp, labels = connected_components(dense, directed=False)
+        blocks = [dense[np.ix_(labels == c, labels == c)] for c in range(ncomp)
+                  if (labels == c).sum() > 1]
+        repeats += len(blocks) - len({b.tobytes() for b in blocks})
+        singles = [(0.0, 0.0)] + [norm_bracket(b) for b in blocks]
+        assert norm_bracket(dense) == tuple(map(max, zip(*singles)))
+    assert repeats > 0
+
+
+def test_analyzed_poset_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        for text in ("N(1)+chain(2)", "chain(2)*antichain(3)+chain(2)"):
+            P = realize(parse_sp(text))
+            analyze(P)
+            ref = weakref.ref(P)
+            del P
+            assert ref() is None, text
+    finally:
+        gc.enable()
+
+
 def test_lemmas_judged_on_the_safe_side(monkeypatch):
     P = antichain_poset(3)  # QLB = 2.5
     # the upper side straddles 2 pi + LEMMA_TOL: lemma 2 fails, though the
