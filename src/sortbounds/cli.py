@@ -9,11 +9,12 @@ Three commands, each with only the flags it reads:
     sortbounds tech-constant --max-n N [--format json|csv|text]
 
 `analyze` prints one report with every bound for the input poset; adversary
-fields are null when the extension count exceeds the matrix cap.  It is
-deterministic and takes no seed.  Exit codes: 1 on parse or size failures,
-2 when a certified property is false.  All floats are serialized with 17
-significant digits, so identical configurations produce byte-identical
-output.
+fields are null when the extension count exceeds the matrix cap or n exceeds
+the default counting cap 20.  It is deterministic and takes no seed.
+`verify` takes a seed S >= 0 and `tech-constant` 2 <= N <= 1000.  Exit
+codes: 1 on parse or size failures, 2 when a certified property is false.
+All floats are serialized with 17 significant digits, so identical
+configurations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import sys
 from .errors import LimitExceededError, SortboundsError
 from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
 from .poset import Poset, build_poset, parse_poset_text
-from .quantum import DEFAULT_MATRIX_CAP, BoundsReport, analyze, tech_constant
+from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import expr_size, parse_sp, realize
 from .suites import SUITES, run_suites
 
@@ -156,10 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tech-constant" and args.max_n < 2:
-        parser.error("--max-n must be at least 2")
+    if args.command == "tech-constant" and not 2 <= args.max_n <= TECH_MAX_N:
+        parser.error(f"--max-n must be in 2..{TECH_MAX_N}")
     if args.command == "verify" and args.samples < 1:
         parser.error("--samples must be at least 1")
+    if args.command == "verify" and args.seed < 0:
+        parser.error("--seed must be nonnegative")
     if args.command != "tech-constant" and args.tol <= 0:
         parser.error("--tol must be positive")
     if args.command == "analyze":

@@ -1,7 +1,7 @@
 """Exact counting, enumeration and uniform sampling of linear extensions.
 
 Counting is a dynamic program over the unranked part of the ground set,
-memoized on its bitmask: the ranked prefix of any partial schedule is an
+keyed on its bitmask: the ranked prefix of any partial schedule is an
 order ideal, so the states are exactly the up-sets of the poset.  The table
 lives in ``Poset.upset_counts``: counting reads its full-set entry,
 enumeration checks its cap against that count, and sampling walks it.
@@ -14,14 +14,13 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
 from .errors import LimitExceededError, UnsupportedNBlockError
-from .poset import Poset, check_recursion_headroom
-from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size
+from .poset import Poset
+from .spexpr import NBlock, Parallel, SPExpr, expr_size
 
 DEFAULT_N_CAP = 20
 DEFAULT_ENUM_CAP = 10**6
@@ -81,42 +80,41 @@ def itlb(P: Poset, max_n: int = DEFAULT_N_CAP) -> float:
     return ln_count(count_extensions(P, max_n=max_n))
 
 
-def _orders_list(P: Poset, cap: int) -> list[tuple[int, ...]]:
-    total = count_extensions(P)
-    if total > cap:
-        raise LimitExceededError(f"{total} extensions exceed the enumeration cap {cap}")
-    check_recursion_headroom(P.n)
-    preds = P.pred_masks
-    out: list[tuple[int, ...]] = []
-
-    def rec(mask: int, prefix: tuple[int, ...]) -> None:
-        if mask == 0:
-            out.append(prefix)
-            return
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
-            if preds[e] & mask == 0:
-                rec(mask ^ low, prefix + (e,))
-
-    rec((1 << P.n) - 1, ())
-    del rec  # break the closure's cycle through its own cell
-    return out
-
-
 def enumerate_extensions(
     P: Poset, max_extensions: int = DEFAULT_ENUM_CAP
 ) -> Iterator[LinearExtension]:
     """Yield every extension once, in lexicographic order of element sequence."""
-    for order in _orders_list(P, max_extensions):
+    for order in extension_orders(P, max_extensions).tolist():
         yield LinearExtension.from_order(order)
 
 
 def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All extensions as an (N, n) array of element sequences, lex order."""
-    return np.array(_orders_list(P, max_extensions), dtype=np.int16).reshape(-1, P.n)
+    """All extensions as an (N, n) array of element sequences, lex order.
+
+    All prefixes grow one rank per step by each unplaced element whose
+    predecessors are placed; `np.nonzero` reads that (prefix, element)
+    matrix row-major, so each step stays in lex order.  The rows are read
+    back through the (parent, element) pairs of the steps.
+    """
+    total = count_extensions(P)  # caps n at 20, so the masks fit in int32
+    if total > max_extensions:
+        raise LimitExceededError(f"{total} extensions exceed the enumeration cap {max_extensions}")
+    bits = np.int32(1) << np.arange(P.n, dtype=np.int32)
+    preds = np.array(P.pred_masks, dtype=np.int32)
+    placed = np.zeros(1, dtype=np.int32)
+    steps = []
+    for _ in range(P.n):
+        parent, elem = np.nonzero(((placed[:, None] & preds) == preds)
+                                  & ((placed[:, None] & bits) == 0))
+        steps.append((parent, elem))
+        placed = placed[parent] | bits[elem]
+    orders = np.empty((len(placed), P.n), dtype=np.int16)
+    row = np.arange(len(placed))
+    for k in range(P.n - 1, -1, -1):
+        parent, elem = steps[k]
+        orders[:, k] = elem[row]
+        row = parent[row]
+    return orders
 
 
 def sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
@@ -159,19 +157,19 @@ def sample_extension(P: Poset, seed: int, max_n: int = DEFAULT_N_CAP) -> LinearE
 
 
 def count_extensions_sp(e: SPExpr) -> int:
-    """Exact extension count by structural recursion over an SP expression.
+    """Exact extension count from the structure of an SP expression.
 
     Series multiplies counts; parallel multiplies counts and the multinomial
-    of the block sizes.  N blocks are rejected: no product form applies.
+    of the block sizes, so the count is the product of the multinomials of
+    the parallel nodes.  N blocks are rejected: no product form applies.
     """
-    if isinstance(e, Singleton):
-        return 1
-    if isinstance(e, NBlock):
-        raise UnsupportedNBlockError("extension counts of N blocks have no product form")
-    if isinstance(e, Series):
-        return reduce(lambda acc, c: acc * count_extensions_sp(c), e.children, 1)
-    sizes = [expr_size(c) for c in e.children]
-    multinomial = math.factorial(sum(sizes))
-    for s in sizes:
-        multinomial //= math.factorial(s)
-    return multinomial * reduce(lambda acc, c: acc * count_extensions_sp(c), e.children, 1)
+    total, stack = 1, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, NBlock):
+            raise UnsupportedNBlockError("extension counts of N blocks have no product form")
+        if isinstance(node, Parallel):
+            sizes = [expr_size(c) for c in node.children]
+            total *= math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
+        stack.extend(getattr(node, "children", ()))
+    return total

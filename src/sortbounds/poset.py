@@ -13,29 +13,14 @@ extensions.  Each is built on first use and never mutated afterwards.
 """
 from __future__ import annotations
 
-import inspect
 import itertools
-import sys
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CycleError, LimitExceededError, SizeMismatchError
-
-RECURSION_SLACK = 50  # frames kept free beside a recursion over the elements
-
-
-def check_recursion_headroom(n: int) -> None:
-    """Raise LimitExceededError unless a recursion one frame per element,
-    from the caller, stays RECURSION_SLACK frames below the recursion limit."""
-    depth, frame = 0, inspect.currentframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    if depth + n + RECURSION_SLACK > sys.getrecursionlimit():
-        raise LimitExceededError(f"n={n} needs a recursion {n} deep, past the "
-                                 f"recursion limit {sys.getrecursionlimit()}")
+from .errors import CycleError, SizeMismatchError
 
 
 def _transitive_closure(rel: np.ndarray) -> np.ndarray:
@@ -99,31 +84,30 @@ class Poset:
         """Read-only map from the bitmask of each up-set to its number of
         linear extensions; the full set maps to the extension count of P.
 
-        Ranking a minimal element of an up-set leaves an up-set, so one
-        memoized recursion from the full set visits exactly the up-sets.
+        Filled one layer of up-set sizes at a time from the empty set: each
+        element e outside an up-set U with all its successors in U makes
+        U | e an up-set with e minimal, so count[U] is pushed into it.
         The table can hold 2**n entries: callers cap n before reading it.
         """
-        check_recursion_headroom(self.n)
-        preds = self.pred_masks
-        memo = {0: 1}
-
-        def count(mask: int) -> int:
-            got = memo.get(mask)
-            if got is not None:
-                return got
-            total = 0
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                if preds[low.bit_length() - 1] & mask == 0:
-                    total += count(mask ^ low)
-            memo[mask] = total
-            return total
-
-        count((1 << self.n) - 1)
-        del count  # break the closure's cycle through its own cell
-        return MappingProxyType(memo)
+        succ = [(1 << e, sum(1 << j for j in np.nonzero(self.rel[e])[0].tolist()))
+                for e in range(self.n)]
+        counts = {0: 1}
+        layer = [0]
+        for _ in range(self.n):
+            grown = []
+            for up in layer:
+                c = counts[up]
+                for bit, above in succ:
+                    if up & bit == 0 and up & above == above:
+                        key = up | bit
+                        got = counts.get(key)
+                        if got is None:
+                            grown.append(key)
+                            counts[key] = c
+                        else:
+                            counts[key] = got + c
+            layer = grown
+        return MappingProxyType(counts)
 
     def predecessors(self, i: int) -> list[int]:
         return np.nonzero(self.rel[:, i])[0].tolist()
@@ -192,19 +176,18 @@ def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
     covers = P.covers
     succ_lists = [np.nonzero(covers[i])[0].tolist() for i in range(P.n)]
     chains: list[tuple[int, ...]] = []
-
-    def walk(path: list[int]) -> None:
-        succs = succ_lists[path[-1]]
-        if not succs:
+    path: list[int] = []
+    # (depth, element) pairs; successors pushed in reverse pop in order
+    stack = [(0, s) for s in reversed(P.minimal_elements())]
+    while stack:
+        depth, v = stack.pop()
+        del path[depth:]
+        path.append(v)
+        succs = succ_lists[v]
+        if succs:
+            stack.extend((depth + 1, s) for s in reversed(succs))
+        else:
             chains.append(tuple(path))
-            return
-        for s in succs:
-            path.append(s)
-            walk(path)
-            path.pop()
-
-    for start in P.minimal_elements():
-        walk([start])
     return chains
 
 

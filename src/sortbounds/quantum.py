@@ -190,6 +190,9 @@ class TechConstant:
     table: np.ndarray | None   # rows (n1, n2, ratio) when collected
 
 
+TECH_MAX_N = 1000  # the scan's table has about max_n**2 / 2 rows
+
+
 @lru_cache(maxsize=8)
 def _tech_constant_cached(max_n: int) -> TechConstant:
     return _tech_scan(max_n, collect_table=False)
@@ -208,8 +211,8 @@ def tech_constant(max_n: int, collect_table: bool = False) -> TechConstant:
 
 
 def _tech_scan(max_n: int, collect_table: bool) -> TechConstant:
-    if max_n < 2:
-        raise DomainError(f"max_n must be >= 2, got {max_n}")
+    if not 2 <= max_n <= TECH_MAX_N:
+        raise DomainError(f"max_n must be in 2..{TECH_MAX_N}, got {max_n}")
     den = math.lcm(*range(1, 2 * max_n + 1))
     # acc[q] = q * H_q * den, exactly.
     acc = [0] * (2 * max_n + 1)
@@ -491,8 +494,9 @@ def analyze(
     The count and QLB come from the series-parallel product form and
     recurrence when P decomposes, and otherwise from the ideal DP and
     enumeration; QLB and QH are None when enumeration would pass enum_cap.
-    The adversary matrix is built only when the count is within matrix_cap
-    and QLB is known, else its fields are None.  Each norm is a side of its
+    The adversary matrix is built only when the count is within matrix_cap,
+    QLB is known and n <= DEFAULT_N_CAP (its Lehmer keys need n! < 2**63),
+    else its fields are None.  Each norm is a side of its
     `norm_bracket`, the safe one for its lemma: `gamma_norm` is the lower
     side of ||Gamma||, `max_gamma_ij_norm` the largest upper side over the
     masks.  The certificates are
@@ -522,7 +526,7 @@ def analyze(
 
     gnorm = mnorm = None
     lemma1 = lemma2 = lemma3 = None
-    if num <= matrix_cap and qlb_val is not None:
+    if num <= matrix_cap and qlb_val is not None and P.n <= DEFAULT_N_CAP:
         gamma = build_adversary(P, matrix_cap=matrix_cap)
         gnorm = spectral_norm(gamma)
         mnorm = max_gamma_ij_norm(gamma, P)

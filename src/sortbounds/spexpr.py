@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import LimitExceededError, ParseError
 from .poset import Poset
 
 
@@ -151,10 +151,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# Each parenthesis level costs three parser frames; the bound keeps the
-# parser and the recursive walks over its output far inside the
-# interpreter's default recursion limit of 1000.
+# Each parenthesis level costs three parser frames and adds at most a
+# parallel and a series node (an antichain in the innermost series one more),
+# so a parsed tree is at most MAX_DEPTH nodes deep; both bounds keep the
+# parser and the walks over its output inside the recursion limit of 1000.
 MAX_NESTING = 100
+MAX_DEPTH = 2 * MAX_NESTING + 3
 # Bound on the element count of a whole expression, counted before any leaf
 # tuple is built, so a short text cannot allocate millions of leaves.  It
 # sits far above the analysis caps (n <= 20 by default), which still report
@@ -317,24 +319,30 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
     Recursive split: a disconnected comparability graph gives a parallel
     node over its components; a disconnected incomparability graph gives a
     series node over its co-components, which the relation orders totally.
+    One nested deeper than any parsed expression, MAX_DEPTH, raises
+    LimitExceededError, which bounds every structural walk over the result.
     """
     comparable = P.rel | P.rel.T
 
-    def join(compose, parts: list[list[int]]) -> tuple[SPExpr, list[int]] | None:
+    def join(compose, parts: list[list[int]], depth: int) -> tuple[SPExpr, list[int]] | None:
+        if depth >= MAX_DEPTH:
+            raise LimitExceededError(
+                f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
         children, leaves = [], []
         for part in parts:
-            got = rec(part)
+            got = rec(part, depth + 1)
             if got is None:
                 return None
             children.append(got[0])
             leaves.extend(got[1])
         return compose(*children), leaves
 
-    def rec(elems: list[int]) -> tuple[SPExpr, list[int]] | None:
+    def rec(elems: list[int], depth: int) -> tuple[SPExpr, list[int]] | None:
         sub = comparable[np.ix_(elems, elems)]
         comps = _components(sub)
         if len(comps) > 1:
-            return join(parallel, [[elems[t] for t in comp] for comp in sorted(comps, key=min)])
+            parts = [[elems[t] for t in comp] for comp in sorted(comps, key=min)]
+            return join(parallel, parts, depth)
         co = _components(~sub & ~np.eye(len(elems), dtype=bool))
         if len(co) > 1:
             # Distinct co-components are uniformly comparable; order them by
@@ -344,12 +352,12 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
             for lo_blk, hi_blk in zip(blocks, blocks[1:]):
                 if not all(P.rel[x, y] for x in lo_blk for y in hi_blk):
                     return None
-            return join(series, blocks)
+            return join(series, blocks, depth)
         if len(elems) == 1:
             return Singleton(), list(elems)
         return None
 
-    got = rec(list(range(P.n)))
+    got = rec(list(range(P.n)), 0)
     del rec, join  # break the cycle between the two closures
     if got is None:
         return None

@@ -52,6 +52,46 @@ def brute_force_extensions(n, pairs01):
     return out
 
 
+def recursive_extension_orders(P):
+    """Oracle: every extension as an (N, n) int16 array, from a recursion
+    that ranks each minimal element of the unranked set in increasing
+    order, so the rows come out in lex order."""
+    preds = P.pred_masks
+    out = []
+
+    def rec(mask, prefix):
+        if mask == 0:
+            out.append(prefix)
+            return
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            e = low.bit_length() - 1
+            if preds[e] & mask == 0:
+                rec(mask ^ low, prefix + (e,))
+
+    rec((1 << P.n) - 1, ())
+    return np.array(out, dtype=np.int16).reshape(-1, P.n)
+
+
+def recursive_maximal_chains(P):
+    """Oracle: the maximal chains from a depth-first recursion over the
+    cover relation, successors in increasing order."""
+    succ = [np.nonzero(P.covers[i])[0].tolist() for i in range(P.n)]
+    chains = []
+
+    def walk(path):
+        if not succ[path[-1]]:
+            chains.append(tuple(path))
+        for s in succ[path[-1]]:
+            walk(path + [s])
+
+    for start in P.minimal_elements():
+        walk([start])
+    return chains
+
+
 def brute_force_qlb(n, pairs01):
     """Oracle: average the harmonic gap sums over brute-forced extensions."""
     def harm(q):

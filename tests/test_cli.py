@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from sortbounds import Parallel, Series, Singleton, realize, write_poset
 from sortbounds.cli import exit_code_for_report, main
-from sortbounds.quantum import BoundsReport
+from sortbounds.quantum import TECH_MAX_N, BoundsReport
 
 
 def run_cli(capsys, *argv):
@@ -82,11 +83,18 @@ def test_analyze_deep_nesting_exits_1(capsys):
     assert "position" in err
 
 
-def test_analyze_past_recursion_limit_exits_1(capsys):
-    # N(250) has 1000 elements: the up-set recursion would need 1000 frames
-    code, out, err = run_cli(capsys, "analyze", "--expr", "N(250)", "--max-n", "1000")
+def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
+    # 200 alternating series/parallel levels, 401 elements: twice as deep as
+    # any expression the parser accepts, so the decomposition is refused
+    # before a structural recursion walks it
+    e = Singleton()
+    for _ in range(200):
+        e = Parallel((Series((e, Singleton())), Singleton()))
+    deep = tmp_path / "deep.poset"
+    write_poset(realize(e), deep)
+    code, out, err = run_cli(capsys, "analyze", str(deep), "--max-n", "1000")
     assert code == 1 and out == ""
-    assert "recursion limit" in err and "Traceback" not in err
+    assert "nested deeper" in err
 
 
 def test_analyze_non_sp_over_enum_cap(capsys):
@@ -173,6 +181,17 @@ def test_analyze_adversary_fields_null_over_cap(capsys):
     assert rep["sandwich_ok"] is True
 
 
+def test_analyze_adversary_fields_null_past_n_cap(capsys):
+    # 1771 extensions are within the matrix cap, but n = 23 is past the
+    # range of the adversary matrix's Lehmer keys
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "chain(3)+chain(20)", "--max-n", "23")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["num_extensions"] == 1771 and rep["qlb"] is not None
+    for key in ("gamma_norm", "max_gamma_ij_norm", "lemma1_ok", "lemma2_ok", "lemma3_ok"):
+        assert rep[key] is None, key
+
+
 def test_verify_sp_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "sp", "--seed", "7", "--samples", "500")
     assert code == 0
@@ -199,10 +218,14 @@ def test_tech_constant_json(capsys):
     assert len(payload["ratios"]) == 6
 
 
-def test_tech_constant_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["tech-constant", "--max-n", "1"])
-    assert exc.value.code == 2
+def test_tech_constant_usage_error(monkeypatch):
+    import sortbounds.cli as cli
+
+    monkeypatch.setattr(cli, "tech_constant", lambda *a, **k: pytest.fail("scan started"))
+    for max_n in ("1", str(TECH_MAX_N + 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["tech-constant", "--max-n", max_n])
+        assert exc.value.code == 2
 
 
 def test_tech_constant_survives_closed_pipe():
@@ -235,6 +258,9 @@ def test_config_invariants_rejected():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["verify", "sp", "--tol", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sp", "--seed", "-1"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_contract():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 
@@ -19,6 +20,7 @@ from sortbounds import (
     extends,
     is_extension,
     itlb,
+    maximal_chains,
     n_poset,
     parse_sp,
     random_poset,
@@ -28,7 +30,7 @@ from sortbounds import (
 )
 from sortbounds.linext import sample_order as _sample_order
 
-from conftest import brute_force_extensions
+from conftest import brute_force_extensions, recursive_extension_orders
 
 
 def test_count_examples(wedge):
@@ -112,15 +114,24 @@ def test_enumeration_cap_enforced_after_caching():
         list(enumerate_extensions(P, max_extensions=5))
 
 
-def test_recursions_check_headroom_first(monkeypatch):
-    P = antichain_poset(4)
-    filled = antichain_poset(4)
-    assert count_extensions(filled) == 24  # its up-set table is cached
-    monkeypatch.setattr(sys, "getrecursionlimit", lambda: 10)
-    with pytest.raises(LimitExceededError, match="recursion limit"):
-        count_extensions(P)
-    with pytest.raises(LimitExceededError, match="recursion limit"):
-        extension_orders(filled)
+def test_walks_run_under_a_lowered_recursion_limit():
+    # counting, enumeration and the chain walk are loops: a recursion limit
+    # a few frames above the caller leaves them the same results
+    want_count = count_extensions(n_poset(40), max_n=160)
+    twenty = realize(parse_sp("N(1) * chain(16)"))
+    want_orders = recursive_extension_orders(twenty)
+    long_chain = chain_poset(1500)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        got_count = count_extensions(n_poset(40), max_n=160)
+        got_orders = extension_orders(twenty)
+        chains = maximal_chains(long_chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got_count == want_count
+    np.testing.assert_array_equal(got_orders, want_orders)
+    assert chains == [tuple(range(1500))]
 
 
 def test_sample_deterministic(wedge):

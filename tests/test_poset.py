@@ -26,6 +26,8 @@ from sortbounds import (
 from sortbounds.polytopes import order_point_batch
 from sortbounds.spexpr import parse_sp, realize
 
+from conftest import recursive_maximal_chains
+
 
 def test_build_single_pair(wedge):
     assert wedge.pairs() == [(1, 0)]
@@ -78,6 +80,11 @@ def test_maximal_chains_are_chains_and_unique():
         for c in chains:
             for a, b in zip(c, c[1:]):
                 assert P.less(a, b)
+
+
+def test_maximal_chains_match_recursion(family8):
+    for name, P in family8:
+        assert maximal_chains(P) == recursive_maximal_chains(P), name
 
 
 def test_extends_basic():

@@ -32,7 +32,12 @@ from sortbounds import (
 from sortbounds.poset import parse_poset_text
 from sortbounds.quantum import DENSE_MAX
 
-from conftest import brute_force_extensions, brute_force_qlb, loop_adversary
+from conftest import (
+    brute_force_extensions,
+    brute_force_qlb,
+    loop_adversary,
+    recursive_extension_orders,
+)
 
 
 @st.composite
@@ -81,10 +86,22 @@ def test_upset_table_matches_brute_force(case):
     assert dict(P.upset_counts) == _suffix_counts(P.n, orders)
 
 
+def _assert_same_orders(P):
+    got, want = extension_orders(P), recursive_extension_orders(P)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
 @given(posets())
 def test_extension_orders_are_brute_force_in_lex_order(case):
     P, pairs = case
     assert [tuple(o) for o in extension_orders(P).tolist()] == brute_force_extensions(P.n, pairs)
+    _assert_same_orders(P)
+
+
+@pytest.mark.parametrize("text", ["N(5)", "N(2)+chain(2)+chain(2)"])
+def test_extension_orders_match_recursion_at_n20(text):
+    _assert_same_orders(realize(parse_sp(text)))
 
 
 @given(posets(), st.integers(0, 2**32))

@@ -43,7 +43,7 @@ from sortbounds import (
     verify_adversary,
 )
 from sortbounds import quantum
-from sortbounds.quantum import LEMMA_TOL, TWO_PI, analyze, max_gamma_ij_norm
+from sortbounds.quantum import LEMMA_TOL, TECH_MAX_N, TWO_PI, analyze, max_gamma_ij_norm
 
 from conftest import brute_force_qlb
 
@@ -222,8 +222,9 @@ def test_tech_constant_small_values():
     for n in (3, 4):
         expected = float(harmonic(n - 1)) / math.log(n)
         assert table[(1, n - 1)] == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(DomainError):
-        tech_constant(1)
+    for max_n in (1, TECH_MAX_N + 1):
+        with pytest.raises(DomainError):
+            tech_constant(max_n)
 
 
 def test_tech_constant_500(tech500):

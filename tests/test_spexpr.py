@@ -8,6 +8,7 @@ from sortbounds import (
     ParseError,
     Series,
     Singleton,
+    count_extensions_sp,
     count_induced_N,
     entropy,
     expr_size,
@@ -15,6 +16,7 @@ from sortbounds import (
     n_poset,
     parse_sp,
     qlb_fraction,
+    qlb_sp_fraction,
     random_poset,
     random_sp_expr,
     realize,
@@ -22,6 +24,7 @@ from sortbounds import (
     relabel,
     sp_decomposition,
 )
+from sortbounds.spexpr import MAX_DEPTH, MAX_NESTING
 
 
 def test_parse_seven_element_example():
@@ -112,6 +115,26 @@ def test_recognize_roundtrip_random():
         expr2, leaves = got
         perm = np.asarray(leaves)
         assert (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all()
+
+
+def test_decompose_deepest_parsed_expression():
+    # MAX_NESTING parenthesis levels, each a parallel over a series, with an
+    # antichain in the innermost series: MAX_DEPTH composition nodes deep
+    text = "antichain(2) * . + ."
+    for _ in range(MAX_NESTING):
+        text = f"({text}) * . + ."
+    with pytest.raises(ParseError):
+        parse_sp(f"({text}) * . + .")
+    P = realize(parse_sp(text))
+    expr2, leaves = sp_decomposition(P)
+    perm = np.asarray(leaves)
+    assert (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all()
+    depth, node = 0, expr2
+    while not isinstance(node, Singleton):
+        depth += 1
+        node = max(node.children, key=expr_size)
+    assert depth == MAX_DEPTH
+    assert count_extensions_sp(expr2) > 0 and qlb_sp_fraction(expr2) > 0
 
 
 def test_recognize_iff_n_free():
