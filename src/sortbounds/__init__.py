@@ -17,7 +17,6 @@ from .errors import (
     QuadratureFailureError,
     SizeMismatchError,
     SortboundsError,
-    UnsupportedNBlockError,
 )
 from .families import (
     antichain_poset,
@@ -104,6 +103,7 @@ from .quantum import (
     verify_adversary,
 )
 from .spexpr import (
+    Block,
     NBlock,
     NotSeriesParallel,
     NOT_SERIES_PARALLEL,

@@ -8,9 +8,11 @@ Three commands, each with only the flags it reads:
                       [--seed S] [--samples K] [--tol T]
     sortbounds tech-constant --max-n N [--format json|csv|text]
 
-`analyze` prints one report with every bound for the input poset; adversary
-fields are null when the extension count exceeds the matrix cap or n exceeds
-the default counting cap 20.  It is deterministic and takes no seed.
+`analyze` prints one report with every bound for the input poset; qlb and qh
+are null when a block of its series-parallel decomposition has more than
+--enum-cap extensions (or more than 20 elements), and adversary fields are
+null then too, or when the extension count exceeds the matrix cap or n
+exceeds the default counting cap 20.  It is deterministic and takes no seed.
 `verify` takes a seed S >= 0 and `tech-constant` 2 <= N <= 1000.  Exit
 codes: 1 on parse or size failures, 2 when a certified property is false.
 All floats are serialized with 17 significant digits, so identical
@@ -19,6 +21,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,11 +33,7 @@ from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech
 from .spexpr import expr_size, parse_sp, realize
 from .suites import SUITES, run_suites
 
-REPORT_KEYS = [
-    "n", "num_extensions", "itlb", "entropy", "lb", "qlb", "qh",
-    "gamma_norm", "max_gamma_ij_norm",
-    "lemma1_ok", "lemma2_ok", "lemma3_ok", "sandwich_ok",
-]
+REPORT_KEYS = [f.name for f in dataclasses.fields(BoundsReport)]
 
 
 def _fmt_value(v) -> str:

@@ -25,10 +25,6 @@ class ParseError(SortboundsError, ValueError):
         self.pos = pos
 
 
-class UnsupportedNBlockError(SortboundsError, ValueError):
-    """An exact structural recursion was asked to handle an N-block leaf."""
-
-
 class NotConsistentError(SortboundsError, ValueError):
     """A point violates the order-polytope constraints beyond tolerance."""
 

@@ -18,9 +18,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import LimitExceededError, UnsupportedNBlockError
+from .errors import LimitExceededError
 from .poset import Poset
-from .spexpr import NBlock, Parallel, SPExpr, expr_size
+from .spexpr import Block, NBlock, Parallel, SPExpr, expr_size
 
 DEFAULT_N_CAP = 20
 DEFAULT_ENUM_CAP = 10**6
@@ -156,18 +156,19 @@ def sample_extension(P: Poset, seed: int, max_n: int = DEFAULT_N_CAP) -> LinearE
     return LinearExtension.from_order(sample_order(P, random.Random(seed)))
 
 
-def count_extensions_sp(e: SPExpr) -> int:
+def count_extensions_sp(e: SPExpr, max_n: int = DEFAULT_N_CAP) -> int:
     """Exact extension count from the structure of an SP expression.
 
     Series multiplies counts; parallel multiplies counts and the multinomial
     of the block sizes, so the count is the product of the multinomials of
-    the parallel nodes.  N blocks are rejected: no product form applies.
+    the parallel nodes and of the counts of the Block and NBlock leaves,
+    which the up-set DP gives under max_n.
     """
     total, stack = 1, [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, NBlock):
-            raise UnsupportedNBlockError("extension counts of N blocks have no product form")
+        if isinstance(node, (Block, NBlock)):
+            total *= count_extensions(node.poset, max_n=max_n)
         if isinstance(node, Parallel):
             sizes = [expr_size(c) for c in node.children]
             total *= math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))

@@ -336,5 +336,6 @@ def _polish(
 
 
 def lb(P: Poset, tol: float = 1e-8) -> float:
-    """Entropy-based classical comparison bound n(ln n - H(P))."""
-    return P.n * (math.log(P.n) - entropy(P, tol=tol).H)
+    """Entropy-based classical comparison bound n(ln n - H(P)), clamped at
+    0: z = 1/n is feasible, so H(P) <= ln n and only rounding makes it negative."""
+    return max(0.0, P.n * (math.log(P.n) - entropy(P, tol=tol).H))

@@ -46,7 +46,8 @@ class Poset:
             raise CycleError("relation is not irreflexive")
         if (rel & rel.T).any():
             raise CycleError("relation is not antisymmetric")
-        if ((rel @ rel) & ~rel).any():
+        f = rel.astype(np.float32)  # BLAS skips bool products; a sum of 0/1 terms is > 0 iff one is 1
+        if (((f @ f) > 0) & ~rel).any():
             raise ValueError("relation is not transitively closed")
         rel.setflags(write=False)
         self.n: int = int(rel.shape[0])
@@ -63,8 +64,8 @@ class Poset:
     @cached_property
     def covers(self) -> np.ndarray:
         """Cover relation (Hasse diagram): i <: j with nothing in between."""
-        reachable_2 = (self.rel @ self.rel) > 0
-        out = self.rel & ~reachable_2
+        f = self.rel.astype(np.float32)  # through BLAS, as in __init__
+        out = self.rel & ~((f @ f) > 0)
         out.setflags(write=False)
         return out
 

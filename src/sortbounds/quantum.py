@@ -30,12 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .errors import (
-    DomainError,
-    LimitExceededError,
-    NotAnExtensionError,
-    UnsupportedNBlockError,
-)
+from .errors import DomainError, LimitExceededError, NotAnExtensionError
 from .linext import (
     DEFAULT_ENUM_CAP,
     DEFAULT_N_CAP,
@@ -49,7 +44,7 @@ from .linext import (
 from .orderstats import harmonic, harmonic_float
 from .polytopes import chain_point_batch, entropy, transfer_batch
 from .poset import Poset
-from .spexpr import NBlock, Series, Singleton, SPExpr, expr_size, sp_decomposition
+from .spexpr import Block, NBlock, Series, Singleton, SPExpr, expr_size, sp_decomposition
 
 DEFAULT_MATRIX_CAP = 4000
 
@@ -70,8 +65,13 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
 def _gap_counts(P: Poset, max_extensions: int) -> tuple[np.ndarray, int]:
     """(counts of each gap value over all (extension, element) pairs, N)."""
     orders = extension_orders(P, max_extensions=max_extensions)
-    d = transfer_batch(P, orders.argsort(axis=1) + 1)  # the 1-based rank of each element
-    return np.bincount(d.ravel(), minlength=P.n + 1), len(orders)
+    # the 1-based rank of each element, one column at a time, so that no
+    # (N, n) int64 array (argsort's, or bincount's copy) is ever built
+    ranks, rows = np.empty_like(orders), np.arange(len(orders))
+    for k in range(P.n):
+        ranks[rows, orders[:, k]] = k + 1
+    d = transfer_batch(P, ranks)
+    return sum(np.bincount(col, minlength=P.n + 1) for col in d.T), len(orders)
 
 
 def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
@@ -121,40 +121,27 @@ def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
 # Series-parallel recurrences
 # ---------------------------------------------------------------------------
 
-def qlb_sp_fraction(e: SPExpr) -> Fraction:
+def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Exact QLB of an SP expression by structural recursion.
 
     Series adds the parts; parallel adds the parts plus the harmonic merge
-    cost n H_n - n1 H_{n1} - n2 H_{n2}, folded left over n-ary nodes.
+    cost n H_n - sum_c n_c H_{n_c} (the binary n H_n - n1 H_{n1} - n2 H_{n2}
+    summed over a left fold).  Each Block and NBlock leaf is enumerated
+    under max_extensions.
     """
     if isinstance(e, Singleton):
         return Fraction(0)
-    if isinstance(e, NBlock):
-        raise UnsupportedNBlockError("QLB of N blocks has no product form")
+    if isinstance(e, (Block, NBlock)):
+        return qlb_fraction(e.poset, max_extensions=max_extensions)
+    parts = sum((qlb_sp_fraction(c, max_extensions) for c in e.children), Fraction(0))
     if isinstance(e, Series):
-        return sum((qlb_sp_fraction(c) for c in e.children), Fraction(0))
-    total = Fraction(0)
-    acc_n = 0
-    for child in e.children:
-        child_n = expr_size(child)
-        child_q = qlb_sp_fraction(child)
-        if acc_n == 0:
-            total, acc_n = child_q, child_n
-            continue
-        merged = acc_n + child_n
-        total = (
-            total
-            + child_q
-            + merged * harmonic(merged)
-            - acc_n * harmonic(acc_n)
-            - child_n * harmonic(child_n)
-        )
-        acc_n = merged
-    return total
+        return parts
+    sizes = [expr_size(c) for c in e.children]
+    return parts + sum(sizes) * harmonic(sum(sizes)) - sum(k * harmonic(k) for k in sizes)
 
 
-def qlb_sp(e: SPExpr) -> float:
-    return float(qlb_sp_fraction(e))
+def qlb_sp(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> float:
+    return float(qlb_sp_fraction(e, max_extensions=max_extensions))
 
 
 @dataclass(frozen=True)
@@ -438,8 +425,9 @@ def uniform_rayleigh(gamma: AdversaryMatrix) -> float:
 class BoundsReport:
     """Flat summary of every bound and certificate for one poset.
 
-    Adversary-dependent fields are None when the extension count exceeds the
-    matrix cap.
+    QLB and QH are None when a block of the decomposition has more
+    extensions than the enumeration cap; adversary-dependent fields are
+    None then, and when the extension count exceeds the matrix cap.
     """
 
     n: int
@@ -491,9 +479,9 @@ def analyze(
 ) -> BoundsReport:
     """Every bound and certificate for one poset.
 
-    The count and QLB come from the series-parallel product form and
-    recurrence when P decomposes, and otherwise from the ideal DP and
-    enumeration; QLB and QH are None when enumeration would pass enum_cap.
+    The count and QLB fold the series-parallel decomposition of P, whose
+    Block leaves take the ideal DP and enumeration; QLB and QH are None
+    when a block has more than enum_cap extensions or DEFAULT_N_CAP elements.
     The adversary matrix is built only when the count is within matrix_cap,
     QLB is known and n <= DEFAULT_N_CAP (its Lehmer keys need n! < 2**63),
     else its fields are None.  Each norm is a side of its
@@ -510,18 +498,15 @@ def analyze(
     """
     if P.n > max_n:
         raise LimitExceededError(f"n={P.n} exceeds the cap max_n={max_n}")
-    qlb_val: float | None = None
-    decomposed = sp_decomposition(P)
-    if decomposed is not None:
-        num = count_extensions_sp(decomposed[0])
-        qlb_val = qlb_sp(decomposed[0])
-    else:
-        num = count_extensions(P, max_n=max_n)
-        if num <= enum_cap:
-            qlb_val = qlb_enum(P, max_extensions=enum_cap)
+    expr = sp_decomposition(P)[0]
+    num = count_extensions_sp(expr, max_n=max_n)
+    try:
+        qlb_val = qlb_sp(expr, max_extensions=enum_cap)
+    except LimitExceededError:
+        qlb_val = None
     itlb_val = ln_count(num)
     sol = entropy(P, tol=entropy_tol)
-    lb_val = P.n * (math.log(P.n) - sol.H)
+    lb_val = max(0.0, P.n * (math.log(P.n) - sol.H))
     qh_val = harmonic_float(P.n) - qlb_val / P.n if qlb_val is not None else None
 
     gnorm = mnorm = None

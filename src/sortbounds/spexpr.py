@@ -70,8 +70,21 @@ class NBlock:
     def __str__(self) -> str:
         return f"N({self.k})"
 
+    @property
+    def poset(self) -> Poset:
+        """The realized N block."""
+        return realize(self)
 
-SPExpr = Union[Singleton, Series, Parallel, NBlock]
+
+@dataclass(frozen=True)
+class Block:
+    """An indecomposable part of a decomposed poset: its comparability and
+    incomparability graphs are both connected."""
+
+    poset: Poset
+
+
+SPExpr = Union[Singleton, Series, Parallel, NBlock, Block]
 
 
 def _paren(e: SPExpr, *, inside_series: bool) -> str:
@@ -121,6 +134,8 @@ def expr_size(e: SPExpr) -> int:
         return 1
     if isinstance(e, NBlock):
         return 4 * e.k
+    if isinstance(e, Block):
+        return e.poset.n
     return sum(expr_size(c) for c in e.children)
 
 
@@ -269,6 +284,10 @@ def realize(e: SPExpr) -> Poset:
             for lo_block, hi_block in ((a, b), (c, b), (c, d)):
                 rel[lo_block, hi_block] = True
             return offset + 4 * k
+        if isinstance(node, Block):
+            end = offset + node.poset.n
+            rel[offset:end, offset:end] = node.poset.rel
+            return end
         starts = []
         cur = offset
         for child in node.children:
@@ -309,35 +328,37 @@ def _components(adj: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
-    """Decompose P into a series-parallel expression, or None.
+def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
+    """Decompose P into a series-parallel expression with ``Block`` leaves.
 
-    On success returns ``(expr, leaves)`` where ``leaves[t]`` is the element
-    of P realized by the t-th leaf of ``expr``; so ``realize(expr)`` equals P
+    Returns ``(expr, leaves)`` where ``leaves[t]`` is the element of P
+    realized by the t-th element of ``expr``; so ``realize(expr)`` equals P
     after renaming element ``leaves[t]`` to ``t``.
 
     Recursive split: a disconnected comparability graph gives a parallel
     node over its components; a disconnected incomparability graph gives a
-    series node over its co-components, which the relation orders totally.
-    One nested deeper than any parsed expression, MAX_DEPTH, raises
-    LimitExceededError, which bounds every structural walk over the result.
+    series node over its co-components, which the relation orders totally
+    (elements of distinct co-components are comparable, and transitivity
+    orders whole co-components).  A part of two or more elements that
+    neither splits becomes a ``Block`` of its induced sub-poset, and P
+    itself when P is indecomposable.  One nested deeper than any parsed
+    expression, MAX_DEPTH, raises LimitExceededError, which bounds every
+    structural walk over the result.
     """
     comparable = P.rel | P.rel.T
 
-    def join(compose, parts: list[list[int]], depth: int) -> tuple[SPExpr, list[int]] | None:
+    def join(compose, parts: list[list[int]], depth: int) -> tuple[SPExpr, list[int]]:
         if depth >= MAX_DEPTH:
             raise LimitExceededError(
                 f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
         children, leaves = [], []
         for part in parts:
-            got = rec(part, depth + 1)
-            if got is None:
-                return None
-            children.append(got[0])
-            leaves.extend(got[1])
+            child, part_leaves = rec(part, depth + 1)
+            children.append(child)
+            leaves.extend(part_leaves)
         return compose(*children), leaves
 
-    def rec(elems: list[int], depth: int) -> tuple[SPExpr, list[int]] | None:
+    def rec(elems: list[int], depth: int) -> tuple[SPExpr, list[int]]:
         sub = comparable[np.ix_(elems, elems)]
         comps = _components(sub)
         if len(comps) > 1:
@@ -345,29 +366,26 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]] | None:
             return join(parallel, parts, depth)
         co = _components(~sub & ~np.eye(len(elems), dtype=bool))
         if len(co) > 1:
-            # Distinct co-components are uniformly comparable; order them by
-            # the relation through representatives and check uniformity.
             blocks = [[elems[t] for t in comp] for comp in co]
             blocks.sort(key=cmp_to_key(lambda a, b: -1 if P.rel[a[0], b[0]] else 1))
-            for lo_blk, hi_blk in zip(blocks, blocks[1:]):
-                if not all(P.rel[x, y] for x in lo_blk for y in hi_blk):
-                    return None
             return join(series, blocks, depth)
         if len(elems) == 1:
-            return Singleton(), list(elems)
-        return None
+            return Singleton(), elems
+        return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
 
-    got = rec(list(range(P.n)), 0)
+    expr, leaves = rec(list(range(P.n)), 0)
     del rec, join  # break the cycle between the two closures
-    if got is None:
-        return None
-    return got[0], tuple(got[1])
+    return expr, tuple(leaves)
 
 
 def recognize_sp(P: Poset) -> SPExpr | NotSeriesParallel:
     """Series-parallel expression realizing P up to renumbering, or the
-    NOT_SERIES_PARALLEL sentinel."""
-    got = sp_decomposition(P)
-    if got is None:
-        return NOT_SERIES_PARALLEL
-    return got[0]
+    NOT_SERIES_PARALLEL sentinel when its decomposition has a ``Block``."""
+    expr = sp_decomposition(P)[0]
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Block):
+            return NOT_SERIES_PARALLEL
+        stack.extend(getattr(node, "children", ()))
+    return expr

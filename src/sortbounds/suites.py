@@ -15,7 +15,7 @@ import numpy as np
 from . import families, linext, orderstats, polytopes, quantum
 from .orderstats import harmonic
 from .poset import count_induced_N, extends
-from .spexpr import expr_size, parallel, parse_sp, realize, series, sp_decomposition
+from .spexpr import expr_size, parallel, parse_sp, realize, recognize_sp, series, sp_decomposition
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,10 @@ def suite_sp(seed: int, samples: int, tol: float) -> list[CheckResult]:
     exprs = [families.random_sp_expr(rng, int(rng.integers(1, 11))) for _ in range(40)]
     bad = 0
     for e in exprs:
-        got = sp_decomposition(realize(e))
-        if got is None:
-            bad += 1
-            continue
-        expr2, leaves = got
-        P, Q = realize(e), realize(expr2)
+        P = realize(e)
+        expr2, leaves = sp_decomposition(P)
         perm = np.asarray(leaves)
-        if not (Q.rel == P.rel[np.ix_(perm, perm)]).all():
+        if not recognize_sp(P) or not (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all():
             bad += 1
     out.append(_result("sp", "recognize_round_trip", bad == 0,
                        f"{len(exprs) - bad}/{len(exprs)} expressions round-trip"))
@@ -79,9 +75,7 @@ def suite_sp(seed: int, samples: int, tol: float) -> list[CheckResult]:
     wrong = 0
     for _ in range(trials):
         P = families.random_poset(int(rng.integers(1, 10)), rng, p=float(rng.uniform(0.1, 0.6)))
-        sp_ok = sp_decomposition(P) is not None
-        n_free = count_induced_N(P) == 0
-        if sp_ok != n_free:
+        if bool(recognize_sp(P)) != (count_induced_N(P) == 0):
             wrong += 1
     out.append(_result("sp", "n_free_iff_recognizable", wrong == 0,
                        f"{trials - wrong}/{trials} random posets agree"))

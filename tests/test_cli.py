@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +37,9 @@ def test_analyze_chain_all_zero(capsys):
     assert rep["qlb"] == 0.0
     assert abs(rep["lb"]) <= 1e-6
     assert rep["gamma_norm"] == 0.0
+    # LB >= 0 exactly: rounding in n (ln n - H) is clamped
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "chain(20)")
+    assert json.loads(out)["lb"] == 0.0
 
 
 def test_analyze_cyclic_file_exits_1(capsys, tmp_path):
@@ -98,12 +102,24 @@ def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
 
 
 def test_analyze_non_sp_over_enum_cap(capsys):
-    # N(1)+. is not series-parallel and has 25 extensions, past the cap of
-    # 10: QLB and everything that needs it is reported as null
+    # N(1)+. has 25 extensions, past the cap of 10, but only its N block is
+    # enumerated, and that has 5: QLB = 11/5 + merge cost 5 H_5 - 4 H_4 - 1
     code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)+.", "--enum-cap", "10")
     assert code == 0
     rep = json.loads(out)
     assert rep["num_extensions"] == 25
+    assert rep["qlb"] == float(Fraction(257, 60))
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)+.")
+    uncapped = json.loads(out)
+    for key in ("qlb", "qh", "gamma_norm", "max_gamma_ij_norm",
+                "lemma1_ok", "lemma2_ok", "lemma3_ok", "sandwich_ok"):
+        assert rep[key] == uncapped[key], key
+    assert rep["lemma1_ok"] and rep["lemma2_ok"] and rep["lemma3_ok"]
+    # the N block of N(2)+. has 53 extensions, past the cap: QLB and
+    # everything that needs it is null
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(2)+.", "--enum-cap", "10")
+    assert code == 0
+    rep = json.loads(out)
     for key in ("qlb", "qh", "gamma_norm", "max_gamma_ij_norm",
                 "lemma1_ok", "lemma2_ok", "lemma3_ok"):
         assert rep[key] is None, key

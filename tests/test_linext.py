@@ -9,7 +9,6 @@ from scipy.stats import chi2
 from sortbounds import (
     LimitExceededError,
     LinearExtension,
-    UnsupportedNBlockError,
     antichain_poset,
     build_poset,
     chain_poset,
@@ -237,9 +236,9 @@ def test_count_sp_matches_dp_random():
             assert count_extensions_sp(e) == count_extensions(realize(e))
 
 
-def test_count_sp_rejects_n_block():
-    with pytest.raises(UnsupportedNBlockError):
-        count_extensions_sp(parse_sp("N(2)"))
+def test_count_sp_n_block_leaf():
+    # N(2) is one N block, counted by the up-set DP
+    assert count_extensions_sp(parse_sp("N(2)")) == 53
 
 
 def test_linear_extension_validation():

@@ -60,6 +60,14 @@ def test_build_out_of_range_raises():
         build_poset(3, [(1, 4)])
 
 
+def test_unclosed_relation_rejected_and_covers():
+    rel = np.zeros((3, 3), dtype=bool)
+    rel[0, 1] = rel[1, 2] = True
+    with pytest.raises(ValueError):
+        Poset(rel)
+    np.testing.assert_array_equal(chain_poset(5).covers, np.eye(5, k=1, dtype=bool))
+
+
 def test_closure_idempotent(wedge):
     rebuilt = build_poset(wedge.n, [(i + 1, j + 1) for i, j in wedge.pairs()])
     assert rebuilt == wedge

@@ -14,6 +14,7 @@ from sortbounds import (
     build_poset,
     count_extensions,
     count_extensions_sp,
+    count_induced_N,
     d_vector,
     expr_size,
     extension_orders,
@@ -25,8 +26,10 @@ from sortbounds import (
     qlb_fraction,
     qlb_sp_fraction,
     realize,
+    recognize_sp,
     sample_order,
     series,
+    sp_decomposition,
     transfer,
 )
 from sortbounds.poset import parse_poset_text
@@ -136,6 +139,18 @@ def test_sp_recurrences_match_enumeration(e):
     pairs = P.pairs()
     assert count_extensions_sp(e) == len(brute_force_extensions(P.n, pairs))
     assert qlb_sp_fraction(e) == brute_force_qlb(P.n, pairs)
+
+
+@given(posets())
+def test_decomposition_folds_match_brute_force(case):
+    # any poset, SP or not: the folds evaluate the Block leaves directly
+    P, pairs = case
+    e, leaves = sp_decomposition(P)
+    perm = np.asarray(leaves)
+    np.testing.assert_array_equal(realize(e).rel, P.rel[np.ix_(perm, perm)])
+    assert count_extensions_sp(e) == len(brute_force_extensions(P.n, pairs))
+    assert qlb_sp_fraction(e) == brute_force_qlb(P.n, pairs)
+    assert (not recognize_sp(P)) == (count_induced_N(P) > 0)
 
 
 def _assert_brackets_norm(M):

@@ -11,7 +11,6 @@ from sortbounds import (
     LinearExtension,
     NotAnExtensionError,
     Poset,
-    UnsupportedNBlockError,
     antichain_poset,
     build_adversary,
     build_poset,
@@ -126,9 +125,10 @@ def test_qlb_sp_examples(wedge):
         assert qlb_sp_fraction(parse_sp(f"chain({k}) + chain({k})")) == expected
 
 
-def test_qlb_sp_rejects_n_block():
-    with pytest.raises(UnsupportedNBlockError):
-        qlb_sp(parse_sp("N(1)"))
+def test_qlb_sp_n_block_leaf():
+    # N(1) is one N block, enumerated
+    assert qlb_sp_fraction(parse_sp("N(1)")) == Fraction(11, 5)
+    assert qlb_sp(parse_sp("N(1)")) == 2.2
 
 
 def test_composition_identities_random():

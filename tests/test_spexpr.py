@@ -110,9 +110,8 @@ def test_recognize_roundtrip_random():
     for _ in range(60):
         e = random_sp_expr(rng, int(rng.integers(1, 11)))
         P = realize(e)
-        got = sp_decomposition(P)
-        assert got is not None
-        expr2, leaves = got
+        expr2, leaves = sp_decomposition(P)
+        assert recognize_sp(P) == expr2
         perm = np.asarray(leaves)
         assert (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all()
 
@@ -143,7 +142,7 @@ def test_recognize_iff_n_free():
     trials = 10_000
     for _ in range(trials):
         P = random_poset(int(rng.integers(1, 10)), rng, p=float(rng.uniform(0.05, 0.7)))
-        if (sp_decomposition(P) is not None) == (count_induced_N(P) == 0):
+        if bool(recognize_sp(P)) == (count_induced_N(P) == 0):
             agree += 1
     assert agree == trials
 
