@@ -88,30 +88,43 @@ def enumerate_extensions(
         yield LinearExtension.from_order(order)
 
 
+def _placeable(placed: np.ndarray, need: np.ndarray, preds: np.ndarray) -> np.ndarray:
+    """(prefix, element) matrix of placed & need == preds, filled in blocks
+    of prefixes so the int32 temporary stays small."""
+    out = np.empty((len(placed), len(need)), dtype=bool)
+    for lo in range(0, len(placed), 1 << 14):
+        block = placed[lo : lo + (1 << 14), None]
+        np.equal(block & need, preds, out=out[lo : lo + len(block)])
+    return out
+
+
 def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All extensions as an (N, n) array of element sequences, lex order.
 
     All prefixes grow one rank per step by each unplaced element whose
     predecessors are placed; `np.nonzero` reads that (prefix, element)
     matrix row-major, so each step stays in lex order.  The rows are read
-    back through the (parent, element) pairs of the steps.
+    back through the (parent, element) pairs of the steps, kept as int32
+    (int64 past 2**31 extensions) and int8.
     """
     total = count_extensions(P)  # caps n at 20, so the masks fit in int32
     if total > max_extensions:
         raise LimitExceededError(f"{total} extensions exceed the enumeration cap {max_extensions}")
+    index = np.int32 if total < 2**31 else np.int64
     bits = np.int32(1) << np.arange(P.n, dtype=np.int32)
     preds = np.array(P.pred_masks, dtype=np.int32)
+    need = preds | bits  # e is placeable after a prefix iff prefix & need == preds
     placed = np.zeros(1, dtype=np.int32)
     steps = []
     for _ in range(P.n):
-        parent, elem = np.nonzero(((placed[:, None] & preds) == preds)
-                                  & ((placed[:, None] & bits) == 0))
+        parent, elem = np.nonzero(_placeable(placed, need, preds))
+        parent, elem = parent.astype(index), elem.astype(np.int8)
         steps.append((parent, elem))
         placed = placed[parent] | bits[elem]
     orders = np.empty((len(placed), P.n), dtype=np.int16)
-    row = np.arange(len(placed))
+    row = np.arange(len(placed), dtype=index)
     for k in range(P.n - 1, -1, -1):
-        parent, elem = steps[k]
+        parent, elem = steps.pop()
         orders[:, k] = elem[row]
         row = parent[row]
     return orders

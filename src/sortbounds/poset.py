@@ -20,15 +20,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CycleError, SizeMismatchError
+from .errors import CycleError, LimitExceededError, SizeMismatchError
+
+# Past this many maximal chains the chain walk and the chain matrix are
+# refused; at n <= 20 there are at most 3**6 * 2 = 1458.
+MAX_CHAINS = 100_000
 
 
 def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    out = rel.copy()
-    n = out.shape[0]
-    for k in range(n):
-        out |= out[:, k : k + 1] & out[k : k + 1, :]
-    return out
+    """Repeated squaring R | R @ R to its fixpoint, about log2(n) products,
+    through float32 BLAS as in `Poset.covers`."""
+    out = rel
+    while True:
+        f = out.astype(np.float32)
+        grown = out | ((f @ f) > 0)
+        if np.array_equal(grown, out):
+            return grown
+        out = grown
 
 
 class Poset:
@@ -166,14 +174,30 @@ def extends(Q: Poset, P: Poset) -> bool:
     return not (P.rel & ~Q.rel).any()
 
 
+def count_maximal_chains(P: Poset) -> int:
+    """Number of maximal chains (source-to-sink paths of the cover
+    relation), counted in Python ints from the sinks down."""
+    covers = P.covers
+    paths = [0] * P.n
+    # An element has strictly more successors than any element above it.
+    for i in np.argsort(P.rel.sum(axis=1), kind="stable").tolist():
+        succs = np.nonzero(covers[i])[0].tolist()
+        paths[i] = sum(paths[j] for j in succs) if succs else 1
+    return sum(paths[i] for i in P.minimal_elements())
+
+
 def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
     """All inclusion-maximal chains, as tuples of elements in increasing order.
 
     Every maximal chain is a source-to-sink path of the cover relation, so a
     DFS over the Hasse diagram enumerates each exactly once.  Isolated
-    elements yield singleton chains.  Worst case exponential; intended for
-    the desk scale n <= 20.
+    elements yield singleton chains.  The count is exponential in the
+    worst case, so it is taken first and more than MAX_CHAINS raises
+    LimitExceededError.
     """
+    total = count_maximal_chains(P)
+    if total > MAX_CHAINS:
+        raise LimitExceededError(f"{total} maximal chains exceed the chain cap {MAX_CHAINS}")
     covers = P.covers
     succ_lists = [np.nonzero(covers[i])[0].tolist() for i in range(P.n)]
     chains: list[tuple[int, ...]] = []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import shutil
 import tempfile
 from fractions import Fraction
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from sortbounds import chain2_plus_point, extension_orders, standard_family, tech_constant
+from sortbounds import (
+    EntropySolution,
+    NonConvergenceError,
+    chain2_plus_point,
+    chain_matrix,
+    extension_orders,
+    standard_family,
+    tech_constant,
+)
 
 # Property tests draw the same examples on every run and leave no example
 # database behind.
@@ -137,3 +146,126 @@ def loop_adversary(P):
                 vals.extend((1.0 / dd, 1.0 / dd))
     return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
             np.asarray(vals, dtype=np.float64))
+
+
+def warshall_closure(rel):
+    """Oracle: transitive closure by Warshall's n passes, one per
+    intermediate element."""
+    out = rel.copy()
+    n = out.shape[0]
+    for k in range(n):
+        out |= out[:, k : k + 1] & out[k : k + 1, :]
+    return out
+
+
+def _barrier_objective(z):
+    return -float(np.log(z).mean()) + 0.0
+
+
+def _barrier_dual(A, lam):
+    w = A.T @ lam
+    if (w <= 0.0).any():
+        return -math.inf
+    return float(np.log(A.shape[1] * w).mean() + 1.0 - lam.sum())
+
+
+def barrier_entropy(P, tol=1e-8, max_newton=1000):
+    """Oracle: the entropy program by a log-barrier method (t *= 20) with
+    damped Newton centering, then an active-set Newton polish of the KKT
+    system; certified by the same duality gap as `entropy`."""
+    n = P.n
+    A = chain_matrix(P)
+    m = A.shape[0]
+    longest = int(A.sum(axis=1).max())
+    z = np.full(n, 1.0 / (longest + 1))
+    t = max(1.0, float(m))
+    steps = 0
+
+    def center(z, t, steps):
+        for _ in range(60):
+            s = 1.0 - A @ z
+            grad = -(t / n) / z + A.T @ (1.0 / s)
+            hess = np.diag((t / n) / z**2) + (A.T * (1.0 / s**2)) @ A
+            dz = np.linalg.solve(hess, -grad)
+            if float(-grad @ dz) / 2.0 <= 1e-13 or steps >= max_newton:
+                return z, steps
+            steps += 1
+            alpha = 1.0
+            neg = dz < 0
+            if neg.any():
+                alpha = min(alpha, 0.99 * float(np.min(-z[neg] / dz[neg])))
+            ds = A @ dz
+            grow = ds > 0
+            if grow.any():
+                alpha = min(alpha, 0.99 * float(np.min(s[grow] / ds[grow])))
+            psi0 = -t * float(np.log(z).sum()) / n - float(np.log(s).sum())
+            slope = float(grad @ dz)
+            while True:
+                zn = z + alpha * dz
+                sn = 1.0 - A @ zn
+                if (zn > 0).all() and (sn > 0).all():
+                    psi = -t * float(np.log(zn).sum()) / n - float(np.log(sn).sum())
+                    if psi <= psi0 + 0.25 * alpha * slope:
+                        break
+                alpha *= 0.5
+                if alpha < 1e-13:
+                    return z, steps
+            z = z + alpha * dz
+        return z, steps
+
+    best = None
+    while True:
+        z, steps = center(z, t, steps)
+        s = 1.0 - A @ z
+        lam = 1.0 / (t * np.maximum(s, 1e-300))
+        gap = _barrier_objective(z) - _barrier_dual(A, lam)
+        if best is None or gap < best[0]:
+            best = (gap, z.copy(), lam.copy())
+        if gap <= max(tol, 1e-10) or t > 1e15 or steps >= max_newton:
+            break
+        t *= 20.0
+    gap, z, lam = _barrier_polish(A, *best)
+    if gap > tol:
+        raise NonConvergenceError(f"certified duality gap {gap:.3e} above tol {tol:.3e}")
+    return EntropySolution(H=_barrier_objective(z), z_star=z, kkt_residual=max(gap, 0.0),
+                           newton_steps=steps)
+
+
+def _barrier_polish(A, gap, z, lam_barrier):
+    """Newton on the KKT system of the apparently-active chains; keeps the
+    barrier iterate unless the polished point is better certified."""
+    n = A.shape[1]
+    s = 1.0 - A @ z
+    active = (s < 1e-4) & (lam_barrier > 1e-4 * lam_barrier.max())
+    if not active.any():
+        return gap, z, lam_barrier
+    Aact = A[active]
+    k = Aact.shape[0]
+    zp = z.copy()
+    lam = lam_barrier[active].copy()
+    ok = False
+    for _ in range(40):
+        F = np.concatenate([-1.0 / (n * zp) + Aact.T @ lam, Aact @ zp - 1.0])
+        if np.abs(F).max() < 1e-13:
+            ok = True
+            break
+        J = np.block([[np.diag(1.0 / (n * zp**2)), Aact.T], [Aact, np.zeros((k, k))]])
+        try:
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            break
+        raw = step[:n]
+        limit = np.where(raw < 0, -0.9 * zp / np.minimum(raw, -1e-300), 1.0)
+        alpha = min(1.0, float(limit.min()))
+        zp = zp + alpha * raw
+        lam = lam + alpha * step[n:]
+    feasible = (ok and (zp > 0).all() and ((A @ zp) <= 1.0 + 1e-12).all()
+                and (lam >= -1e-10).all())
+    if not feasible:
+        return gap, z, lam_barrier
+    lam_full = np.zeros(A.shape[0])
+    lam_full[active] = np.maximum(lam, 0.0)
+    candidates = [(_barrier_objective(zc) - _barrier_dual(A, lc), zc, lc)
+                  for zc in (zp, z) for lc in (lam_full, lam_barrier)]
+    gbest, zbest, lbest = min(candidates, key=lambda c: c[0])
+    return max(gbest, 0.0), zbest, lbest

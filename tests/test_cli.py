@@ -101,6 +101,15 @@ def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
     assert "nested deeper" in err
 
 
+def test_analyze_exponential_chain_set_exits_1(capsys):
+    # 3**12 maximal chains on 36 elements: refused from the chain count,
+    # before the chains are listed or the entropy program is built
+    expr = "*".join(["antichain(3)"] * 12)
+    code, out, err = run_cli(capsys, "analyze", "--expr", expr, "--max-n", "40")
+    assert code == 1 and out == ""
+    assert "531441 maximal chains exceed the chain cap" in err
+
+
 def test_analyze_non_sp_over_enum_cap(capsys):
     # N(1)+. has 25 extensions, past the cap of 10, but only its N block is
     # enumerated, and that has 5: QLB = 11/5 + merge cost 5 H_5 - 4 H_4 - 1

@@ -20,13 +20,16 @@ from sortbounds import (
     entropy,
     lb,
     n_poset,
+    parse_sp,
     qh_exact,
+    realize,
     sample_chain_point,
     sample_order_point,
     transfer,
     transfer_inverse,
 )
 from sortbounds.orderstats import ks_critical, ks_statistic
+from sortbounds.poset import MAX_CHAINS
 from sortbounds.polytopes import (
     chain_point_batch,
     order_point_batch,
@@ -180,6 +183,34 @@ def test_entropy_larger_random_posets():
         assert (sol.z_star > 1e-9).all()
         A = chain_matrix(P)
         assert ((A @ sol.z_star) <= 1.0 + 1e-9).all()
+
+
+def test_entropy_step_budget(family8):
+    # a few primal-dual iterations per solve, also on the 1458 maximal
+    # chains of the widest layered poset at n = 20
+    layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
+    assert chain_matrix(layered).shape == (1458, 20)
+    for name, P in [*family8, ("layered", layered)]:
+        sol = entropy(P)
+        assert sol.newton_steps <= 30, name
+        assert sol.kkt_residual <= 1e-12, name
+
+
+def test_entropy_finishing_step_is_exact_on_antichains():
+    for n in (1, 2, 20):
+        sol = entropy(antichain_poset(n))
+        assert sol.H == 0.0 and (sol.z_star == 1.0).all()
+
+
+def test_exponential_chain_sets_refused():
+    # antichain(3)^11: 3**11 = 177147 maximal chains on 33 elements
+    P = realize(parse_sp("*".join(["antichain(3)"] * 11)))
+    assert 3**11 > MAX_CHAINS
+    for call in (lambda: chain_matrix(P), lambda: entropy(P),
+                 lambda: transfer_inverse(P, np.zeros(P.n)),
+                 lambda: chain_polytope_volume_mc(P, 10, 0)):
+        with pytest.raises(LimitExceededError, match="maximal chains"):
+            call()
 
 
 def test_lb_examples(wedge):

@@ -5,6 +5,7 @@ import pytest
 
 from sortbounds import (
     CycleError,
+    LimitExceededError,
     Poset,
     SizeMismatchError,
     analyze,
@@ -24,9 +25,10 @@ from sortbounds import (
     sample_extension,
 )
 from sortbounds.polytopes import order_point_batch
+from sortbounds.poset import count_maximal_chains
 from sortbounds.spexpr import parse_sp, realize
 
-from conftest import recursive_maximal_chains
+from conftest import recursive_maximal_chains, warshall_closure
 
 
 def test_build_single_pair(wedge):
@@ -93,6 +95,31 @@ def test_maximal_chains_are_chains_and_unique():
 def test_maximal_chains_match_recursion(family8):
     for name, P in family8:
         assert maximal_chains(P) == recursive_maximal_chains(P), name
+
+
+def test_count_maximal_chains(family8, monkeypatch):
+    for name, P in family8:
+        assert count_maximal_chains(P) == len(maximal_chains(P)), name
+    layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
+    assert count_maximal_chains(layered) == len(maximal_chains(layered)) == 1458
+    # far past int64: counted exactly, refused before any walk
+    wide = realize(parse_sp("*".join(["antichain(3)"] * 45)))
+    assert count_maximal_chains(wide) == 3**45
+    with pytest.raises(LimitExceededError, match="maximal chains"):
+        maximal_chains(wide)
+    import sortbounds.poset as poset
+    monkeypatch.setattr(poset, "MAX_CHAINS", 1458)
+    assert len(maximal_chains(layered)) == 1458
+    monkeypatch.setattr(poset, "MAX_CHAINS", 1457)
+    with pytest.raises(LimitExceededError):
+        maximal_chains(layered)
+
+
+def test_closure_of_a_long_chain_matches_warshall():
+    rel = np.eye(1500, k=1, dtype=bool)
+    want = warshall_closure(rel)
+    np.testing.assert_array_equal(chain_poset(1500).rel, want)
+    np.testing.assert_array_equal(want, np.triu(np.ones((1500, 1500), dtype=bool), 1))
 
 
 def test_extends_basic():

@@ -12,10 +12,12 @@ from sortbounds import (
     SortboundsError,
     build_adversary,
     build_poset,
+    chain_matrix,
     count_extensions,
     count_extensions_sp,
     count_induced_N,
     d_vector,
+    entropy,
     expr_size,
     extension_orders,
     gamma_ij,
@@ -32,14 +34,16 @@ from sortbounds import (
     sp_decomposition,
     transfer,
 )
-from sortbounds.poset import parse_poset_text
+from sortbounds.poset import _transitive_closure, parse_poset_text
 from sortbounds.quantum import DENSE_MAX
 
 from conftest import (
+    barrier_entropy,
     brute_force_extensions,
     brute_force_qlb,
     loop_adversary,
     recursive_extension_orders,
+    warshall_closure,
 )
 
 
@@ -221,6 +225,28 @@ def test_build_adversary_matches_loop_at_n20(text):
     P = realize(parse_sp(text))
     assert P.n == 20
     _assert_same_triplets(P)
+
+
+@given(posets(max_n=10))
+def test_entropy_matches_barrier_oracle(case):
+    P, _ = case
+    sol = entropy(P)
+    assert abs(sol.H - barrier_entropy(P).H) <= 1e-12
+    assert sol.kkt_residual <= 1e-12
+    # strictly inside the orthant, and on the feasible side of every chain
+    # constraint with no tolerance
+    assert (sol.z_star > 0).all()
+    assert ((chain_matrix(P) @ sol.z_star) <= 1.0).all()
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_transitive_closure_matches_warshall(rows):
+    # any relation, cycles and loops included: both compute reachability
+    rel = np.array(rows, dtype=bool)
+    before = rel.copy()
+    np.testing.assert_array_equal(_transitive_closure(rel), warshall_closure(rel))
+    np.testing.assert_array_equal(rel, before)
 
 
 _EXPR_TOKENS = [".", "+", "*", "(", ")", " ", "chain", "antichain", "N", "foo", "0", "3", "99999"]
