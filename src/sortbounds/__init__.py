@@ -90,23 +90,17 @@ from .quantum import (
     max_gamma_ij_norm,
     nk_bounds,
     norm_bracket,
-    qh_exact,
     qh_fraction,
     qh_mc,
-    qlb_enum,
     qlb_fraction,
-    qlb_sp,
     qlb_sp_fraction,
     spectral_norm,
     tech_constant,
     uniform_rayleigh,
-    verify_adversary,
 )
 from .spexpr import (
     Block,
     NBlock,
-    NotSeriesParallel,
-    NOT_SERIES_PARALLEL,
     Parallel,
     Series,
     Singleton,

@@ -2,7 +2,7 @@
 
 Three commands, each with only the flags it reads:
 
-    sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text] [--tol T]
+    sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text]
                        [--max-n N] [--enum-cap C] [--matrix-cap M]
     sortbounds verify {lemmas,polytopes,orderstats,sp,adversary,all}
                       [--seed S] [--samples K] [--tol T]
@@ -12,17 +12,19 @@ Three commands, each with only the flags it reads:
 are null when a block of its series-parallel decomposition has more than
 --enum-cap extensions (or more than 20 elements), and adversary fields are
 null then too, or when the extension count exceeds the matrix cap or n
-exceeds the default counting cap 20.  It is deterministic and takes no seed.
-`verify` takes a seed S >= 0 and `tech-constant` 2 <= N <= 1000.  Exit
-codes: 1 on parse or size failures, 2 when a certified property is false.
-All floats are serialized with 17 significant digits, so identical
-configurations produce byte-identical output.
+exceeds the default counting cap 20.  It is deterministic and takes no seed
+or tolerance.  `verify` takes a seed S >= 0 and a finite T > 0, and
+`tech-constant` 2 <= N <= 1000.  Exit codes: 1 on parse or size failures,
+2 when a certified property is false.  All floats are serialized with 17
+significant digits, so identical configurations produce byte-identical
+output.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -81,10 +83,8 @@ def exit_code_for_report(report: BoundsReport) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        report = analyze(
-            load_input(args), max_n=args.max_n, enum_cap=args.enum_cap,
-            matrix_cap=args.matrix_cap, entropy_tol=min(args.tol, 1e-8),
-        )
+        report = analyze(load_input(args), max_n=args.max_n, enum_cap=args.enum_cap,
+                         matrix_cap=args.matrix_cap)
     except (SortboundsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--max-n", type=int, default=DEFAULT_N_CAP)
     p_an.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p_an.add_argument("--matrix-cap", type=int, default=DEFAULT_MATRIX_CAP)
-    p_an.add_argument("--tol", type=float, default=1e-8)
     p_an.add_argument("--format", choices=formats, default="json")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -162,8 +161,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--samples must be at least 1")
     if args.command == "verify" and args.seed < 0:
         parser.error("--seed must be nonnegative")
-    if args.command != "tech-constant" and args.tol <= 0:
-        parser.error("--tol must be positive")
+    if args.command == "verify" and not 0 < args.tol < math.inf:
+        parser.error("--tol must be positive and finite")
     if args.command == "analyze":
         for flag, value, default in (
             ("--max-n", args.max_n, DEFAULT_N_CAP),

@@ -68,11 +68,7 @@ def ln_count(x: int) -> float:
     """Natural log of a positive big integer, error well below 1e-12."""
     if x <= 0:
         raise ValueError("log of a non-positive count")
-    bits = x.bit_length()
-    if bits <= 512:
-        return math.log(x)
-    shift = bits - 64
-    return math.log(x >> shift) + shift * math.log(2)
+    return math.log(x)
 
 
 def itlb(P: Poset, max_n: int = DEFAULT_N_CAP) -> float:

@@ -230,7 +230,7 @@ def entropy(P: Poset, tol: float = 1e-8, max_newton: int = 1000) -> EntropySolut
     NonConvergence is raised if the gap cannot be brought below tol within
     max_newton iterations.
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN, which would pass every gap test
         raise ValueError("tol must be positive")
     n = P.n
     A = chain_matrix(P)

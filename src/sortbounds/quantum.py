@@ -84,18 +84,9 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     return total / num
 
 
-def qlb_enum(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> float:
-    """QLB rendered to a float (exact rational arithmetic internally)."""
-    return float(qlb_fraction(P, max_extensions=max_extensions))
-
-
 def qh_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     """Exact QH via the identity QLB = n (H_n - QH)."""
     return harmonic(P.n) - qlb_fraction(P, max_extensions=max_extensions) / P.n
-
-
-def qh_exact(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> float:
-    return float(qh_fraction(P, max_extensions=max_extensions))
 
 
 def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
@@ -138,10 +129,6 @@ def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fracti
         return parts
     sizes = [expr_size(c) for c in e.children]
     return parts + sum(sizes) * harmonic(sum(sizes)) - sum(k * harmonic(k) for k in sizes)
-
-
-def qlb_sp(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> float:
-    return float(qlb_sp_fraction(e, max_extensions=max_extensions))
 
 
 @dataclass(frozen=True)
@@ -475,7 +462,6 @@ def analyze(
     max_n: int = DEFAULT_N_CAP,
     enum_cap: int = DEFAULT_ENUM_CAP,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    entropy_tol: float = 1e-8,
 ) -> BoundsReport:
     """Every bound and certificate for one poset.
 
@@ -501,11 +487,11 @@ def analyze(
     expr = sp_decomposition(P)[0]
     num = count_extensions_sp(expr, max_n=max_n)
     try:
-        qlb_val = qlb_sp(expr, max_extensions=enum_cap)
+        qlb_val = float(qlb_sp_fraction(expr, max_extensions=enum_cap))
     except LimitExceededError:
         qlb_val = None
     itlb_val = ln_count(num)
-    sol = entropy(P, tol=entropy_tol)
+    sol = entropy(P)
     lb_val = max(0.0, P.n * (math.log(P.n) - sol.H))
     qh_val = harmonic_float(P.n) - qlb_val / P.n if qlb_val is not None else None
 
@@ -534,20 +520,3 @@ def analyze(
         lemma3_ok=lemma3,
         sandwich_ok=sandwich_holds(itlb_val, lb_val),
     )
-
-
-def verify_adversary(
-    P: Poset,
-    tol: float = 1e-6,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> BoundsReport:
-    """`analyze` with the adversary certificates required: raises
-    LimitExceededError when the extension count exceeds matrix_cap.  The
-    entropy program is solved to min(tol, 1e-8), as `analyze --tol` does."""
-    report = analyze(P, enum_cap=matrix_cap, matrix_cap=matrix_cap,
-                     entropy_tol=min(tol, 1e-8))
-    if report.gamma_norm is None:
-        raise LimitExceededError(
-            f"{report.num_extensions} extensions exceed the matrix cap {matrix_cap}"
-        )
-    return report

@@ -93,26 +93,6 @@ def _paren(e: SPExpr, *, inside_series: bool) -> str:
     return str(e)
 
 
-class NotSeriesParallel:
-    """Falsy sentinel returned when a poset has no series-parallel form."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotSeriesParallel"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NOT_SERIES_PARALLEL = NotSeriesParallel()
-
-
 def _compose(node: type, children: tuple[SPExpr, ...]) -> SPExpr:
     flat = [g for c in children for g in (c.children if isinstance(c, node) else [c])]
     return flat[0] if len(flat) == 1 else node(tuple(flat))
@@ -346,46 +326,45 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
     structural walk over the result.
     """
     comparable = P.rel | P.rel.T
-
-    def join(compose, parts: list[list[int]], depth: int) -> tuple[SPExpr, list[int]]:
-        if depth >= MAX_DEPTH:
-            raise LimitExceededError(
-                f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
-        children, leaves = [], []
-        for part in parts:
-            child, part_leaves = rec(part, depth + 1)
-            children.append(child)
-            leaves.extend(part_leaves)
-        return compose(*children), leaves
-
-    def rec(elems: list[int], depth: int) -> tuple[SPExpr, list[int]]:
-        sub = comparable[np.ix_(elems, elems)]
-        comps = _components(sub)
-        if len(comps) > 1:
-            parts = [[elems[t] for t in comp] for comp in sorted(comps, key=min)]
-            return join(parallel, parts, depth)
-        co = _components(~sub & ~np.eye(len(elems), dtype=bool))
-        if len(co) > 1:
-            blocks = [[elems[t] for t in comp] for comp in co]
-            blocks.sort(key=cmp_to_key(lambda a, b: -1 if P.rel[a[0], b[0]] else 1))
-            return join(series, blocks, depth)
-        if len(elems) == 1:
-            return Singleton(), elems
-        return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
-
-    expr, leaves = rec(list(range(P.n)), 0)
-    del rec, join  # break the cycle between the two closures
+    expr, leaves = _split(P, comparable, list(range(P.n)), 0)
     return expr, tuple(leaves)
 
 
-def recognize_sp(P: Poset) -> SPExpr | NotSeriesParallel:
-    """Series-parallel expression realizing P up to renumbering, or the
-    NOT_SERIES_PARALLEL sentinel when its decomposition has a ``Block``."""
+def _split(P: Poset, comparable: np.ndarray, elems: list[int],
+           depth: int) -> tuple[SPExpr, list[int]]:
+    """The expression and leaf order of the sub-poset of P on elems, which
+    sits depth levels down the decomposition."""
+    sub = comparable[np.ix_(elems, elems)]
+    comps = _components(sub)
+    if len(comps) > 1:
+        compose, parts = parallel, [[elems[t] for t in comp] for comp in sorted(comps, key=min)]
+    else:
+        co = _components(~sub & ~np.eye(len(elems), dtype=bool))
+        if len(co) == 1:
+            if len(elems) == 1:
+                return Singleton(), elems
+            return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
+        compose, parts = series, [[elems[t] for t in comp] for comp in co]
+        parts.sort(key=cmp_to_key(lambda a, b: -1 if P.rel[a[0], b[0]] else 1))
+    if depth >= MAX_DEPTH:
+        raise LimitExceededError(
+            f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
+    children, leaves = [], []
+    for part in parts:
+        child, part_leaves = _split(P, comparable, part, depth + 1)
+        children.append(child)
+        leaves.extend(part_leaves)
+    return compose(*children), leaves
+
+
+def recognize_sp(P: Poset) -> SPExpr | None:
+    """Series-parallel expression realizing P up to renumbering, or None
+    when its decomposition has a ``Block``."""
     expr = sp_decomposition(P)[0]
     stack = [expr]
     while stack:
         node = stack.pop()
         if isinstance(node, Block):
-            return NOT_SERIES_PARALLEL
+            return None
         stack.extend(getattr(node, "children", ()))
     return expr

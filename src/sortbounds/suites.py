@@ -164,7 +164,7 @@ def suite_lemmas(seed: int, samples: int, tol: float) -> list[CheckResult]:
             if it <= 1e-12:
                 continue
             ratio_n += 1
-            if quantum.qlb_enum(P) < tech.c_min * it - 1e-9:
+            if float(quantum.qlb_fraction(P)) < tech.c_min * it - 1e-9:
                 ratio_bad += 1
     out.append(_result("lemmas", "qlb_over_itlb_floor", ratio_bad == 0,
                        f"{ratio_n - ratio_bad}/{ratio_n} SP posets above c_min={tech.c_min:.6f}"))
@@ -229,7 +229,7 @@ def suite_polytopes(seed: int, samples: int, tol: float) -> list[CheckResult]:
                     ("antichain3", families.antichain_poset(3)),
                     ("chain2", families.chain_poset(2))]:
         est, se = quantum.qh_mc(P, max(samples, 10_000), int(rng.integers(2**31)))
-        if abs(est - quantum.qh_exact(P)) > 4 * se:
+        if abs(est - float(quantum.qh_fraction(P))) > 4 * se:
             ident_bad += 1
     out.append(_result("polytopes", "qh_mc_matches_exact", ident_bad == 0,
                        "MC averaged entropy within 4 stderr of the exact value"))
@@ -315,8 +315,8 @@ def suite_adversary(seed: int, samples: int, tol: float) -> list[CheckResult]:
     flag_bad = []
     rayleigh_bad = []
     for name, P in fam:
-        rep = quantum.verify_adversary(P)
-        if rep.any_failed():
+        rep = quantum.analyze(P)
+        if rep.gamma_norm is None or rep.any_failed():
             flag_bad.append(name)
         gamma = quantum.build_adversary(P)
         if quantum.uniform_rayleigh(gamma) < rep.qlb - 1e-9:

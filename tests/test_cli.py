@@ -288,6 +288,19 @@ def test_config_invariants_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--expr", ".", "--tol", "1e-8"],
+    *(["verify", "polytopes", "--tol", tol] for tol in ("nan", "inf", "-inf", "0", "-1e-8")),
+])
+def test_tol_usage_errors(argv, capsys):
+    # analyze has no tolerance; a NaN or infinite verify --tol would pass
+    # every "gap > tol" test and report PASS without a certificate
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_exit_code_contract():
     good = BoundsReport(
         n=2, num_extensions=2, itlb=0.69, entropy=0.0, lb=1.38, qlb=1.0, qh=1.0,

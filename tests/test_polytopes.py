@@ -18,10 +18,11 @@ from sortbounds import (
     count_extensions,
     diamond_poset,
     entropy,
+    fence_poset,
     lb,
     n_poset,
     parse_sp,
-    qh_exact,
+    qh_fraction,
     realize,
     sample_chain_point,
     sample_order_point,
@@ -108,6 +109,10 @@ def test_entropy_chain_and_antichain():
 def test_entropy_rejects_bad_tol(wedge):
     with pytest.raises(ValueError):
         entropy(wedge, tol=0.0)
+    # NaN fails every gap comparison, so it would return the uncertified
+    # start point (gap 0.049 on the 6-fence) if it were accepted
+    with pytest.raises(ValueError):
+        entropy(fence_poset(6), tol=float("nan"), max_newton=0)
 
 
 def test_entropy_nonconvergence_with_no_step_budget(wedge):
@@ -196,6 +201,23 @@ def test_entropy_step_budget(family8):
         assert sol.kkt_residual <= 1e-12, name
 
 
+def test_entropy_result_does_not_depend_on_tol(family8):
+    # the solver runs to its certified-gap floor or a stall at any tol that
+    # it meets, which is why `analyze` offers no tolerance
+    from sortbounds import random_poset
+
+    rng = np.random.default_rng(8128)
+    randoms = [(f"random{k}", random_poset(20, rng, p=float(rng.uniform(0.1, 0.3))))
+               for k in range(4)]
+    for name, P in [*family8, *randoms]:
+        ref = entropy(P)
+        for tol in (1e-4, 1e-13):
+            sol = entropy(P, tol=tol)
+            assert sol.H == ref.H, (name, tol)
+            assert (sol.z_star == ref.z_star).all(), (name, tol)
+            assert sol.newton_steps == ref.newton_steps, (name, tol)
+
+
 def test_entropy_finishing_step_is_exact_on_antichains():
     for n in (1, 2, 20):
         sol = entropy(antichain_poset(n))
@@ -272,7 +294,7 @@ def test_order_point_gap_mean_matches_qh(wedge):
     D = transfer_batch(wedge, Y)
     vals = -np.log(D).mean(axis=1)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
-    assert abs(vals.mean() - qh_exact(wedge)) <= 4 * se
+    assert abs(vals.mean() - float(qh_fraction(wedge))) <= 4 * se
 
 
 def test_sample_point_single_call_roundtrip(wedge):

@@ -26,12 +26,9 @@ from sortbounds import (
     norm_bracket,
     parallel,
     parse_sp,
-    qh_exact,
     qh_fraction,
     qh_mc,
-    qlb_enum,
     qlb_fraction,
-    qlb_sp,
     qlb_sp_fraction,
     random_sp_expr,
     realize,
@@ -39,7 +36,6 @@ from sortbounds import (
     spectral_norm,
     tech_constant,
     uniform_rayleigh,
-    verify_adversary,
 )
 from sortbounds import quantum
 from sortbounds.quantum import LEMMA_TOL, TECH_MAX_N, TWO_PI, analyze, max_gamma_ij_norm
@@ -94,7 +90,6 @@ def test_qh_examples(wedge):
     assert qh_fraction(build_poset(1, [])) == 1
     assert qh_fraction(antichain_poset(4)) == 1
     assert qh_fraction(wedge) == Fraction(4, 3)
-    assert qh_exact(wedge) == pytest.approx(4 / 3)
 
 
 def test_qlb_qh_identity_exact(family8):
@@ -113,7 +108,7 @@ def test_qh_mc_matches_exact(build, target):
     P = build()
     est, se = qh_mc(P, 100_000, 17)
     assert abs(est - target) <= 4 * se
-    assert qh_exact(P) == pytest.approx(target, abs=1e-12)
+    assert float(qh_fraction(P)) == pytest.approx(target, abs=1e-12)
 
 
 def test_qlb_sp_examples(wedge):
@@ -128,7 +123,7 @@ def test_qlb_sp_examples(wedge):
 def test_qlb_sp_n_block_leaf():
     # N(1) is one N block, enumerated
     assert qlb_sp_fraction(parse_sp("N(1)")) == Fraction(11, 5)
-    assert qlb_sp(parse_sp("N(1)")) == 2.2
+    assert float(qlb_sp_fraction(parse_sp("N(1)"))) == 2.2
 
 
 def test_composition_identities_random():
@@ -211,7 +206,7 @@ def test_nk_brackets_by_exact_counting():
         b = nk_bounds(k)
         it = itlb(n_poset(k))
         assert b.itlb_lo < it < b.itlb_hi
-        assert qlb_enum(n_poset(k)) >= b.qlb_lo - 1e-9
+        assert float(qlb_fraction(n_poset(k))) >= b.qlb_lo - 1e-9
 
 
 def test_tech_constant_small_values():
@@ -432,23 +427,23 @@ def test_hilbert_norm_matches_dense_eigensolve():
     assert hilbert_norm(200) == pytest.approx(2.2742669874, abs=1e-8)
 
 
-def test_verify_adversary_examples(wedge):
-    rep = verify_adversary(antichain_poset(2))
+def test_analyze_adversary_examples(wedge):
+    rep = analyze(antichain_poset(2))
     assert rep.gamma_norm == pytest.approx(1.0, abs=1e-8)
     assert rep.qlb == pytest.approx(1.0)
     assert rep.max_gamma_ij_norm == pytest.approx(1.0, abs=1e-8)
     assert not rep.any_failed()
 
-    rep = verify_adversary(antichain_poset(3))
+    rep = analyze(antichain_poset(3))
     assert rep.qlb == pytest.approx(2.5)
     assert rep.gamma_norm >= 2.5 - 1e-9
 
-    rep = verify_adversary(wedge)
+    rep = analyze(wedge)
     assert rep.lemma1_ok and rep.lemma2_ok and rep.lemma3_ok and rep.sandwich_ok
     assert rep.num_extensions == 3
 
-    with pytest.raises(LimitExceededError):
-        verify_adversary(antichain_poset(4), matrix_cap=10)
+    rep = analyze(antichain_poset(4), matrix_cap=10)
+    assert rep.qlb is not None and rep.gamma_norm is None and rep.lemma1_ok is None
 
 
 def test_uniform_rayleigh_dominates_qlb(family8):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sortbounds import (
-    NOT_SERIES_PARALLEL,
     NBlock,
     Parallel,
     ParseError,
@@ -100,9 +99,7 @@ def test_recognize_antichain():
 
 
 def test_recognize_n_poset_fails():
-    got = recognize_sp(n_poset(1))
-    assert got is NOT_SERIES_PARALLEL
-    assert not got
+    assert recognize_sp(n_poset(1)) is None
 
 
 def test_recognize_roundtrip_random():
