@@ -13,11 +13,11 @@ are null when a block of its series-parallel decomposition has more than
 --enum-cap extensions (or more than 20 elements), and adversary fields are
 null then too, or when the extension count exceeds the matrix cap or n
 exceeds the default counting cap 20.  It is deterministic and takes no seed
-or tolerance.  `verify` takes a seed S >= 0 and a finite T > 0, and
-`tech-constant` 2 <= N <= 1000.  Exit codes: 1 on parse or size failures,
-2 when a certified property is false.  All floats are serialized with 17
-significant digits, so identical configurations produce byte-identical
-output.
+or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0,
+1 <= K <= 10**6 and a finite T > 0, and `tech-constant` 2 <= N <= 1000.
+Exit codes: 1 on parse or size failures, 2 on a usage error or when a
+certified property is false.  All floats are serialized with 17 significant
+digits, so identical configurations produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
 from .poset import Poset, build_poset, parse_poset_text
 from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import expr_size, parse_sp, realize
-from .suites import SUITES, run_suites
+from .suites import MAX_SAMPLES, SUITES, run_suites
 
 REPORT_KEYS = [f.name for f in dataclasses.fields(BoundsReport)]
 
@@ -103,7 +103,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_tech_constant(args: argparse.Namespace) -> int:
-    tc = tech_constant(args.max_n, collect_table=True)
+    tc = tech_constant(args.max_n)
     if args.format == "json":
         payload = {
             "c_min": float(tc.c_min),
@@ -157,8 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "tech-constant" and not 2 <= args.max_n <= TECH_MAX_N:
         parser.error(f"--max-n must be in 2..{TECH_MAX_N}")
-    if args.command == "verify" and args.samples < 1:
-        parser.error("--samples must be at least 1")
+    if args.command == "verify" and not 1 <= args.samples <= MAX_SAMPLES:
+        parser.error(f"--samples must be in 1..{MAX_SAMPLES}")
     if args.command == "verify" and args.seed < 0:
         parser.error("--seed must be nonnegative")
     if args.command == "verify" and not 0 < args.tol < math.inf:
@@ -169,6 +169,8 @@ def main(argv: list[str] | None = None) -> int:
             ("--enum-cap", args.enum_cap, DEFAULT_ENUM_CAP),
             ("--matrix-cap", args.matrix_cap, DEFAULT_MATRIX_CAP),
         ):
+            if value < 0:
+                parser.error(f"{flag} must be nonnegative")
             if value > default:
                 print(
                     f"warning: {flag} {value} exceeds the default cap {default}; "

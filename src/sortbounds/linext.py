@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import LimitExceededError
 from .poset import Poset
-from .spexpr import Block, NBlock, Parallel, SPExpr, expr_size
+from .spexpr import Block, NBlock, Parallel, SPExpr, expr_size, nodes
 
 DEFAULT_N_CAP = 20
 DEFAULT_ENUM_CAP = 10**6
@@ -71,9 +71,9 @@ def ln_count(x: int) -> float:
     return math.log(x)
 
 
-def itlb(P: Poset, max_n: int = DEFAULT_N_CAP) -> float:
+def itlb(P: Poset) -> float:
     """Information-theoretic lower bound ln |extensions|; 0 for a chain."""
-    return ln_count(count_extensions(P, max_n=max_n))
+    return ln_count(count_extensions(P))
 
 
 def enumerate_extensions(
@@ -157,11 +157,9 @@ def sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
     return tuple(order)
 
 
-def sample_extension(P: Poset, seed: int, max_n: int = DEFAULT_N_CAP) -> LinearExtension:
+def sample_extension(P: Poset, seed: int) -> LinearExtension:
     """One exactly-uniform extension; deterministic given the seed."""
-    if P.n > max_n:
-        raise LimitExceededError(f"n={P.n} exceeds the sampling cap {max_n}")
-    count_extensions(P, max_n=max_n)
+    count_extensions(P)  # caps n before the up-set table is built
     return LinearExtension.from_order(sample_order(P, random.Random(seed)))
 
 
@@ -173,13 +171,11 @@ def count_extensions_sp(e: SPExpr, max_n: int = DEFAULT_N_CAP) -> int:
     the parallel nodes and of the counts of the Block and NBlock leaves,
     which the up-set DP gives under max_n.
     """
-    total, stack = 1, [e]
-    while stack:
-        node = stack.pop()
+    total = 1
+    for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
             total *= count_extensions(node.poset, max_n=max_n)
         if isinstance(node, Parallel):
             sizes = [expr_size(c) for c in node.children]
             total *= math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
-        stack.extend(getattr(node, "children", ()))
     return total

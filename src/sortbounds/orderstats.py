@@ -56,16 +56,16 @@ def harmonic_float(q: int) -> float:
     return harmonic_numbers.as_float(q)
 
 
-def _check_nk(n: int, k: int) -> None:
+def _check_nk(n: int, k: int, s: float = 0.0) -> None:
     if not 0 <= k < n:
         raise DomainError(f"need 0 <= k < n, got n={n}, k={k}")
+    if not 0.0 <= s <= 1.0:
+        raise DomainError(f"s must lie in [0, 1], got {s}")
 
 
 def density_f(n: int, k: int, s: float) -> float:
     """Density of the (k+1)-st gap shape: n*C(n-1,k)*s^k*(1-s)^(n-k-1)."""
-    _check_nk(n, k)
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"s must lie in [0, 1], got {s}")
+    _check_nk(n, k, s)
     return n * math.comb(n - 1, k) * s**k * (1.0 - s) ** (n - k - 1)
 
 
@@ -79,10 +79,13 @@ def density_cdf(n: int, k: int, x) -> np.ndarray | float:
     return out
 
 
-def _quad(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+QUAD_TOL = 1e-12  # absolute and relative target of every gap-integral quadrature
+
+
+def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     if a >= b:
         return 0.0
-    val, err = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=200)
+    val, err = integrate.quad(f, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     if err > 1e-8:
         raise QuadratureFailureError(f"quadrature error estimate {err:.2e} too large")
     return val
@@ -97,9 +100,9 @@ class ClosedFormResiduals:
     h_residual: float
 
 
-def _integral_I(n: int, k: int, s: float, tol: float) -> float:
+def _integral_I(n: int, k: int, s: float) -> float:
     return k * math.comb(n, k) * _quad(
-        lambda t: t ** (n - k) * (1.0 - t - s) ** (k - 1), 0.0, 1.0 - s, tol
+        lambda t: t ** (n - k) * (1.0 - t - s) ** (k - 1), 0.0, 1.0 - s
     )
 
 
@@ -107,9 +110,9 @@ def _closed_I(n: int, k: int, s: float) -> float:
     return (1.0 - s) ** n
 
 
-def _integral_J(n: int, k: int, s: float, tol: float) -> float:
+def _integral_J(n: int, k: int, s: float) -> float:
     return n * math.comb(n - 1, k) * _quad(
-        lambda t: t**k * (1.0 - t) ** (n - k - 1), 0.0, 1.0 - s, tol
+        lambda t: t**k * (1.0 - t) ** (n - k - 1), 0.0, 1.0 - s
     )
 
 
@@ -123,12 +126,12 @@ _LOG_EPS = 1e-6  # split point isolating the ln t endpoint singularity
 
 
 @lru_cache(maxsize=4096)
-def _integral_H(n: int, k: int, tol: float) -> float:
+def _integral_H(n: int, k: int) -> float:
     """E[ln z] under density_f, by quadrature with the t = exp(-u) substitution
     on (0, eps) to remove the logarithmic singularity at 0."""
-    body = _quad(lambda t: t**k * (1.0 - t) ** (n - k - 1) * math.log(t), _LOG_EPS, 1.0, tol)
+    body = _quad(lambda t: t**k * (1.0 - t) ** (n - k - 1) * math.log(t), _LOG_EPS, 1.0)
     tail = _quad(lambda u: -u * math.exp(-(k + 1) * u) * (1.0 - math.exp(-u)) ** (n - k - 1),
-                 -math.log(_LOG_EPS), np.inf, tol)
+                 -math.log(_LOG_EPS), np.inf)
     return n * math.comb(n - 1, k) * (body + tail)
 
 
@@ -136,20 +139,18 @@ def _closed_H(n: int, k: int) -> float:
     return float(harmonic(k) - harmonic(n))
 
 
-def closed_form_checks(n: int, k: int, s: float, tol: float = 1e-12) -> ClosedFormResiduals:
+def closed_form_checks(n: int, k: int, s: float) -> ClosedFormResiduals:
     """Quadrature-vs-closed-form residuals for the three gap integrals at s.
 
     The first integral needs 1 <= k <= n and its residual is None for k = 0;
     the expectation-of-log integral does not depend on s.
     """
-    _check_nk(n, k)
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"s must lie in [0, 1], got {s}")
+    _check_nk(n, k, s)
     i_res = None
     if k >= 1:
-        i_res = abs(_integral_I(n, k, s, tol) - _closed_I(n, k, s))
-    j_res = abs(_integral_J(n, k, s, tol) - _closed_J(n, k, s))
-    h_res = abs(_integral_H(n, k, tol) - _closed_H(n, k))
+        i_res = abs(_integral_I(n, k, s) - _closed_I(n, k, s))
+    j_res = abs(_integral_J(n, k, s) - _closed_J(n, k, s))
+    h_res = abs(_integral_H(n, k) - _closed_H(n, k))
     return ClosedFormResiduals(i_res, j_res, h_res)
 
 

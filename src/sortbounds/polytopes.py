@@ -17,7 +17,8 @@ The entropy program
 is solved by a feasible-start primal-dual interior-point method (Mehrotra
 predictor-corrector) over the maximal-chain inequalities; the objective
 itself bars z > 0.  The reported kkt_residual is a certified duality gap,
-obtained by evaluating the Lagrange dual at explicit multipliers.
+obtained by evaluating the Lagrange dual at explicit multipliers, and the
+bound LB = n (ln n - H(P)) is the solution's `lb`.
 """
 from __future__ import annotations
 
@@ -92,12 +93,6 @@ def _check_chain_point(P: Poset, z: np.ndarray) -> None:
         raise NotInChainPolytopeError("a chain sum exceeds 1")
 
 
-def _topological_order(P: Poset) -> list[int]:
-    # Predecessor counts strictly increase along the order, so they sort
-    # elements topologically.
-    return sorted(range(P.n), key=lambda i: int(P.rel[:, i].sum()))
-
-
 def transfer_inverse(P: Poset, z) -> np.ndarray:
     """Inverse of transfer: accumulate predecessor maxima topologically."""
     z = np.asarray(z, dtype=float)
@@ -108,7 +103,8 @@ def transfer_inverse(P: Poset, z) -> np.ndarray:
 def transfer_inverse_batch(P: Poset, Z: np.ndarray) -> np.ndarray:
     """transfer_inverse applied to each row of Z (no feasibility checks)."""
     Y = np.empty_like(Z)
-    for i in _topological_order(P):
+    # predecessor counts strictly increase along the order
+    for i in np.argsort(P.rel.sum(axis=0), kind="stable").tolist():
         preds = P.predecessors(i)
         base = Y[:, preds].max(axis=1) if preds else 0.0
         Y[:, i] = Z[:, i] + base
@@ -119,11 +115,13 @@ def transfer_inverse_batch(P: Poset, Z: np.ndarray) -> np.ndarray:
 # Uniform samplers
 # ---------------------------------------------------------------------------
 
-def _order_to_point(order, rng: np.random.Generator) -> np.ndarray:
-    n = len(order)
-    u = np.sort(rng.random(n))
-    y = np.empty(n)
-    y[list(order)] = u
+def _order_points(orders: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A uniform point of the order simplex of each row of element sequences:
+    the k-th element of a row receives that row's k-th smallest uniform."""
+    u = rng.random(orders.shape)
+    u.sort(axis=1)
+    y = np.empty_like(u)
+    np.put_along_axis(y, orders, u, axis=1)
     return y
 
 
@@ -132,7 +130,7 @@ def sample_order_point(P: Poset, seed: int) -> np.ndarray:
     sorted uniform each element receives."""
     count_extensions(P)
     order = sample_order(P, random.Random(seed))
-    return _order_to_point(order, np.random.default_rng(seed))
+    return _order_points(np.array([order]), np.random.default_rng(seed))[0]
 
 
 def sample_chain_point(P: Poset, seed: int) -> np.ndarray:
@@ -142,19 +140,13 @@ def sample_chain_point(P: Poset, seed: int) -> np.ndarray:
 
 def order_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.ndarray:
     """(samples, n) of uniform O(P) points; enumerates extensions when small."""
-    n = P.n
     if count_extensions(P) <= _BATCH_ENUM_CAP:
         orders = extension_orders(P, max_extensions=_BATCH_ENUM_CAP)
-        idx = rng.integers(0, len(orders), size=samples)
-        chosen = orders[idx].astype(np.int64)
+        chosen = orders[rng.integers(0, len(orders), size=samples)].astype(np.int64)
     else:
         walker = random.Random(int(rng.integers(0, 2**63)))
         chosen = np.array([sample_order(P, walker) for _ in range(samples)])
-    u = rng.random((samples, n))
-    u.sort(axis=1)
-    y = np.empty_like(u)
-    np.put_along_axis(y, chosen, u, axis=1)
-    return y
+    return _order_points(chosen, rng)
 
 
 def chain_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,6 +180,13 @@ class EntropySolution:
     z_star: np.ndarray
     kkt_residual: float
     newton_steps: int
+
+    @property
+    def lb(self) -> float:
+        """Classical comparison bound n(ln n - H(P)), clamped at 0: z = 1/n is
+        feasible, so H(P) <= ln n and only rounding makes it negative."""
+        n = len(self.z_star)
+        return max(0.0, n * (math.log(n) - self.H))
 
 
 def _objective(z: np.ndarray) -> float:
@@ -294,6 +293,5 @@ def entropy(P: Poset, tol: float = 1e-8, max_newton: int = 1000) -> EntropySolut
 
 
 def lb(P: Poset, tol: float = 1e-8) -> float:
-    """Entropy-based classical comparison bound n(ln n - H(P)), clamped at
-    0: z = 1/n is feasible, so H(P) <= ln n and only rounding makes it negative."""
-    return max(0.0, P.n * (math.log(P.n) - entropy(P, tol=tol).H))
+    """`EntropySolution.lb` of P's entropy program."""
+    return entropy(P, tol=tol).lb

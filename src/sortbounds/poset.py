@@ -27,9 +27,10 @@ from .errors import CycleError, LimitExceededError, SizeMismatchError
 MAX_CHAINS = 100_000
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    """Repeated squaring R | R @ R to its fixpoint, about log2(n) products,
-    through float32 BLAS as in `Poset.covers`."""
+def transitive_closure(rel: np.ndarray) -> np.ndarray:
+    """Repeated squaring R | R @ R to its fixpoint, about log2(n) products
+    (one for a closed R), through float32 BLAS: it skips bool products, and
+    a sum of 0/1 terms is > 0 iff one is 1."""
     out = rel
     while True:
         f = out.astype(np.float32)
@@ -42,20 +43,19 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
 class Poset:
     """Immutable strict partial order given by a closed boolean relation.
 
-    ``rel[i, j]`` is true iff ``i < j`` in the order.  The constructor
-    validates irreflexivity, antisymmetry and transitive closure.
+    ``rel[i, j]`` is true iff ``i < j`` in the order.  The constructor raises
+    CycleError when rel has a cycle (a loop or a mutual pair included), and
+    ValueError when it is not transitively closed.
     """
 
     def __init__(self, rel: np.ndarray):
         rel = np.array(rel, dtype=bool)
         if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
             raise ValueError(f"relation must be a square matrix, got shape {rel.shape}")
-        if rel.diagonal().any():
-            raise CycleError("relation is not irreflexive")
-        if (rel & rel.T).any():
-            raise CycleError("relation is not antisymmetric")
-        f = rel.astype(np.float32)  # BLAS skips bool products; a sum of 0/1 terms is > 0 iff one is 1
-        if (((f @ f) > 0) & ~rel).any():
+        closed = transitive_closure(rel)
+        if closed.diagonal().any():
+            raise CycleError("relation contains a directed cycle")
+        if not np.array_equal(closed, rel):
             raise ValueError("relation is not transitively closed")
         rel.setflags(write=False)
         self.n: int = int(rel.shape[0])
@@ -72,7 +72,7 @@ class Poset:
     @cached_property
     def covers(self) -> np.ndarray:
         """Cover relation (Hasse diagram): i <: j with nothing in between."""
-        f = self.rel.astype(np.float32)  # through BLAS, as in __init__
+        f = self.rel.astype(np.float32)  # through BLAS, as in transitive_closure
         out = self.rel & ~((f @ f) > 0)
         out.setflags(write=False)
         return out
@@ -139,8 +139,8 @@ class Poset:
 def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
     """Build the transitive closure of 1-based pairs ``(i, j)`` meaning i < j.
 
-    Raises CycleError if the closure would violate antisymmetry and
-    IndexError for labels outside 1..n.
+    Raises IndexError for labels outside 1..n and, from `Poset`, CycleError
+    when the pairs contain a cycle (a pair (i, i) included).
     """
     if n < 1:
         raise ValueError(f"element count must be positive, got {n}")
@@ -148,13 +148,8 @@ def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
     for i, j in relations:
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"element pair ({i}, {j}) out of range 1..{n}")
-        if i == j:
-            raise CycleError(f"pair ({i}, {j}) relates an element to itself")
         rel[i - 1, j - 1] = True
-    closed = _transitive_closure(rel)
-    if closed.diagonal().any() or (closed & closed.T).any():
-        raise CycleError("input relation contains a directed cycle")
-    return Poset(closed)
+    return Poset(transitive_closure(rel))
 
 
 def relabel(P: Poset, perm: Sequence[int]) -> Poset:

@@ -84,9 +84,9 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     return total / num
 
 
-def qh_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
+def qh_fraction(P: Poset) -> Fraction:
     """Exact QH via the identity QLB = n (H_n - QH)."""
-    return harmonic(P.n) - qlb_fraction(P, max_extensions=max_extensions) / P.n
+    return harmonic(P.n) - qlb_fraction(P) / P.n
 
 
 def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
@@ -161,30 +161,21 @@ class TechConstant:
     c_min: float
     argmin: tuple[int, int]
     c_min_numerator: Fraction  # exact merge cost at the argmin
-    table: np.ndarray | None   # rows (n1, n2, ratio) when collected
+    table: np.ndarray          # read-only rows (n1, n2, ratio) in scan order
 
 
 TECH_MAX_N = 1000  # the scan's table has about max_n**2 / 2 rows
 
 
 @lru_cache(maxsize=8)
-def _tech_constant_cached(max_n: int) -> TechConstant:
-    return _tech_scan(max_n, collect_table=False)
-
-
-def tech_constant(max_n: int, collect_table: bool = False) -> TechConstant:
-    """Exhaustive exact-rational scan of the merge-cost ratio.
+def tech_constant(max_n: int) -> TechConstant:
+    """Exhaustive exact-rational scan of the merge-cost ratio, with its
+    (cached, so read-only) table.
 
     The numerator is evaluated in exact integer arithmetic over the common
     denominator lcm(1..2*max_n); only the division by the (irrational) log
     binomial is floating point.
     """
-    if collect_table:
-        return _tech_scan(max_n, collect_table=True)
-    return _tech_constant_cached(max_n)
-
-
-def _tech_scan(max_n: int, collect_table: bool) -> TechConstant:
     if not 2 <= max_n <= TECH_MAX_N:
         raise DomainError(f"max_n must be in 2..{TECH_MAX_N}, got {max_n}")
     den = math.lcm(*range(1, 2 * max_n + 1))
@@ -198,21 +189,22 @@ def _tech_scan(max_n: int, collect_table: bool) -> TechConstant:
     best = math.inf
     best_arg = (0, 0)
     best_num = 0
-    rows = [] if collect_table else None
-    for n1 in range(1, max_n + 1):
-        for n2 in range(n1, max_n + 1):
-            merge_scaled = acc[n1 + n2] - acc[n1] - acc[n2]
-            merge = float((merge_scaled * shift) // den) / shift
-            ratio = merge / math.log(math.comb(n1 + n2, n1))
-            if rows is not None:
-                rows.append((n1, n2, ratio))
-            if ratio < best:
-                best, best_arg, best_num = ratio, (n1, n2), merge_scaled
+    # filled in place: a list of row tuples would hold about 4x the table
+    table = np.empty((max_n * (max_n + 1) // 2, 3))
+    pairs = itertools.combinations_with_replacement(range(1, max_n + 1), 2)
+    for t, (n1, n2) in enumerate(pairs):
+        merge_scaled = acc[n1 + n2] - acc[n1] - acc[n2]
+        merge = float((merge_scaled * shift) // den) / shift
+        ratio = merge / math.log(math.comb(n1 + n2, n1))
+        table[t] = n1, n2, ratio
+        if ratio < best:
+            best, best_arg, best_num = ratio, (n1, n2), merge_scaled
+    table.setflags(write=False)
     return TechConstant(
         c_min=best,
         argmin=best_arg,
         c_min_numerator=Fraction(best_num, den),
-        table=np.array(rows) if rows is not None else None,
+        table=table,
     )
 
 
@@ -492,7 +484,6 @@ def analyze(
         qlb_val = None
     itlb_val = ln_count(num)
     sol = entropy(P)
-    lb_val = max(0.0, P.n * (math.log(P.n) - sol.H))
     qh_val = harmonic_float(P.n) - qlb_val / P.n if qlb_val is not None else None
 
     gnorm = mnorm = None
@@ -510,7 +501,7 @@ def analyze(
         num_extensions=int(num),
         itlb=itlb_val,
         entropy=sol.H,
-        lb=lb_val,
+        lb=sol.lb,
         qlb=qlb_val,
         qh=qh_val,
         gamma_norm=gnorm,
@@ -518,5 +509,5 @@ def analyze(
         lemma1_ok=lemma1,
         lemma2_ok=lemma2,
         lemma3_ok=lemma3,
-        sandwich_ok=sandwich_holds(itlb_val, lb_val),
+        sandwich_ok=sandwich_holds(itlb_val, sol.lb),
     )

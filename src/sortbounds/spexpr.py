@@ -14,14 +14,14 @@ Both compositions are n-ary and flattened, so every expression has a unique
 normal form; the binary compositions of the literature are recovered by a
 left fold.  ``realize`` numbers elements 0..n-1 in left-to-right leaf order:
 a series places every element of an earlier block below every element of a
-later block, a parallel adds no cross relations.
+later block, a parallel adds no cross relations.  ``nodes`` walks an
+expression without recursion.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -106,6 +106,15 @@ def series(*children: SPExpr) -> SPExpr:
 def parallel(*children: SPExpr) -> SPExpr:
     """n-ary parallel composition, flattening nested parallel nodes."""
     return _compose(Parallel, children)
+
+
+def nodes(e: SPExpr) -> Iterator[SPExpr]:
+    """Every node of e, the root first, depth first without recursion."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(getattr(node, "children", ()))
 
 
 def expr_size(e: SPExpr) -> int:
@@ -326,14 +335,14 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
     structural walk over the result.
     """
     comparable = P.rel | P.rel.T
-    expr, leaves = _split(P, comparable, list(range(P.n)), 0)
+    expr, leaves = _split(P, comparable, P.rel.sum(axis=0).tolist(), list(range(P.n)), 0)
     return expr, tuple(leaves)
 
 
-def _split(P: Poset, comparable: np.ndarray, elems: list[int],
+def _split(P: Poset, comparable: np.ndarray, preds: list[int], elems: list[int],
            depth: int) -> tuple[SPExpr, list[int]]:
-    """The expression and leaf order of the sub-poset of P on elems, which
-    sits depth levels down the decomposition."""
+    """The expression and leaf order of the sub-poset of P on elems, depth
+    levels down the decomposition; preds[i] counts i's predecessors in P."""
     sub = comparable[np.ix_(elems, elems)]
     comps = _components(sub)
     if len(comps) > 1:
@@ -345,13 +354,14 @@ def _split(P: Poset, comparable: np.ndarray, elems: list[int],
                 return Singleton(), elems
             return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
         compose, parts = series, [[elems[t] for t in comp] for comp in co]
-        parts.sort(key=cmp_to_key(lambda a, b: -1 if P.rel[a[0], b[0]] else 1))
+        # each co-component's elements have more predecessors than a lower one's
+        parts.sort(key=lambda part: preds[part[0]])
     if depth >= MAX_DEPTH:
         raise LimitExceededError(
             f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
     children, leaves = [], []
     for part in parts:
-        child, part_leaves = _split(P, comparable, part, depth + 1)
+        child, part_leaves = _split(P, comparable, preds, part, depth + 1)
         children.append(child)
         leaves.extend(part_leaves)
     return compose(*children), leaves
@@ -361,10 +371,4 @@ def recognize_sp(P: Poset) -> SPExpr | None:
     """Series-parallel expression realizing P up to renumbering, or None
     when its decomposition has a ``Block``."""
     expr = sp_decomposition(P)[0]
-    stack = [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Block):
-            return None
-        stack.extend(getattr(node, "children", ()))
-    return expr
+    return None if any(isinstance(node, Block) for node in nodes(expr)) else expr

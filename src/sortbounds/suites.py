@@ -17,6 +17,8 @@ from .orderstats import harmonic
 from .poset import count_induced_N, extends
 from .spexpr import expr_size, parallel, parse_sp, realize, recognize_sp, series, sp_decomposition
 
+MAX_SAMPLES = 10**6  # the samplers hold (samples, n) arrays: `verify` refuses more
+
 
 @dataclass(frozen=True)
 class CheckResult:

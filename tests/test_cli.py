@@ -6,7 +6,8 @@ import pytest
 
 from sortbounds import Parallel, Series, Singleton, realize, write_poset
 from sortbounds.cli import exit_code_for_report, main
-from sortbounds.quantum import TECH_MAX_N, BoundsReport
+from sortbounds.quantum import TECH_MAX_N, BoundsReport, tech_constant
+from sortbounds.suites import MAX_SAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -241,6 +242,9 @@ def test_tech_constant_json(capsys):
     payload = json.loads(out)
     assert payload["c_min"] > 0
     assert len(payload["ratios"]) == 6
+    tc = tech_constant(3)
+    assert payload == {"c_min": tc.c_min, "argmin": list(tc.argmin),
+                       "ratios": [[int(a), int(b), r] for a, b, r in tc.table.tolist()]}
 
 
 def test_tech_constant_usage_error(monkeypatch):
@@ -254,12 +258,21 @@ def test_tech_constant_usage_error(monkeypatch):
 
 
 def test_tech_constant_survives_closed_pipe():
+    import os
+    import pathlib
     import subprocess
     import sys as _sys
 
+    import sortbounds
+
+    # the child imports the package under test, also when only pytest's
+    # `pythonpath` setting puts it on the path
+    src = str(pathlib.Path(sortbounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     producer = subprocess.Popen(
         [_sys.executable, "-m", "sortbounds.cli", "tech-constant", "--max-n", "60"],
-        stdout=subprocess.PIPE,
+        stdout=subprocess.PIPE, env=env,
     )
     consumer = subprocess.Popen(
         ["head", "-2"], stdin=producer.stdout, stdout=subprocess.DEVNULL
@@ -286,6 +299,36 @@ def test_config_invariants_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "sp", "--seed", "-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    *(["verify", "orderstats", "--samples", k] for k in ("0", str(MAX_SAMPLES + 1), "1000000000")),
+    *(["analyze", "--expr", ".", flag, "-1"] for flag in ("--enum-cap", "--matrix-cap")),
+])
+def test_range_usage_errors(argv, capsys, monkeypatch):
+    # --samples sizes (samples, n) arrays, so a huge value must exit before any
+    # suite runs; a negative cap would silently null every capped field
+    import sortbounds.cli as cli
+
+    monkeypatch.setattr(cli, "run_suites", lambda *a, **k: pytest.fail("suite started"))
+    monkeypatch.setattr(cli, "analyze", lambda *a, **k: pytest.fail("analysis started"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_caps_at_their_bounds_run(capsys, monkeypatch):
+    import sortbounds.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_suites", lambda names, seed, samples, tol: seen.append(samples) or [])
+    assert run_cli(capsys, "verify", "sp", "--samples", str(MAX_SAMPLES))[0] == 0
+    assert seen == [MAX_SAMPLES]
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)", "--enum-cap", "0", "--matrix-cap", "0")
+    rep = json.loads(out)
+    assert code == 0 and rep["num_extensions"] == 5
+    assert rep["qlb"] is None and rep["gamma_norm"] is None
 
 
 @pytest.mark.parametrize("argv", [

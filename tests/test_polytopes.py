@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -23,6 +24,7 @@ from sortbounds import (
     n_poset,
     parse_sp,
     qh_fraction,
+    qh_mc,
     realize,
     sample_chain_point,
     sample_order_point,
@@ -319,3 +321,34 @@ def test_volume_matches_extension_count(family8):
         est, se = chain_polytope_volume_mc(P, 200_000, 7)
         truth = count_extensions(P) / math.factorial(P.n)
         assert abs(est - truth) <= 4 * max(se, 1e-12) + 1e-9, name
+
+
+# sha256 prefixes of the seeded sampler outputs, and qh_mc's values, so that
+# any change to the draws shows; antichain(10) has more than
+# _BATCH_ENUM_CAP extensions, so its batch takes the per-sample walk
+SAMPLER_PINS = {
+    ("n2", 0): ("6f5a36d510dd16aa", "42447742a1176178", "7848346f5fa4c234",
+                (2.0623411163287417, 0.04336850926754781)),
+    ("n2", 2024): ("8c4dc0594dfbac5e", "4ccf903b756fd999", "22ed76071f859b58",
+                   (2.0857279608080685, 0.03115414343436844)),
+    ("antichain10", 0): ("cc444ad93f648b93", "cc444ad93f648b93", "306dfcc436d3ffc8",
+                         (0.939506060170737, 0.03977041112588824)),
+    ("antichain10", 2024): ("762ce23d0df5f534", "762ce23d0df5f534", "19c3f9f54f33f441",
+                            (1.0006323093990916, 0.03783478178482736)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLER_PINS))
+def test_seeded_samplers_are_pinned(key):
+    name, seed = key
+    P = {"n2": n_poset(2), "antichain10": antichain_poset(10)}[name]
+
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+    order_pt, chain_pt, batch, mc = SAMPLER_PINS[key]
+    assert digest(sample_order_point(P, seed)) == order_pt
+    assert digest(sample_chain_point(P, seed)) == chain_pt
+    assert digest(order_point_batch(P, 64, np.random.default_rng(seed))) == batch
+    # qh_mc averages np.log, whose last bit may differ between SIMD builds
+    assert qh_mc(P, 64, seed) == pytest.approx(mc, rel=1e-13)

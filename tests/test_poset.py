@@ -55,6 +55,22 @@ def test_build_cycle_raises():
         build_poset(2, [(1, 1)])
 
 
+@pytest.mark.parametrize("pairs", [
+    [(1, 1)], [(2, 2), (1, 3)], [(1, 2), (2, 1)], [(1, 2), (2, 3), (3, 1)],
+    [(1, 2), (2, 3), (3, 4), (4, 2)], [(1, 2), (2, 1), (3, 4), (4, 3)],
+])
+def test_every_cycle_raises_cycle_error(pairs):
+    # through build_poset (which closes the pairs) and straight into Poset,
+    # closed or not: one check, in Poset, and its message names the cycle
+    rel = np.zeros((4, 4), dtype=bool)
+    for i, j in pairs:
+        rel[i - 1, j - 1] = True
+    closed = warshall_closure(rel)
+    for build in (lambda: build_poset(4, pairs), lambda: Poset(rel), lambda: Poset(closed)):
+        with pytest.raises(CycleError, match="cycle"):
+            build()
+
+
 def test_build_out_of_range_raises():
     with pytest.raises(IndexError):
         build_poset(3, [(0, 1)])

@@ -34,7 +34,7 @@ from sortbounds import (
     sp_decomposition,
     transfer,
 )
-from sortbounds.poset import _transitive_closure, parse_poset_text
+from sortbounds.poset import parse_poset_text, transitive_closure
 from sortbounds.quantum import DENSE_MAX
 
 from conftest import (
@@ -245,7 +245,7 @@ def test_transitive_closure_matches_warshall(rows):
     # any relation, cycles and loops included: both compute reachability
     rel = np.array(rows, dtype=bool)
     before = rel.copy()
-    np.testing.assert_array_equal(_transitive_closure(rel), warshall_closure(rel))
+    np.testing.assert_array_equal(transitive_closure(rel), warshall_closure(rel))
     np.testing.assert_array_equal(rel, before)
 
 

@@ -210,13 +210,18 @@ def test_nk_brackets_by_exact_counting():
 
 
 def test_tech_constant_small_values():
-    tc = tech_constant(3, collect_table=True)
+    tc = tech_constant(3)
     table = {(int(a), int(b)): r for a, b, r in tc.table}
+    assert list(table) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
     assert table[(1, 1)] == pytest.approx(1 / math.log(2), abs=1e-12)
     # (1, n-1) rows simplify to H_{n-1} / ln n
     for n in (3, 4):
         expected = float(harmonic(n - 1)) / math.log(n)
         assert table[(1, n - 1)] == pytest.approx(expected, abs=1e-12)
+    # the minimum is the table's first smallest row, and the cached table is read-only
+    a, b, r = tc.table[np.argmin(tc.table[:, 2])]
+    assert (int(a), int(b)) == tc.argmin and r == tc.c_min
+    assert tech_constant(3) is tc and not tc.table.flags.writeable
     for max_n in (1, TECH_MAX_N + 1):
         with pytest.raises(DomainError):
             tech_constant(max_n)
