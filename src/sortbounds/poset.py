@@ -1,15 +1,17 @@
 """Finite strict partial orders on the ground set {0, ..., n-1}.
 
-The relation is stored transitively closed and strict; the reflexive pairs of
-the textbook convention are implicit.  Elements are 0-based throughout the
-Python API.  The text format and :func:`build_poset` accept 1-based labels,
-so conversion happens only at that boundary.
+``Poset(rel)`` takes any acyclic relation on n >= 1 elements and stores its
+transitive closure, strict; the reflexive pairs of the textbook convention
+are implicit.  Elements are 0-based throughout the Python API.  The text
+format and :func:`build_poset` accept 1-based labels, so conversion happens
+only at that boundary.
 
 A ``Poset`` is immutable after construction and safe to share across workers.
 Its only caches are the declared cached properties below: the cover
-relation, the predecessor bitmasks and the up-set table ``upset_counts``,
-from which :mod:`sortbounds.linext` counts, enumerates and samples linear
-extensions.  Each is built on first use and never mutated afterwards.
+relation, the predecessor and successor bitmasks (bit i is element i) and
+the up-set table ``upset_counts``, from which :mod:`sortbounds.linext`
+counts, enumerates and samples linear extensions.  Each is built on first
+use and never mutated afterwards.
 """
 from __future__ import annotations
 
@@ -40,26 +42,30 @@ def transitive_closure(rel: np.ndarray) -> np.ndarray:
         out = grown
 
 
+def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as a bitmask, bit j for column j."""
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 class Poset:
-    """Immutable strict partial order given by a closed boolean relation.
+    """Immutable strict partial order: the closure of a relation, n >= 1.
 
     ``rel[i, j]`` is true iff ``i < j`` in the order.  The constructor raises
-    CycleError when rel has a cycle (a loop or a mutual pair included), and
-    ValueError when it is not transitively closed.
+    ValueError when rel is not a non-empty square matrix, and CycleError
+    when rel has a cycle (a loop or a mutual pair included).
     """
 
     def __init__(self, rel: np.ndarray):
-        rel = np.array(rel, dtype=bool)
-        if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
-            raise ValueError(f"relation must be a square matrix, got shape {rel.shape}")
+        rel = np.asarray(rel, dtype=bool)
+        if rel.ndim != 2 or rel.shape[0] != rel.shape[1] or rel.shape[0] == 0:
+            raise ValueError(f"relation must be a non-empty square matrix, got shape {rel.shape}")
         closed = transitive_closure(rel)
         if closed.diagonal().any():
             raise CycleError("relation contains a directed cycle")
-        if not np.array_equal(closed, rel):
-            raise ValueError("relation is not transitively closed")
-        rel.setflags(write=False)
-        self.n: int = int(rel.shape[0])
-        self.rel: np.ndarray = rel
+        closed.setflags(write=False)
+        self.n: int = int(closed.shape[0])
+        self.rel: np.ndarray = closed
 
     def less(self, i: int, j: int) -> bool:
         return bool(self.rel[i, j])
@@ -80,13 +86,12 @@ class Poset:
     @cached_property
     def pred_masks(self) -> tuple[int, ...]:
         """Bitmask of strict predecessors for each element."""
-        masks = []
-        for j in range(self.n):
-            m = 0
-            for i in np.nonzero(self.rel[:, j])[0]:
-                m |= 1 << int(i)
-            masks.append(m)
-        return tuple(masks)
+        return _row_masks(self.rel.T)
+
+    @cached_property
+    def succ_masks(self) -> tuple[int, ...]:
+        """Bitmask of strict successors for each element."""
+        return _row_masks(self.rel)
 
     @cached_property
     def upset_counts(self) -> MappingProxyType:
@@ -98,8 +103,7 @@ class Poset:
         U | e an up-set with e minimal, so count[U] is pushed into it.
         The table can hold 2**n entries: callers cap n before reading it.
         """
-        succ = [(1 << e, sum(1 << j for j in np.nonzero(self.rel[e])[0].tolist()))
-                for e in range(self.n)]
+        succ = [(1 << e, above) for e, above in enumerate(self.succ_masks)]
         counts = {0: 1}
         layer = [0]
         for _ in range(self.n):
@@ -137,7 +141,7 @@ class Poset:
 
 
 def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
-    """Build the transitive closure of 1-based pairs ``(i, j)`` meaning i < j.
+    """The poset of 1-based pairs ``(i, j)`` meaning i < j, closed by `Poset`.
 
     Raises IndexError for labels outside 1..n and, from `Poset`, CycleError
     when the pairs contain a cycle (a pair (i, i) included).
@@ -149,7 +153,7 @@ def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
         if not (1 <= i <= n and 1 <= j <= n):
             raise IndexError(f"element pair ({i}, {j}) out of range 1..{n}")
         rel[i - 1, j - 1] = True
-    return Poset(transitive_closure(rel))
+    return Poset(rel)
 
 
 def relabel(P: Poset, perm: Sequence[int]) -> Poset:

@@ -14,8 +14,10 @@ Both compositions are n-ary and flattened, so every expression has a unique
 normal form; the binary compositions of the literature are recovered by a
 left fold.  ``realize`` numbers elements 0..n-1 in left-to-right leaf order:
 a series places every element of an earlier block below every element of a
-later block, a parallel adds no cross relations.  ``nodes`` walks an
-expression without recursion.
+later block, a parallel adds no cross relations.  ``sp_decomposition`` inverts it up to
+renumbering for any ``Poset`` (n >= 1), splitting on the poset's cached
+``pred_masks`` and ``succ_masks``.  ``nodes`` walks an expression without
+recursion.
 """
 from __future__ import annotations
 
@@ -277,15 +279,11 @@ def realize(e: SPExpr) -> Poset:
             end = offset + node.poset.n
             rel[offset:end, offset:end] = node.poset.rel
             return end
-        starts = []
         cur = offset
         for child in node.children:
-            starts.append(cur)
-            cur = fill(child, cur)
-        starts.append(cur)
-        if isinstance(node, Series):
-            for t in range(len(node.children)):
-                rel[starts[t] : starts[t + 1], starts[t + 1] : cur] = True
+            start, cur = cur, fill(child, cur)
+            if isinstance(node, Series):  # every earlier child lies below this one
+                rel[offset:start, start:cur] = True
         return cur
 
     fill(e, 0)
@@ -296,25 +294,14 @@ def realize(e: SPExpr) -> Poset:
 # Recognition
 # ---------------------------------------------------------------------------
 
-def _components(adj: np.ndarray) -> list[list[int]]:
-    n = adj.shape[0]
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in np.nonzero(adj[v])[0]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(sorted(comp))
-    return comps
+def _elements(mask: int) -> list[int]:
+    """The elements of a bitmask in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
@@ -324,46 +311,54 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
     realized by the t-th element of ``expr``; so ``realize(expr)`` equals P
     after renaming element ``leaves[t]`` to ``t``.
 
-    Recursive split: a disconnected comparability graph gives a parallel
-    node over its components; a disconnected incomparability graph gives a
-    series node over its co-components, which the relation orders totally
-    (elements of distinct co-components are comparable, and transitivity
-    orders whole co-components).  A part of two or more elements that
-    neither splits becomes a ``Block`` of its induced sub-poset, and P
-    itself when P is indecomposable.  One nested deeper than any parsed
-    expression, MAX_DEPTH, raises LimitExceededError, which bounds every
-    structural walk over the result.
+    Recursive split of bitmask parts: a part splits in parallel over the
+    flood-fill components of ``pred_masks[e] | succ_masks[e]``; a connected
+    part, walked in predecessor-count order (a linear extension, ties by
+    index), splits in series after every prefix whose running AND of
+    ``succ_masks`` covers the rest of the part.  A part of two or more
+    elements that neither splits becomes a ``Block`` of its induced
+    sub-poset, and P itself when P is indecomposable.  One nested deeper
+    than any parsed expression, MAX_DEPTH, raises LimitExceededError, which
+    bounds every structural walk over the result.
     """
-    comparable = P.rel | P.rel.T
-    expr, leaves = _split(P, comparable, P.rel.sum(axis=0).tolist(), list(range(P.n)), 0)
+    expr, leaves = _split(P, (1 << P.n) - 1, 0)
     return expr, tuple(leaves)
 
 
-def _split(P: Poset, comparable: np.ndarray, preds: list[int], elems: list[int],
-           depth: int) -> tuple[SPExpr, list[int]]:
-    """The expression and leaf order of the sub-poset of P on elems, depth
-    levels down the decomposition; preds[i] counts i's predecessors in P."""
-    sub = comparable[np.ix_(elems, elems)]
-    comps = _components(sub)
-    if len(comps) > 1:
-        compose, parts = parallel, [[elems[t] for t in comp] for comp in sorted(comps, key=min)]
-    else:
-        co = _components(~sub & ~np.eye(len(elems), dtype=bool))
-        if len(co) == 1:
-            if len(elems) == 1:
-                return Singleton(), elems
+def _split(P: Poset, part: int, depth: int) -> tuple[SPExpr, list[int]]:
+    """The expression and leaf order of P on the bitmask part, depth levels down."""
+    elems = _elements(part)
+    if len(elems) == 1:
+        return Singleton(), elems
+    preds, succs = P.pred_masks, P.succ_masks
+    compose, pieces, rest = parallel, [], part
+    while rest:
+        piece = todo = rest & -rest
+        while todo:
+            e = todo.bit_length() - 1
+            new = (preds[e] | succs[e]) & rest & ~piece
+            piece, todo = piece | new, (todo ^ 1 << e) | new
+        pieces.append(piece)
+        rest ^= piece
+    if len(pieces) == 1:
+        compose, pieces, rest = series, [], part
+        last = below = part
+        for e in sorted(elems, key=lambda x: preds[x].bit_count()):
+            rest ^= 1 << e
+            below &= succs[e]
+            if below == rest:  # below lies inside rest, so it covers rest
+                pieces.append(last ^ rest)
+                last = rest
+        if len(pieces) == 1:
             return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
-        compose, parts = series, [[elems[t] for t in comp] for comp in co]
-        # each co-component's elements have more predecessors than a lower one's
-        parts.sort(key=lambda part: preds[part[0]])
     if depth >= MAX_DEPTH:
         raise LimitExceededError(
             f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
     children, leaves = [], []
-    for part in parts:
-        child, part_leaves = _split(P, comparable, preds, part, depth + 1)
+    for piece in pieces:
+        child, piece_leaves = _split(P, piece, depth + 1)
         children.append(child)
-        leaves.extend(part_leaves)
+        leaves.extend(piece_leaves)
     return compose(*children), leaves
 
 

@@ -55,23 +55,14 @@ def suite_sp(seed: int, samples: int, tol: float) -> list[CheckResult]:
     out.append(_result("sp", "recognize_round_trip", bad == 0,
                        f"{len(exprs) - bad}/{len(exprs)} expressions round-trip"))
 
-    bad = 0
-    for e in exprs:
-        if parse_sp(str(e)) != e:
-            bad += 1
+    bad = sum(parse_sp(str(e)) != e for e in exprs)
     out.append(_result("sp", "parser_round_trip", bad == 0,
                        f"{len(exprs) - bad}/{len(exprs)} expressions re-parse"))
 
-    mism = 0
-    checked = 0
-    for e in exprs:
-        if linext.count_extensions_sp(e) > 200_000:
-            continue
-        checked += 1
-        if linext.count_extensions_sp(e) != linext.count_extensions(realize(e)):
-            mism += 1
+    checked = [(count, e) for e in exprs if (count := linext.count_extensions_sp(e)) <= 200_000]
+    mism = sum(count != linext.count_extensions(realize(e)) for count, e in checked)
     out.append(_result("sp", "count_product_form", mism == 0,
-                       f"{checked - mism}/{checked} counts match the downset DP"))
+                       f"{len(checked) - mism}/{len(checked)} counts match the downset DP"))
 
     trials = max(200, min(samples, 2000))
     wrong = 0
@@ -98,33 +89,27 @@ def suite_lemmas(seed: int, samples: int, tol: float) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
     pairs = families.sp_pair_family(30, rng, max_total_n=9, max_extensions=5000)
+    # the QLBs of e1, e2, their series and their parallel, once per pair
+    qlbs = [tuple(quantum.qlb_fraction(realize(e))
+                  for e in (e1, e2, series(e1, e2), parallel(e1, e2))) for e1, e2 in pairs]
 
-    def qlb(e) -> Fraction:
-        return quantum.qlb_fraction(realize(e))
-
-    ser_bad = sum(
-        1 for e1, e2 in pairs if qlb(series(e1, e2)) != qlb(e1) + qlb(e2)
-    )
+    ser_bad = sum(1 for q1, q2, ser, _ in qlbs if ser != q1 + q2)
     out.append(_result("lemmas", "series_additivity", ser_bad == 0,
                        f"{len(pairs) - ser_bad}/{len(pairs)} pairs exact"))
 
-    par_bad = 0
-    qh_bad = 0
-    sp_bad = 0
-    for e1, e2 in pairs:
+    par_bad = qh_bad = sp_bad = 0
+    for (e1, e2), (q1, q2, ser, merged) in zip(pairs, qlbs):
         n1, n2 = expr_size(e1), expr_size(e2)
         n = n1 + n2
-        merged = qlb(parallel(e1, e2))
-        if merged != qlb(e1) + qlb(e2) + n * harmonic(n) - n1 * harmonic(n1) - n2 * harmonic(n2):
+        if merged != q1 + q2 + n * harmonic(n) - n1 * harmonic(n1) - n2 * harmonic(n2):
             par_bad += 1
-        qh_combined = quantum.qh_fraction(realize(parallel(e1, e2)))
-        if qh_combined != Fraction(n1, n) * quantum.qh_fraction(realize(e1)) + Fraction(
-            n2, n
-        ) * quantum.qh_fraction(realize(e2)):
+        qh1, qh2, qh_combined = (quantum.qh_fraction(realize(e))
+                                 for e in (e1, e2, parallel(e1, e2)))
+        if qh_combined != Fraction(n1, n) * qh1 + Fraction(n2, n) * qh2:
             qh_bad += 1
         if quantum.qlb_sp_fraction(parallel(e1, e2)) != merged:
             sp_bad += 1
-        if quantum.qlb_sp_fraction(series(e1, e2)) != qlb(series(e1, e2)):
+        if quantum.qlb_sp_fraction(series(e1, e2)) != ser:
             sp_bad += 1
     out.append(_result("lemmas", "parallel_merge_cost", par_bad == 0,
                        f"{len(pairs) - par_bad}/{len(pairs)} pairs exact"))
@@ -159,14 +144,13 @@ def suite_lemmas(seed: int, samples: int, tol: float) -> list[CheckResult]:
     tech = quantum.tech_constant(200)
     ratio_bad = 0
     ratio_n = 0
-    for e1, e2 in pairs:
-        for e in (series(e1, e2), parallel(e1, e2)):
-            P = realize(e)
-            it = linext.itlb(P)
+    for (e1, e2), (_, _, ser, par) in zip(pairs, qlbs):
+        for e, q in ((series(e1, e2), ser), (parallel(e1, e2), par)):
+            it = linext.itlb(realize(e))
             if it <= 1e-12:
                 continue
             ratio_n += 1
-            if float(quantum.qlb_fraction(P)) < tech.c_min * it - 1e-9:
+            if float(q) < tech.c_min * it - 1e-9:
                 ratio_bad += 1
     out.append(_result("lemmas", "qlb_over_itlb_floor", ratio_bad == 0,
                        f"{ratio_n - ratio_bad}/{ratio_n} SP posets above c_min={tech.c_min:.6f}"))
@@ -197,20 +181,16 @@ def suite_polytopes(seed: int, samples: int, tol: float) -> list[CheckResult]:
     out.append(_result("polytopes", "transfer_feasibility", feas_bad == 0,
                        "gap images satisfy every maximal-chain constraint"))
 
-    solver_bad = 0
+    solver_bad = sandwich_bad = 0
     for _, P in fam:
-        sol = polytopes.entropy(P, tol=max(tol, 1e-9))
+        sol = polytopes.entropy(P, tol=1e-9)
         if sol.kkt_residual > max(tol, 1e-9):
             solver_bad += 1
+        it = linext.itlb(P)
+        if it > 1e-12 and not quantum.sandwich_holds(it, sol.lb):
+            sandwich_bad += 1
     out.append(_result("polytopes", "entropy_certificates", solver_bad == 0,
                        "certified duality gap below tolerance on the family"))
-
-    sandwich_bad = 0
-    for _, P in fam:
-        it = linext.itlb(P)
-        l = polytopes.lb(P, tol=1e-9)
-        if it > 1e-12 and not quantum.sandwich_holds(it, l):
-            sandwich_bad += 1
     out.append(_result("polytopes", "entropy_sandwich", sandwich_bad == 0,
                        "ITLB <= LB <= 2 ITLB on the family"))
 

@@ -10,14 +10,21 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from sortbounds import (
+    Block,
     EntropySolution,
+    LimitExceededError,
     NonConvergenceError,
+    Poset,
+    Singleton,
     chain2_plus_point,
     chain_matrix,
     extension_orders,
+    parallel,
+    series,
     standard_family,
     tech_constant,
 )
+from sortbounds.spexpr import MAX_DEPTH
 
 # Property tests draw the same examples on every run and leave no example
 # database behind.
@@ -99,6 +106,62 @@ def recursive_maximal_chains(P):
     for start in P.minimal_elements():
         walk([start])
     return chains
+
+
+def _matrix_components(adj):
+    n = adj.shape[0]
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in np.nonzero(adj[v])[0]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        comps.append(sorted(comp))
+    return comps
+
+
+def matrix_sp_decomposition(P):
+    """Oracle: `sp_decomposition` from graph searches on submatrices.  A part
+    splits in parallel over the DFS components of its comparability matrix,
+    else in series over those of its incomparability matrix, sorted by the
+    predecessor count of their first element."""
+    comparable = P.rel | P.rel.T
+    preds = P.rel.sum(axis=0).tolist()
+
+    def split(elems, depth):
+        sub = comparable[np.ix_(elems, elems)]
+        comps = _matrix_components(sub)
+        if len(comps) > 1:
+            compose, parts = parallel, [[elems[t] for t in comp] for comp in sorted(comps, key=min)]
+        else:
+            co = _matrix_components(~sub & ~np.eye(len(elems), dtype=bool))
+            if len(co) == 1:
+                if len(elems) == 1:
+                    return Singleton(), elems
+                return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
+            compose, parts = series, [[elems[t] for t in comp] for comp in co]
+            parts.sort(key=lambda part: preds[part[0]])
+        if depth >= MAX_DEPTH:
+            raise LimitExceededError(
+                f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
+        children, leaves = [], []
+        for part in parts:
+            child, part_leaves = split(part, depth + 1)
+            children.append(child)
+            leaves.extend(part_leaves)
+        return compose(*children), leaves
+
+    expr, leaves = split(list(range(P.n)), 0)
+    return expr, tuple(leaves)
 
 
 def brute_force_qlb(n, pairs01):

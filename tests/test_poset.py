@@ -78,12 +78,26 @@ def test_build_out_of_range_raises():
         build_poset(3, [(1, 4)])
 
 
-def test_unclosed_relation_rejected_and_covers():
+def test_unclosed_relation_is_closed_and_covers():
     rel = np.zeros((3, 3), dtype=bool)
     rel[0, 1] = rel[1, 2] = True
-    with pytest.raises(ValueError):
-        Poset(rel)
+    assert Poset(rel) == chain_poset(3)
     np.testing.assert_array_equal(chain_poset(5).covers, np.eye(5, k=1, dtype=bool))
+
+
+@pytest.mark.parametrize("rel", [np.zeros((0, 0), dtype=bool), [], np.zeros(3, dtype=bool),
+                                 np.zeros((2, 3), dtype=bool)])
+def test_empty_or_non_square_relation_rejected(rel):
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        Poset(rel)
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (9, 0.3), (64, 0.1), (65, 0.05), (150, 0.02)])
+def test_bitmasks_match_relation(n, p):
+    P = random_poset(n, np.random.default_rng(n), p=p)
+    for e in range(n):
+        assert P.pred_masks[e] == sum(1 << i for i in range(n) if P.rel[i, e])
+        assert P.succ_masks[e] == sum(1 << j for j in range(n) if P.rel[e, j])
 
 
 def test_closure_idempotent(wedge):

@@ -25,6 +25,8 @@ from sortbounds import (
 )
 from sortbounds.spexpr import MAX_DEPTH, MAX_NESTING
 
+from conftest import matrix_sp_decomposition
+
 
 def test_parse_seven_element_example():
     e = parse_sp(". * (.+.+.) * (. + (. * .))")
@@ -131,6 +133,27 @@ def test_decompose_deepest_parsed_expression():
         node = max(node.children, key=expr_size)
     assert depth == MAX_DEPTH
     assert count_extensions_sp(expr2) > 0 and qlb_sp_fraction(expr2) > 0
+
+
+def test_split_matches_matrix_oracle():
+    # random posets and realized SP expressions, as built and relabeled
+    rng = np.random.default_rng(11)
+    cases = [random_poset(int(rng.integers(1, 21)), rng, p=float(rng.uniform(0.02, 0.7)))
+             for _ in range(300)]
+    for _ in range(150):
+        P = realize(random_sp_expr(rng, int(rng.integers(1, 21))))
+        cases += [P, relabel(P, rng.permutation(P.n).tolist())]
+    for P in cases:
+        assert sp_decomposition(P) == matrix_sp_decomposition(P)
+
+
+@pytest.mark.parametrize("text", ["chain(300)", "antichain(300)", "N(75)",
+                                  "chain(2) * (antichain(150) + N(10)) * N(25)"])
+def test_split_matches_matrix_oracle_at_hundreds(text):
+    P = realize(parse_sp(text))
+    Q = relabel(P, np.random.default_rng(5).permutation(P.n).tolist())
+    for R in (P, Q):
+        assert sp_decomposition(R) == matrix_sp_decomposition(R)
 
 
 def test_recognize_iff_n_free():
