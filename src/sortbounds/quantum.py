@@ -323,7 +323,7 @@ def _bracket(x: np.ndarray, y: np.ndarray, size: int) -> tuple[float, float]:
             float((y / x).max()) * (1.0 + slack))
 
 
-def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
+def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[float, float]:
     """Certified bracket lo <= ||M||_2 <= hi of a nonnegative symmetric
     matrix; raises DomainError on any other input.
 
@@ -333,14 +333,13 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
     and hi = max_i (Ax)_i / x_i (Collatz-Wielandt), both widened outward by
     a relative (s + 8) eps, more than the rounding of the matvec (at most s
     terms a row) and of the quotient's two pairwise sums.  x comes from one
-    batched dense eigh per component size up to DENSE_MAX, over the distinct
-    blocks of that size only, and from ARPACK (eigsh, started from the
-    all-ones vector so reruns agree) above it.
+    batched dense eigh per component size up to DENSE_MAX, and from ARPACK
+    (eigsh, started from the all-ones vector so reruns agree) above it.
     """
     # imported here: it adds about 1 MB to every process that imports the package
     from scipy.sparse.csgraph import connected_components
 
-    A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(np.asarray(M, float))
+    A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(M, dtype=float)
     A.eliminate_zeros()
     if not (np.isfinite(A.data).all() and (A.data > 0).all()):
         raise DomainError("matrix entries must be finite and nonnegative")
@@ -367,10 +366,6 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray) -> tuple[float, float]:
             continue
         blocks = np.zeros((len(comps), size, size))
         blocks[slot, pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
-        # equal blocks have equal brackets: solve each distinct block once
-        flat = blocks.reshape(len(comps), -1)
-        distinct = np.unique(flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))))
-        blocks = distinct.view(float).reshape(-1, size, size)
         x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
         brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
     return tuple(map(max, zip(*brackets)))
@@ -430,13 +425,77 @@ class BoundsReport:
         return any(f is False for f in self.flags())
 
 
+def _window_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """W_m and its states (x, y, o): the masked adversary block of two
+    incomparable elements i and j that may each take any of the m + 1 slots
+    of the order of the other m elements.
+
+    In state (x, y, o), i follows x of the others and j follows y of them;
+    o = 0 when i comes first (so x <= y) and o = 1 when j does (x >= y),
+    giving (m + 1)**2 + (m + 1) states.  Two states with different o are
+    joined by the move of i past j when they share y, passing j and
+    |x - x'| others, or of j past i when they share x, passing i and
+    |y - y'| others: weight 1/d for d passed elements.  The swap of a tie
+    (x = y in both) is that one move, of weight 1.
+    """
+    x, y, o = np.indices((m + 1, m + 1, 2)).reshape(3, -1)
+    states = np.stack([x, y, o], axis=1)[np.where(o == 0, x <= y, x >= y)]
+    x, y, o = states.T[:, :, None]
+    d = np.where(y == y.T, abs(x - x.T), abs(y - y.T)) + 1
+    return np.where((o != o.T) & ((x == x.T) | (y == y.T)), 1.0 / d, 0.0), states
+
+
+def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
+    """The distinct windows (a_i, b_i, a_j, b_j) over every incomparable pair
+    (i, j) and every row of gamma, as rows of a (types, 4) array.
+
+    In the order of the other n - 2 elements, i may take slots a_i to b_i:
+    after its last predecessor and before its first successor, and j slots
+    a_j to b_j; the four are shifted so that min(a_i, a_j) = 0.  An
+    element's rest rank, its rank less one for each of i and j below it,
+    is a nondecreasing function of its rank, so the extreme rest ranks come
+    from the largest predecessor rank and the smallest successor rank.
+    """
+    r = gamma.ranks
+    low = np.where(P.rel.T, r[:, None, :], 0).max(axis=2)  # largest predecessor rank
+    high = np.where(P.rel, r[:, None, :], P.n + 1).min(axis=2)  # smallest successor rank
+    I, J = np.nonzero(np.triu(~(P.rel | P.rel.T), 1))
+    a_i, a_j = low[:, I] - (low[:, I] > r[:, J]), low[:, J] - (low[:, J] > r[:, I])
+    b_i, b_j = high[:, I] - 2 - (high[:, I] > r[:, J]), high[:, J] - 2 - (high[:, J] > r[:, I])
+    shift = np.minimum(a_i, a_j)
+    # 5 bits a slot: Gamma is built only for n <= DEFAULT_N_CAP, so every slot is <= 18
+    keys = np.unique(((a_i - shift) << 15) | ((b_i - shift) << 10)
+                     | ((a_j - shift) << 5) | (b_j - shift))
+    return (keys[:, None] >> np.array([15, 10, 5, 0])) & 31
+
+
 def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
-    """Upper side of `norm_bracket`, maximized over the masks: the safe side
-    for every ||Gamma^{ij}|| <= 2 pi.  Comparable pairs are skipped: every
-    extension orders them alike, so their masks are empty."""
-    return max((norm_bracket(gamma_ij(gamma, P, i, j))[1]
-                for i, j in itertools.combinations(range(P.n), 2)
-                if not (P.rel[i, j] or P.rel[j, i])), default=0.0)
+    """Upper side of `norm_bracket` over the masked matrices Gamma^{ij}: the
+    safe side for every ||Gamma^{ij}|| <= 2 pi.
+
+    Only a move of i past j, or of j past i, flips the i-vs-j comparison,
+    and it keeps the order rho of the other n - 2 elements, so Gamma^{ij}
+    is block-diagonal with one block per rho.  The block is fixed by the
+    windows of slots that i and j may take in rho (`_window_types`): it is
+    the principal submatrix of W_{n-2} (`_window_matrix`) on the states
+    inside them, up to a permutation of rows and columns, which moves no
+    eigenvalue.  So the bracket of a window type brackets every rho-block
+    of that type, and one `norm_bracket` call on the block diagonal of the
+    distinct types bounds every mask.  Comparable pairs are skipped: every
+    extension orders them alike, so their masks are empty.
+    """
+    types = _window_types(gamma, P)
+    if not len(types):
+        return 0.0
+    W, states = _window_matrix(P.n - 2)
+    a_i, b_i, a_j, b_j = types.T[:, :, None]
+    x, y = states[:, 0], states[:, 1]
+    inside = (a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j)
+    at = np.cumsum(inside).reshape(inside.shape) - 1  # each state's row in the block diagonal
+    r, c = np.nonzero(W)
+    t, e = np.nonzero(inside[:, r] & inside[:, c])
+    A = sparse.csr_matrix((W[r, c][e], (at[t, r[e]], at[t, c[e]])), shape=(at.max() + 1,) * 2)
+    return norm_bracket(A)[1]
 
 
 LEMMA_TOL = 1e-6
@@ -464,7 +523,7 @@ def analyze(
     QLB is known and n <= DEFAULT_N_CAP (its Lehmer keys need n! < 2**63),
     else its fields are None.  Each norm is a side of its
     `norm_bracket`, the safe one for its lemma: `gamma_norm` is the lower
-    side of ||Gamma||, `max_gamma_ij_norm` the largest upper side over the
+    side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
     masks.  The certificates are
 
     (a) ||Gamma|| >= QLB, up to relative LEMMA_TOL;

@@ -19,6 +19,8 @@ from sortbounds import (
     chain2_plus_point,
     chain_matrix,
     extension_orders,
+    gamma_ij,
+    norm_bracket,
     parallel,
     series,
     standard_family,
@@ -209,6 +211,14 @@ def loop_adversary(P):
                 vals.extend((1.0 / dd, 1.0 / dd))
     return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
             np.asarray(vals, dtype=np.float64))
+
+
+def per_mask_max_gamma_ij_norm(gamma, P):
+    """Oracle: the upper side of `norm_bracket` maximized over the masks,
+    one `gamma_ij` matrix and one bracket per incomparable pair."""
+    return max((norm_bracket(gamma_ij(gamma, P, i, j))[1]
+                for i, j in itertools.combinations(range(P.n), 2)
+                if not (P.rel[i, j] or P.rel[j, i])), default=0.0)
 
 
 def warshall_closure(rel):

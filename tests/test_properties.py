@@ -35,13 +35,14 @@ from sortbounds import (
     transfer,
 )
 from sortbounds.poset import parse_poset_text, transitive_closure
-from sortbounds.quantum import DENSE_MAX
+from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
 
 from conftest import (
     barrier_entropy,
     brute_force_extensions,
     brute_force_qlb,
     loop_adversary,
+    per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
     warshall_closure,
 )
@@ -202,6 +203,16 @@ def test_norm_bracket_on_adversary_matrices(case):
     for i in range(P.n):
         for j in range(i + 1, P.n):
             _assert_brackets_norm(gamma_ij(gamma, P, i, j))
+
+
+@settings(max_examples=40)
+@given(posets(max_n=9))
+def test_max_gamma_ij_norm_matches_per_mask_oracle(case):
+    P, _ = case
+    assume(count_extensions(P) <= 400)
+    gamma = build_adversary(P)
+    want = per_mask_max_gamma_ij_norm(gamma, P)
+    assert max_gamma_ij_norm(gamma, P) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def _assert_same_triplets(P):

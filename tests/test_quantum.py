@@ -38,9 +38,17 @@ from sortbounds import (
     uniform_rayleigh,
 )
 from sortbounds import quantum
-from sortbounds.quantum import LEMMA_TOL, TECH_MAX_N, TWO_PI, analyze, max_gamma_ij_norm
+from sortbounds.quantum import (
+    LEMMA_TOL,
+    TECH_MAX_N,
+    TWO_PI,
+    _window_matrix,
+    _window_types,
+    analyze,
+    max_gamma_ij_norm,
+)
 
-from conftest import brute_force_qlb
+from conftest import brute_force_qlb, per_mask_max_gamma_ij_norm
 
 
 def test_d_vector_examples(wedge):
@@ -367,15 +375,15 @@ def test_norm_bracket_rejects_non_perron_input():
     assert norm_bracket(np.zeros((3, 3))) == (0.0, 0.0)
 
 
-def test_norm_bracket_solves_repeated_blocks_once():
+def test_norm_bracket_gives_equal_blocks_equal_brackets():
     from scipy.linalg import block_diag
 
     B = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
     C = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1 / 3], [0.0, 1 / 3, 0.0]])
     expected = tuple(map(max, zip(norm_bracket(B), norm_bracket(C))))  # C's, the larger
     assert norm_bracket(block_diag(B, B, C, B)) == norm_bracket(block_diag(B, C)) == expected
-    # on the masks of a Gamma with repeated components, the batched solve over
-    # distinct blocks equals one solve per component, to the last bit
+    # on the masks of a Gamma with repeated components, the batched solve
+    # equals one solve per component, to the last bit
     from scipy.sparse.csgraph import connected_components
 
     P = realize(parse_sp("N(1)+."))
@@ -470,3 +478,57 @@ def test_masked_norms_below_two_pi(family8):
             continue
         g = build_adversary(P)
         assert max_gamma_ij_norm(g, P) <= TWO_PI + 1e-6, name
+
+
+def test_max_gamma_ij_norm_matches_per_mask_oracle(family8, monkeypatch):
+    bracket, calls = quantum.norm_bracket, []
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: calls.append(M) or bracket(M))
+    cases = [(name, P) for name, P in family8 if count_extensions(P) <= 4000]
+    # n = 20: the slots reach 18, the top of their 5-bit fields, and W_18 is used
+    cases.append(("chain(3)+chain(17)", realize(parse_sp("chain(3)+chain(17)"))))
+    for name, P in cases:
+        gamma = build_adversary(P)
+        calls.clear()
+        got = max_gamma_ij_norm(gamma, P)
+        incomparable = not (P.rel | P.rel.T | np.eye(P.n, dtype=bool)).all()
+        assert len(calls) == incomparable, name  # one bracket per Gamma, none for a chain
+        assert got == pytest.approx(per_mask_max_gamma_ij_norm(gamma, P), rel=1e-12, abs=0), name
+
+
+def test_masks_are_window_type_blocks():
+    # each rho-block of each Gamma^{ij} is the principal submatrix of W_{n-2} on
+    # the states inside its window, with no entry between blocks: a wrong W
+    # fails here even where the maximum norm happens to agree
+    for P in (realize(parse_sp("N(1)+.")), antichain_poset(4)):
+        gamma = build_adversary(P)
+        W, states = _window_matrix(P.n - 2)
+        index = {s: k for k, s in enumerate(map(tuple, states.tolist()))}
+        r = gamma.ranks
+        windows = set()
+        for i, j in itertools.combinations(range(P.n), 2):
+            if P.rel[i, j] or P.rel[j, i]:
+                continue
+            dense = gamma_ij(gamma, P, i, j).to_dense()
+            others = [e for e in range(P.n) if e not in (i, j)]
+            groups = {}
+            for s in range(gamma.dim):
+                groups.setdefault(tuple(sorted(others, key=lambda e: r[s, e])), []).append(s)
+            covered = np.zeros(dense.shape, dtype=bool)
+            for rho, rows in groups.items():
+                place = {e: k + 1 for k, e in enumerate(rho)}
+                lo_i, lo_j = (max((place[p] for p in P.predecessors(e)), default=0) for e in (i, j))
+                hi_i, hi_j = (min((place[q] - 1 for q in np.nonzero(P.rel[e])[0].tolist()),
+                                  default=P.n - 2) for e in (i, j))
+                shift = min(lo_i, lo_j)
+                window = (lo_i - shift, hi_i - shift, lo_j - shift, hi_j - shift)
+                windows.add(window)
+                inside = [k for k, (x, y, _) in enumerate(states.tolist())
+                          if window[0] <= x <= window[1] and window[2] <= y <= window[3]]
+                at = [index[(r[s, i] - 1 - (r[s, j] < r[s, i]) - shift,
+                             r[s, j] - 1 - (r[s, i] < r[s, j]) - shift,
+                             int(r[s, j] < r[s, i]))] for s in rows]
+                assert sorted(at) == inside, (P, i, j, rho)
+                np.testing.assert_array_equal(dense[np.ix_(rows, rows)], W[np.ix_(at, at)])
+                covered[np.ix_(rows, rows)] = True
+            assert not dense[~covered].any(), (P, i, j)
+        assert windows == set(map(tuple, _window_types(gamma, P).tolist())), P
