@@ -18,6 +18,9 @@ or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0,
 Exit codes: 1 on parse or size failures, 2 on a usage error or when a
 certified property is false.  All floats are serialized with 17 significant
 digits, so identical configurations produce byte-identical output.
+
+--enum-cap bounds the extension count of each block whose QLB the ideal DP
+computes; no extension is enumerated for QLB.
 """
 from __future__ import annotations
 

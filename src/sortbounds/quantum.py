@@ -62,26 +62,69 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
     return tuple(transfer_batch(P, np.array([ext.rank]))[0].tolist())
 
 
-def _gap_counts(P: Poset, max_extensions: int) -> tuple[np.ndarray, int]:
-    """(counts of each gap value over all (extension, element) pairs, N)."""
-    orders = extension_orders(P, max_extensions=max_extensions)
-    # the 1-based rank of each element, one column at a time, so that no
-    # (N, n) int64 array (argsort's, or bincount's copy) is ever built
-    ranks, rows = np.empty_like(orders), np.arange(len(orders))
-    for k in range(P.n):
-        ranks[rows, orders[:, k]] = k + 1
-    d = transfer_batch(P, ranks)
-    return sum(np.bincount(col, minlength=P.n + 1) for col in d.T), len(orders)
-
-
 def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """Exact rational QLB by enumeration of all extensions."""
-    counts, num = _gap_counts(P, max_extensions)
-    total = sum(
-        (int(c) * harmonic(dv - 1) for dv, c in enumerate(counts) if c and dv >= 1),
-        Fraction(0),
-    )
-    return total / num
+    """Exact rational QLB from a gap DP over the lattice of ideals of P;
+    raises LimitExceededError when P has more than max_extensions
+    extensions.
+
+    The prefixes of the extensions are the paths up the ideal lattice from
+    the empty ideal, one element placed per edge D -> D | e.  The ideals
+    are the complements of the keys of `Poset.upset_counts`, which also
+    gives c(D), the number of completions of D; f(D), the number of
+    prefixes reaching D, is a forward fill.  G_k(D, i) counts the prefixes
+    reaching D with i's predecessors placed, i not, and exactly k elements
+    placed since i's last predecessor.  It is seeded with f(D') over each
+    edge D' -> D that places the last predecessor of i (with G_0(0, i) = 1
+    for a minimal i), pushed with k + 1 along every edge that does not place i,
+    and an edge D -> D | i adds G_k(D, i) c(D | i) extensions with gap
+    d_i = k + 1.  So QLB = sum_k C[k] H_k / N for those sums C[k].
+
+    The ideals are walked one layer of sizes at a time, in int64: every
+    entry, product and sum over a layer is a count of (prefixes of)
+    extensions, at most N <= 20! < 2**63, and the layers are added in
+    Python ints.
+    """
+    num = count_extensions(P)  # caps n at 20, so every count fits in int64
+    if num > max_extensions:
+        raise LimitExceededError(f"{num} extensions exceed the enumeration cap {max_extensions}")
+    n, ups = P.n, P.upset_counts
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    preds = np.array(P.pred_masks, dtype=np.int64)
+    down = ((1 << n) - 1) ^ np.fromiter(ups, dtype=np.int64, count=len(ups))
+    keys = (((down[:, None] & bits) != 0).sum(axis=1) << n) | down  # by (size, mask)
+    order = np.argsort(keys)
+    keys, comp = keys[order], np.fromiter(ups.values(), dtype=np.int64, count=len(ups))[order]
+    masks = keys & ((1 << n) - 1)
+    layer = np.searchsorted(keys, np.arange(n + 2) << n).tolist()  # size s: layer[s]:layer[s + 1]
+    avail = (masks[:, None] & (preds | bits)) == preds  # i's predecessors placed, i not
+    # the edges D ^ e -> D for each maximal e of D, grouped by D; the edges
+    # into ideal D > 0 are bound[D - 1]:bound[D]
+    dst, e = np.nonzero((masks[:, None] & (np.array(P.succ_masks, dtype=np.int64) | bits)) == bits)
+    src = np.searchsorted(keys, keys[dst] - (1 << n) - bits[e])
+    bound = np.searchsorted(dst, np.arange(1, len(keys) + 1))
+    f = np.ones(1, dtype=np.int64)
+    G = avail[:1, :, None].astype(np.int64)
+    C = [0] * n
+    for s in range(n):
+        a, b = layer[s + 1], layer[s + 2]
+        starts = bound[a - 1 : b - 1] - bound[a - 1]
+        lo, hi = bound[a - 1], bound[b - 1]
+        sl, el = src[lo:hi] - layer[s], e[lo:hi]
+        for k, c in enumerate((G[sl, el] * comp[dst[lo:hi], None]).sum(axis=0).tolist()):
+            C[k] += c
+        fs = f[sl]
+        grown = np.empty((b - a, n, s + 2), dtype=np.int64)
+        grown[:, :, 0] = np.add.reduceat(fs[:, None] * P.rel[el], starts)
+        grown[:, :, 1:] = np.add.reduceat(G[sl], starts)
+        G = grown * avail[a:b, :, None]
+        f = np.add.reduceat(fs, starts)
+    # sum_k C[k] H_k over the common denominator L = lcm(1..n-1): L H_k = sum_{j<=k} L / j
+    L = math.lcm(*range(1, n))
+    total = scaled = 0
+    for k, c in enumerate(C):
+        scaled += L // k if k else 0
+        total += c * scaled
+    return Fraction(total, L * num)
 
 
 def qh_fraction(P: Poset) -> Fraction:
@@ -117,8 +160,9 @@ def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fracti
 
     Series adds the parts; parallel adds the parts plus the harmonic merge
     cost n H_n - sum_c n_c H_{n_c} (the binary n H_n - n1 H_{n1} - n2 H_{n2}
-    summed over a left fold).  Each Block and NBlock leaf is enumerated
-    under max_extensions.
+    summed over a left fold).  Each Block and NBlock leaf takes the ideal
+    DP of `qlb_fraction`, which refuses a leaf of more than max_extensions
+    extensions.
     """
     if isinstance(e, Singleton):
         return Fraction(0)
@@ -400,8 +444,9 @@ class BoundsReport:
     """Flat summary of every bound and certificate for one poset.
 
     QLB and QH are None when a block of the decomposition has more
-    extensions than the enumeration cap; adversary-dependent fields are
-    None then, and when the extension count exceeds the matrix cap.
+    extensions than the cap enum_cap of `analyze`; adversary-dependent
+    fields are None then, and when the extension count exceeds the matrix
+    cap.
     """
 
     n: int
@@ -517,9 +562,10 @@ def analyze(
     """Every bound and certificate for one poset.
 
     The count and QLB fold the series-parallel decomposition of P, whose
-    Block leaves take the ideal DP and enumeration; QLB and QH are None
-    when a block has more than enum_cap extensions or DEFAULT_N_CAP elements.
-    The adversary matrix is built only when the count is within matrix_cap,
+    Block leaves take the up-set count and the gap DP over their ideals;
+    QLB and QH are None when a block has more than enum_cap extensions or
+    DEFAULT_N_CAP elements.  Only the adversary matrix enumerates the
+    extensions, and it is built only when the count is within matrix_cap,
     QLB is known and n <= DEFAULT_N_CAP (its Lehmer keys need n! < 2**63),
     else its fields are None.  Each norm is a side of its
     `norm_bracket`, the safe one for its lemma: `gamma_norm` is the lower

@@ -105,8 +105,8 @@ def suite_lemmas(seed: int, samples: int, tol: float) -> list[CheckResult]:
         n = n1 + n2
         if merged != q1 + q2 + n * harmonic(n) - n1 * harmonic(n1) - n2 * harmonic(n2):
             par_bad += 1
-        qh1, qh2, qh_combined = (quantum.qh_fraction(realize(e))
-                                 for e in (e1, e2, parallel(e1, e2)))
+        # QH = H_n - QLB / n, as `qh_fraction` computes it
+        qh1, qh2, qh_combined = (harmonic(k) - q / k for k, q in ((n1, q1), (n2, q2), (n, merged)))
         if qh_combined != Fraction(n1, n) * qh1 + Fraction(n2, n) * qh2:
             qh_bad += 1
         if quantum.qlb_sp_fraction(parallel(e1, e2)) != merged:

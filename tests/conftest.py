@@ -20,12 +20,14 @@ from sortbounds import (
     chain_matrix,
     extension_orders,
     gamma_ij,
+    harmonic,
     norm_bracket,
     parallel,
     series,
     standard_family,
     tech_constant,
 )
+from sortbounds.polytopes import transfer_batch
 from sortbounds.spexpr import MAX_DEPTH
 
 # Property tests draw the same examples on every run and leave no example
@@ -183,6 +185,21 @@ def brute_force_qlb(n, pairs01):
             d = rank[i] - max(rank[j] for j in ps) if ps else rank[i]
             total += harm(d - 1)
     return total / len(exts)
+
+
+def enumeration_qlb(P):
+    """Oracle: QLB from every extension, enumerated: each element's gap
+    d_i read off the ranks by `transfer_batch`, counted per gap value."""
+    orders = extension_orders(P)
+    # the 1-based rank of each element, one column at a time, so that no
+    # (N, n) int64 array is built
+    ranks, rows = np.empty_like(orders), np.arange(len(orders))
+    for k in range(P.n):
+        ranks[rows, orders[:, k]] = k + 1
+    counts = sum(np.bincount(col, minlength=P.n + 1) for col in transfer_batch(P, ranks).T)
+    total = sum((int(c) * harmonic(d - 1) for d, c in enumerate(counts) if c and d >= 1),
+                Fraction(0))
+    return total / len(orders)
 
 
 def loop_adversary(P):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sortbounds import (
+    Block,
     DomainError,
     LimitExceededError,
     LinearExtension,
@@ -17,6 +18,7 @@ from sortbounds import (
     chain_poset,
     count_extensions,
     d_vector,
+    extension_orders,
     gamma_ij,
     harmonic,
     hilbert_norm,
@@ -30,9 +32,11 @@ from sortbounds import (
     qh_mc,
     qlb_fraction,
     qlb_sp_fraction,
+    random_poset,
     random_sp_expr,
     realize,
     series,
+    sp_decomposition,
     spectral_norm,
     tech_constant,
     uniform_rayleigh,
@@ -48,7 +52,7 @@ from sortbounds.quantum import (
     max_gamma_ij_norm,
 )
 
-from conftest import brute_force_qlb, per_mask_max_gamma_ij_norm
+from conftest import brute_force_qlb, enumeration_qlb, per_mask_max_gamma_ij_norm
 
 
 def test_d_vector_examples(wedge):
@@ -92,6 +96,45 @@ def test_qlb_matches_brute_force():
         n = int(rng.integers(1, 7))
         P = random_poset(n, rng, p=float(rng.uniform(0.1, 0.6)))
         assert qlb_fraction(P) == brute_force_qlb(n, P.pairs())
+
+
+def test_qlb_matches_enumeration_at_n20():
+    # N(5): 20 elements, 124,130 extensions, 96 ideals; and an 18-element
+    # block with 100,710 extensions
+    block = random_poset(18, np.random.default_rng(11), p=0.3)
+    assert isinstance(sp_decomposition(block)[0], Block)
+    assert count_extensions(block) == 100_710
+    for P in (n_poset(5), block):
+        assert qlb_fraction(P) == enumeration_qlb(P)
+
+
+@pytest.mark.parametrize("text", [
+    "chain(5)+chain(5)+chain(5)+chain(5)",          # 1,296 ideals
+    "chain(4)+chain(4)+chain(4)+chain(4)+chain(4)",  # 3,125 ideals
+    "N(1)+N(1)+chain(5)+chain(5)",                   # 2,304 ideals
+])
+def test_qlb_exact_at_large_counts(text):
+    # the DP's int64 sums stay exact far past the enumeration cap
+    e = parse_sp(text)
+    P = realize(e)
+    assert count_extensions(P) > 10**10
+    assert qlb_fraction(P, max_extensions=math.factorial(20)) == qlb_sp_fraction(e)
+
+
+def test_only_the_adversary_enumerates(monkeypatch):
+    calls = []
+
+    def counted(P, *args, **kwargs):
+        calls.append(P.n)
+        return extension_orders(P, *args, **kwargs)
+
+    monkeypatch.setattr(quantum, "extension_orders", counted)
+    qlb_fraction(n_poset(5))
+    assert calls == []
+    analyze(realize(parse_sp("N(2)+chain(2)+chain(2)")))  # past the matrix cap
+    assert calls == []
+    rep = analyze(n_poset(2))  # not SP, 159 extensions: the adversary is built
+    assert rep.gamma_norm is not None and calls == [8]
 
 
 def test_qh_examples(wedge):
