@@ -1,12 +1,10 @@
 """Exact counting, enumeration and uniform sampling of linear extensions.
 
-Counting is a dynamic program over the unranked part of the ground set,
-keyed on its bitmask: the ranked prefix of any partial schedule is an
-order ideal, so the states are exactly the up-sets of the poset.  The table
-lives in ``Poset.upset_counts``: counting reads its full-set entry,
-enumeration checks its cap against that count, and sampling walks it.
-Counts are arbitrary-precision integers throughout; n is capped (default 20)
-so the state space stays at most 2**20.
+Each extension is a path up the lattice of ideals, one element placed per
+edge, and all three read its table ``Poset.lattice``: counting takes the
+completions of the empty ideal, enumeration grows every path and sampling
+walks one.  Counts are exact integers; n is capped (default 20) so the
+table stays at most 2**20 ideals.
 """
 from __future__ import annotations
 
@@ -61,7 +59,7 @@ def count_extensions(P: Poset, max_n: int = DEFAULT_N_CAP) -> int:
     """Exact number of linear extensions (arbitrary precision)."""
     if P.n > max_n:
         raise LimitExceededError(f"n={P.n} exceeds the counting cap {max_n}")
-    return P.upset_counts[(1 << P.n) - 1]
+    return int(P.lattice[0].counts[0])
 
 
 def ln_count(x: int) -> float:
@@ -84,41 +82,30 @@ def enumerate_extensions(
         yield LinearExtension.from_order(order)
 
 
-def _placeable(placed: np.ndarray, need: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    """(prefix, element) matrix of placed & need == preds, filled in blocks
-    of prefixes so the int32 temporary stays small."""
-    out = np.empty((len(placed), len(need)), dtype=bool)
-    for lo in range(0, len(placed), 1 << 14):
-        block = placed[lo : lo + (1 << 14), None]
-        np.equal(block & need, preds, out=out[lo : lo + len(block)])
-    return out
-
-
 def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.ndarray:
     """All extensions as an (N, n) array of element sequences, lex order.
 
-    All prefixes grow one rank per step by each unplaced element whose
-    predecessors are placed; `np.nonzero` reads that (prefix, element)
-    matrix row-major, so each step stays in lex order.  The rows are read
-    back through the (parent, element) pairs of the steps, kept as int32
-    (int64 past 2**31 extensions) and int8.
+    Each prefix in turn takes the edges of its ideal in `Poset.lattice`,
+    by increasing element, so every step stays in lex order.  The rows are
+    read back through the (parent, element) pairs of the steps, kept as
+    int32 (int64 past 2**31 extensions) and the table's element type.
     """
-    total = count_extensions(P)  # caps n at 20, so the masks fit in int32
+    total = count_extensions(P)  # caps n at 20
     if total > max_extensions:
         raise LimitExceededError(f"{total} extensions exceed the enumeration cap {max_extensions}")
     index = np.int32 if total < 2**31 else np.int64
-    bits = np.int32(1) << np.arange(P.n, dtype=np.int32)
-    preds = np.array(P.pred_masks, dtype=np.int32)
-    need = preds | bits  # e is placeable after a prefix iff prefix & need == preds
-    placed = np.zeros(1, dtype=np.int32)
+    node = np.zeros(1, dtype=index)  # the ideal of each prefix, in its layer
     steps = []
-    for _ in range(P.n):
-        parent, elem = np.nonzero(_placeable(placed, need, preds))
-        parent, elem = parent.astype(index), elem.astype(np.int8)
-        steps.append((parent, elem))
-        placed = placed[parent] | bits[elem]
-    orders = np.empty((len(placed), P.n), dtype=np.int16)
-    row = np.arange(len(placed), dtype=index)
+    for layer in P.lattice[:-1]:
+        deg = (layer.start[1:] - layer.start[:-1])[node]
+        parent = np.arange(len(node), dtype=index).repeat(deg)
+        # the k-th child of a prefix takes the k-th edge of its ideal
+        edge = (layer.start[node] - deg.cumsum(dtype=index) + deg).repeat(deg)
+        edge += np.arange(len(parent), dtype=index)
+        steps.append((parent, layer.elem[edge]))
+        node = layer.dst[edge]
+    orders = np.empty((len(node), P.n), dtype=np.int16)
+    row = np.arange(len(node), dtype=index)
     for k in range(P.n - 1, -1, -1):
         parent, elem = steps.pop()
         orders[:, k] = elem[row]
@@ -129,37 +116,23 @@ def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.nda
 def sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
     """One exactly-uniform extension as an element sequence, drawn with rng.
 
-    Rank 1 first: each minimal element of the unranked up-set is picked with
-    probability proportional to its number of completions, read from the
-    up-set table in exact integer arithmetic.  The table is built on first
-    use, so callers cap n first.
+    Rank 1 first: from the ideal placed so far, each edge of `Poset.lattice`
+    is taken with probability proportional to the completions of its end, in
+    exact integers.  The table is built on first use: callers cap n first.
     """
-    preds = P.pred_masks
-    counts = P.upset_counts
-    mask = (1 << P.n) - 1
-    order = []
-    while mask:
-        choices = []
-        cumulative = []
-        acc = 0
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            e = low.bit_length() - 1
-            if preds[e] & mask == 0:
-                acc += counts[mask ^ low]
-                choices.append((e, low))
-                cumulative.append(acc)
-        e, low = choices[bisect_right(cumulative, rng.randrange(acc))]
-        order.append(e)
-        mask ^= low
+    node, order = 0, []
+    for start, before, elem, dst in P.lattice.walk:
+        lo, hi = start[node], start[node + 1]
+        base = before[lo]
+        t = bisect_right(before, base + rng.randrange(before[hi] - base), lo + 1, hi + 1) - 1
+        order.append(elem[t])
+        node = dst[t]
     return tuple(order)
 
 
 def sample_extension(P: Poset, seed: int) -> LinearExtension:
     """One exactly-uniform extension; deterministic given the seed."""
-    count_extensions(P)  # caps n before the up-set table is built
+    count_extensions(P)  # caps n before the lattice is built
     return LinearExtension.from_order(sample_order(P, random.Random(seed)))
 
 
@@ -169,7 +142,7 @@ def count_extensions_sp(e: SPExpr, max_n: int = DEFAULT_N_CAP) -> int:
     Series multiplies counts; parallel multiplies counts and the multinomial
     of the block sizes, so the count is the product of the multinomials of
     the parallel nodes and of the counts of the Block and NBlock leaves,
-    which the up-set DP gives under max_n.
+    which `Poset.lattice` gives under max_n.
     """
     total = 1
     for node in nodes(e):

@@ -9,16 +9,14 @@ only at that boundary.
 A ``Poset`` is immutable after construction and safe to share across workers.
 Its only caches are the declared cached properties below: the cover
 relation, the predecessor and successor bitmasks (bit i is element i) and
-the up-set table ``upset_counts``, from which :mod:`sortbounds.linext`
-counts, enumerates and samples linear extensions.  Each is built on first
-use and never mutated afterwards.
+``lattice``, the table of ideals that counting, enumeration, sampling and
+the exact QLB read.  Each is built on first use and never mutated afterwards.
 """
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +44,32 @@ def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as a bitmask, bit j for column j."""
     packed = np.packbits(rel, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+class IdealLayer(NamedTuple):
+    """The ideals of one size in `Poset.lattice`: their bitmasks in
+    increasing order and their completions c(D), the extensions of the
+    elements outside D.  The edges D -> D | e out of ideal j are
+    start[j]:start[j + 1], by increasing ``elem``; ``dst`` indexes D | e
+    in the next layer."""
+
+    masks: np.ndarray
+    counts: np.ndarray
+    start: np.ndarray
+    elem: np.ndarray
+    dst: np.ndarray
+
+
+class IdealLattice(tuple):
+    """`Poset.lattice`: the `IdealLayer` of each size 0..n."""
+
+    @cached_property
+    def walk(self) -> tuple[tuple[memoryview, ...], ...]:
+        """(start, before, elem, dst) per layer as memoryviews for `sample_order`:
+        before[k] sums c over the ends of edges before k, at most N (n <= 20)."""
+        return tuple(tuple(map(memoryview, (
+            a.start, np.concatenate(([0], np.cumsum(b.counts[a.dst]))), a.elem, a.dst)))
+            for a, b in zip(self, self[1:]))
 
 
 class Poset:
@@ -94,33 +118,49 @@ class Poset:
         return _row_masks(self.rel)
 
     @cached_property
-    def upset_counts(self) -> MappingProxyType:
-        """Read-only map from the bitmask of each up-set to its number of
-        linear extensions; the full set maps to the extension count of P.
+    def lattice(self) -> "IdealLattice":
+        """The ideals (down-sets) of P, one `IdealLayer` per size 0..n: the
+        one place that decides which elements extend an ideal.
 
-        Filled one layer of up-set sizes at a time from the empty set: each
-        element e outside an up-set U with all its successors in U makes
-        U | e an up-set with e minimal, so count[U] is pushed into it.
-        The table can hold 2**n entries: callers cap n before reading it.
+        Filled from the full set down: D ^ e is an ideal iff e is maximal in
+        ideal D, D & (succ(e) | e) == e.  The pairs (e, D) are listed by
+        element, so sorting D ^ e stably groups them into edges D ^ e -> D
+        by increasing element; c(D ^ e) sums c(D) over them.  Masks are
+        int64 below 63 elements and counts up to 20 (N <= 20! < 2**63), else
+        Python ints.  There can be 2**n ideals: callers cap n first.
         """
-        succ = [(1 << e, above) for e, above in enumerate(self.succ_masks)]
-        counts = {0: 1}
-        layer = [0]
-        for _ in range(self.n):
-            grown = []
-            for up in layer:
-                c = counts[up]
-                for bit, above in succ:
-                    if up & bit == 0 and up & above == above:
-                        key = up | bit
-                        got = counts.get(key)
-                        if got is None:
-                            grown.append(key)
-                            counts[key] = c
-                        else:
-                            counts[key] = got + c
-            layer = grown
-        return MappingProxyType(counts)
+        n = self.n
+        mask_type = np.int64 if n < 63 else object
+        bits = np.array([1 << e for e in range(n)], dtype=mask_type)
+        need = (np.array(self.succ_masks, dtype=mask_type) | bits)[:, None]
+        elem_type = np.min_scalar_type(n)
+        masks = np.array([(1 << n) - 1], dtype=mask_type)
+        counts = np.ones(1, dtype=np.int64 if n <= 20 else object)
+        layers = [IdealLayer(masks, counts, np.zeros(1, np.int32), np.zeros(0, elem_type),
+                             np.zeros(0, np.int32))]
+        for _ in range(n):
+            index = np.int32 if n * len(masks) < 2**31 else np.int64
+            # (element, ideal) pairs by element; blocks keep temporaries near 2**20 masks
+            step = max(1, (1 << 20) // len(masks))
+            elems, dsts = [], []
+            for lo in range(0, n, step):
+                e, d = ((masks & need[lo : lo + step]) == bits[lo : lo + step, None]).nonzero()
+                elems.append(np.add(e, lo, dtype=elem_type, casting="unsafe"))
+                dsts.append(d.astype(index))
+            elem, dst = np.concatenate(elems), np.concatenate(dsts)
+            del elems, dsts
+            lower = masks[dst]
+            lower ^= bits[elem]
+            order = lower.argsort(kind="stable")
+            lower.sort()  # the values of lower[order], with no second copy
+            elem, dst = elem[order], dst[order]
+            del order
+            start = np.concatenate(([True], lower[1:] != lower[:-1], [True])).nonzero()[0]
+            masks, counts = lower[start[:-1]], np.add.reduceat(counts[dst], start[:-1])
+            layers.append(IdealLayer(masks, counts, start.astype(index), elem, dst))
+        for a in itertools.chain.from_iterable(layers):
+            a.setflags(write=False)
+        return IdealLattice(reversed(layers))
 
     def predecessors(self, i: int) -> list[int]:
         return np.nonzero(self.rel[:, i])[0].tolist()

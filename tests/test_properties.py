@@ -41,6 +41,8 @@ from conftest import (
     barrier_entropy,
     brute_force_extensions,
     brute_force_qlb,
+    dict_upset_counts,
+    lattice_counts,
     loop_adversary,
     per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
@@ -90,8 +92,55 @@ def test_upset_table_matches_brute_force(case):
         m for m in range(1 << P.n)
         if all(m >> b & 1 for a, b in pairs if m >> a & 1)
     }
-    assert set(P.upset_counts) == upsets
-    assert dict(P.upset_counts) == _suffix_counts(P.n, orders)
+    # the table holds ideals: up-set U is the complement of ideal D
+    full = (1 << P.n) - 1
+    table = {full ^ m: c for m, c in lattice_counts(P).items()}
+    assert set(table) == upsets
+    assert table == _suffix_counts(P.n, orders)
+
+
+def _assert_lattice(P):
+    """`P.lattice` against the dict-loop oracle, and its edge invariants:
+    each edge places one element whose predecessors are all placed, every
+    such element has an edge, and a node lists its edges by element."""
+    full = (1 << P.n) - 1
+    assert lattice_counts(P) == {full ^ u: c for u, c in dict_upset_counts(P).items()}
+    lattice = P.lattice
+    assert len(lattice) == P.n + 1
+    preds = [sum(1 << i for i in P.predecessors(e)) for e in range(P.n)]
+    for size, layer in enumerate(lattice):
+        masks = layer.masks.tolist()
+        assert masks == sorted(set(masks)) and all(m.bit_count() == size for m in masks)
+        if size == P.n:
+            assert layer.start.tolist() == [0] and len(layer.elem) == len(layer.dst) == 0
+            continue
+        up = lattice[size + 1].masks.tolist()
+        start, elem, dst = layer.start.tolist(), layer.elem.tolist(), layer.dst.tolist()
+        assert start[0] == 0 and start[-1] == len(elem) == len(dst)
+        for j, D in enumerate(masks):
+            placed = elem[start[j] : start[j + 1]]
+            assert placed == [e for e in range(P.n)
+                              if not D >> e & 1 and preds[e] & D == preds[e]]
+            assert [up[d] for d in dst[start[j] : start[j + 1]]] == [D | 1 << e for e in placed]
+
+
+@given(posets())
+def test_lattice_matches_dict_oracle(case):
+    P, _ = case
+    _assert_lattice(P)
+    assert P.lattice[0].masks.dtype == P.lattice[0].counts.dtype == np.int64
+
+
+@pytest.mark.parametrize("text,max_n,mask_type,count_type", [
+    ("N(6)", 24, np.int64, object),    # n = 24: int64 masks, Python-int counts
+    ("N(40)", 160, object, object),    # n = 160: Python-int masks
+])
+def test_lattice_past_int64(text, max_n, mask_type, count_type):
+    P = realize(parse_sp(text))
+    assert count_extensions(P, max_n=max_n) == dict_upset_counts(P)[(1 << P.n) - 1]
+    _assert_lattice(P)
+    assert all(layer.masks.dtype == mask_type and layer.counts.dtype == count_type
+               for layer in P.lattice)
 
 
 def _assert_same_orders(P):

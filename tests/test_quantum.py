@@ -362,7 +362,7 @@ def test_adversary_entries_are_inverse_integers(family8):
 
 
 def test_adversary_cap():
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError, match="40320 extensions exceed the matrix cap 2000"):
         build_adversary(antichain_poset(8), matrix_cap=2000)
 
 

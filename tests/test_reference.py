@@ -1,0 +1,43 @@
+"""Every analyze input of the benchmark corpus, through the CLI, against the
+report recorded for it in bench/reference.json.
+
+The comparison is the benchmark's own, `bench/ops.check_report`: exact for
+counts and flags, relative 1e-12 for ITLB/QLB/QH, 1e-8 for the entropy, and
+relative 1e-6 for the norms; a field recorded as null is not checked.  The
+files under bench/ are only read.
+"""
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import types
+
+import pytest
+
+from sortbounds import cli
+
+OPS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "ops.py"
+# compiled from source, so that no bytecode cache is written under bench/
+ops = sys.modules["bench_ops"] = types.ModuleType("bench_ops")
+ops.__file__ = str(OPS)
+exec(compile(OPS.read_text(encoding="utf-8"), str(OPS), "exec"), ops.__dict__)
+
+INPUTS = {name: entry for name, entry in ops.load_reference()["inputs"].items()
+          if "report" in entry}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_analyze_matches_reference(name, tmp_path):
+    entry = INPUTS[name]
+    if entry["fmt"] == "poset":
+        path = tmp_path / f"{name}.poset"
+        path.write_text(entry["text"], encoding="ascii")
+        source = [str(path)]
+    else:
+        source = ["--expr", entry["text"]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", *source, "--format", "json"])
+    assert (code, err.getvalue()) == (0, "")
+    assert ops.check_report(json.loads(out.getvalue()), entry["report"]) is None
