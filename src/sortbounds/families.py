@@ -1,6 +1,8 @@
 """Built-in poset and expression families used by the verification suites."""
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .poset import Poset, build_poset
@@ -37,12 +39,20 @@ def fence_poset(n: int) -> Poset:
     return build_poset(n, [(i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, n)])
 
 
+@lru_cache(maxsize=32)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs a < b of range(n) in row-major order (cached: read only)."""
+    return np.triu_indices(n, 1)
+
+
 def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
     """Transitive closure of a random DAG: pairs oriented along a hidden
     random topological order, each kept with probability p."""
-    labels = (rng.permutation(n) + 1).tolist()
-    pairs = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
-    return build_poset(n, pairs)
+    order = rng.permutation(n)
+    a, b = _upper_pairs(n)
+    rel = np.zeros((n, n), dtype=bool)
+    rel[order[a], order[b]] = rng.random(len(a)) < p  # one coin per pair, row-major
+    return Poset(rel)
 
 
 def random_sp_expr(rng: np.random.Generator, n: int) -> SPExpr:

@@ -73,10 +73,16 @@ def density_cdf(n: int, k: int, x) -> np.ndarray | float:
     """CDF of density_f: the binomial tail sum_{l>k} C(n,l) x^l (1-x)^(n-l)."""
     _check_nk(n, k)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for l in range(k + 1, n + 1):
-        out += math.comb(n, l) * x**l * (1.0 - x) ** (n - l)
-    return out
+    # x^(k+1) sum_j C(n, k+1+j) x^j y^(m-j), y = 1 - x, m = n-k-1, nested in y
+    y = 1.0 - x
+    xp = np.ones_like(x)
+    acc = np.full_like(x, math.comb(n, k + 1))
+    for l in range(k + 2, n + 1):
+        acc *= y
+        xp *= x
+        acc += math.comb(n, l) * xp
+    acc *= x ** (k + 1)
+    return acc
 
 
 QUAD_TOL = 1e-12  # absolute and relative target of every gap-integral quadrature

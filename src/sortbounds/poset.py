@@ -15,7 +15,7 @@ the exact QLB read.  Each is built on first use and never mutated afterwards.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -255,24 +255,32 @@ def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
     return chains
 
 
+_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(4) if p != q]
+
+
 def _pattern_codes() -> frozenset[int]:
-    # 12-bit codes (one bit per ordered pair among 4 elements) of every
-    # labeling of the 4-element poset with relation {a<b, c<b, c<d}.
+    # 12-bit codes (bit t for the ordered pair _QUAD_PAIRS[t] among 4
+    # elements) of every labeling of the 4-element poset {a<b, c<b, c<d}.
     base = {(0, 1), (2, 1), (2, 3)}
-    pair_index = {
-        (p, q): t for t, (p, q) in enumerate((p, q) for p in range(4) for q in range(4) if p != q)
-    }
-    codes = set()
-    for perm in itertools.permutations(range(4)):
-        code = 0
-        for (p, q) in base:
-            code |= 1 << pair_index[(perm[p], perm[q])]
-        codes.add(code)
-    return frozenset(codes)
+    return frozenset(sum(1 << _QUAD_PAIRS.index((perm[p], perm[q])) for p, q in base)
+                     for perm in itertools.permutations(range(4)))
 
 
 _N_CODES = _pattern_codes()
-_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(4) if p != q]
+_IS_N_CODE = np.zeros(1 << 12, dtype=bool)  # indexed by a 12-bit code
+_IS_N_CODE[sorted(_N_CODES)] = True
+_CODE_BITS = 1 << np.arange(12, dtype=np.intp)
+
+
+@lru_cache(maxsize=16)
+def _quad_index(n: int) -> np.ndarray:
+    """(C(n,4), 12) flat indices into an n x n relation: row t holds the
+    ordered pairs of the t-th 4-subset in the bit order of `_N_CODES`."""
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
+    p, q = np.array(_QUAD_PAIRS).T
+    index = quads[:, p] * n + quads[:, q]
+    index.setflags(write=False)
+    return index
 
 
 def count_induced_N(P: Poset) -> int:
@@ -284,12 +292,8 @@ def count_induced_N(P: Poset) -> int:
     n = P.n
     if n < 4:
         return 0
-    quads = np.array(list(itertools.combinations(range(n), 4)))
-    bits = np.empty((len(quads), 12), dtype=np.int64)
-    for t, (p, q) in enumerate(_QUAD_PAIRS):
-        bits[:, t] = P.rel[quads[:, p], quads[:, q]]
-    codes = bits @ (1 << np.arange(12, dtype=np.int64))
-    return int(np.isin(codes, np.fromiter(_N_CODES, dtype=np.int64)).sum())
+    codes = P.rel.ravel()[_quad_index(n)] @ _CODE_BITS
+    return int(np.count_nonzero(_IS_N_CODE[codes]))
 
 
 def poset_to_text(P: Poset) -> str:

@@ -219,14 +219,18 @@ def tech_constant(max_n: int) -> TechConstant:
     best_num = 0
     # filled in place: a list of row tuples would hold about 4x the table
     table = np.empty((max_n * (max_n + 1) // 2, 3))
-    pairs = itertools.combinations_with_replacement(range(1, max_n + 1), 2)
-    for t, (n1, n2) in enumerate(pairs):
-        merge_scaled = acc[n1 + n2] - acc[n1] - acc[n2]
-        merge = float((merge_scaled * shift) // den) / shift
-        ratio = merge / math.log(math.comb(n1 + n2, n1))
-        table[t] = n1, n2, ratio
-        if ratio < best:
-            best, best_arg, best_num = ratio, (n1, n2), merge_scaled
+    t = 0
+    for n1 in range(1, max_n + 1):
+        binom = math.comb(2 * n1, n1)  # C(n1 + n2, n1), carried along the row
+        for n2 in range(n1, max_n + 1):
+            merge_scaled = acc[n1 + n2] - acc[n1] - acc[n2]
+            merge = float((merge_scaled * shift) // den) / shift
+            ratio = merge / math.log(binom)
+            table[t] = n1, n2, ratio
+            t += 1
+            if ratio < best:
+                best, best_arg, best_num = ratio, (n1, n2), merge_scaled
+            binom = binom * (n1 + n2 + 1) // (n2 + 1)
     table.setflags(write=False)
     return TechConstant(
         c_min=best,

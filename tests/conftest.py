@@ -16,6 +16,7 @@ from sortbounds import (
     NonConvergenceError,
     Poset,
     Singleton,
+    build_poset,
     chain2_plus_point,
     chain_matrix,
     extension_orders,
@@ -70,6 +71,25 @@ def brute_force_extensions(n, pairs01):
         if all(rank[a] < rank[b] for a, b in pairs01):
             out.append(perm)
     return out
+
+
+def pair_loop_random_poset(n, rng, p=0.3):
+    """Oracle: `random_poset` as a loop that draws one ``rng.random()`` coin
+    per pair a < b in row-major order, oriented along a seeded permutation."""
+    labels = (rng.permutation(n) + 1).tolist()
+    pairs = [(labels[a], labels[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+    return build_poset(n, pairs)
+
+
+def brute_force_induced_N(P):
+    """Oracle: the 4-subsets with some labeling a, b, c, d of their elements
+    under which the induced relation is exactly {a<b, c<b, c<d}."""
+    count = 0
+    for quad in itertools.combinations(range(P.n), 4):
+        induced = {(i, j) for i in quad for j in quad if P.rel[i, j]}
+        if any(induced == {(a, b), (c, b), (c, d)} for a, b, c, d in itertools.permutations(quad)):
+            count += 1
+    return count
 
 
 def dict_upset_counts(P):

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from sortbounds import Parallel, Series, Singleton, realize, write_poset
 from sortbounds.cli import exit_code_for_report, main
 from sortbounds.quantum import TECH_MAX_N, BoundsReport, tech_constant
 from sortbounds.suites import MAX_SAMPLES
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -223,6 +226,12 @@ def test_verify_sp_suite(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.strip().splitlines()[-1].endswith("checks passed")
+
+
+def test_verify_all_output_is_recorded(capsys):
+    # the recorded lines of `verify all --seed 42 --samples 100000`
+    assert main(["verify", "all", "--seed", "42", "--samples", "100000"]) == 0
+    assert capsys.readouterr().out == (DATA / "verify_all_seed42.txt").read_text()
 
 
 def test_tech_constant_small(capsys):

@@ -71,6 +71,26 @@ def test_density_cdf_matches_quadrature():
     assert density_cdf(5, 2, 1.0) == pytest.approx(1.0)
 
 
+def binomial_tail(n, k, x):
+    """Oracle: the CDF term by term, sum_{l>k} C(n,l) x^l (1-x)^(n-l)."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for l in range(k + 1, n + 1):
+        out += math.comb(n, l) * x**l * (1.0 - x) ** (n - l)
+    return out
+
+
+def test_density_cdf_matches_binomial_tail():
+    grid = np.concatenate([np.linspace(0.0, 1.0, 1001), np.random.default_rng(0).random(1000)])
+    for n in range(1, 13):
+        for k in range(n):
+            np.testing.assert_allclose(density_cdf(n, k, grid), binomial_tail(n, k, grid),
+                                       rtol=0.0, atol=1e-14, err_msg=f"n={n}, k={k}")
+    assert density_cdf(5, 2, 0.0) == 0.0
+    scalar = density_cdf(5, 2, 0.3)
+    assert type(scalar) is np.ndarray and scalar.shape == () and scalar.dtype == np.float64
+
+
 def test_closed_form_examples():
     r = closed_form_checks(5, 3, 0.25)
     assert r.i_residual <= 1e-8

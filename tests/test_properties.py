@@ -20,6 +20,7 @@ from sortbounds import (
     entropy,
     expr_size,
     extension_orders,
+    fence_poset,
     gamma_ij,
     norm_bracket,
     parallel,
@@ -27,6 +28,7 @@ from sortbounds import (
     poset_from_text,
     qlb_fraction,
     qlb_sp_fraction,
+    random_poset,
     realize,
     recognize_sp,
     sample_order,
@@ -40,10 +42,12 @@ from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
 from conftest import (
     barrier_entropy,
     brute_force_extensions,
+    brute_force_induced_N,
     brute_force_qlb,
     dict_upset_counts,
     lattice_counts,
     loop_adversary,
+    pair_loop_random_poset,
     per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
     warshall_closure,
@@ -205,6 +209,30 @@ def test_decomposition_folds_match_brute_force(case):
     assert count_extensions_sp(e) == len(brute_force_extensions(P.n, pairs))
     assert qlb_sp_fraction(e) == brute_force_qlb(P.n, pairs)
     assert (not recognize_sp(P)) == (count_induced_N(P) > 0)
+
+
+@given(posets(max_n=9))
+def test_count_induced_N_is_brute_force(case):
+    P, _ = case
+    assert count_induced_N(P) == brute_force_induced_N(P)
+
+
+def test_count_induced_N_is_brute_force_at_n12():
+    rng = np.random.default_rng(12)
+    cases = [fence_poset(12), realize(parse_sp("N(3)")), realize(parse_sp("N(1) + N(2)"))]
+    cases += [random_poset(12, rng, p=p) for p in (0.1, 0.2, 0.3, 0.5)]
+    for P in cases:
+        assert count_induced_N(P) == brute_force_induced_N(P)
+
+
+def test_random_poset_stream_is_the_pair_loop():
+    # every seeded family of `verify` draws through this stream
+    for seed in range(500):
+        n, p = 1 + seed % 11, 0.05 + 0.9 * (seed % 13) / 12
+        ours, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(random_poset(n, ours, p=p).rel,
+                                      pair_loop_random_poset(n, loop, p=p).rel)
+        assert ours.random() == loop.random()
 
 
 def _assert_brackets_norm(M):

@@ -278,6 +278,19 @@ def test_tech_constant_small_values():
             tech_constant(max_n)
 
 
+def test_tech_constant_table_matches_direct_binomials():
+    # the scan carries C(n1 + n2, n1) along each row; the direct formula
+    # rebuilds it per pair, so the logs and every ratio must be the same floats
+    max_n = 60
+    den = math.lcm(*range(1, 2 * max_n + 1))
+    acc = [q * sum(den // j for j in range(1, q + 1)) for q in range(2 * max_n + 1)]
+    rows = []
+    for n1, n2 in itertools.combinations_with_replacement(range(1, max_n + 1), 2):
+        merge = float(((acc[n1 + n2] - acc[n1] - acc[n2]) << 64) // den) / 2**64
+        rows.append((n1, n2, merge / math.log(math.comb(n1 + n2, n1))))
+    assert np.array_equal(tech_constant(max_n).table, np.array(rows))
+
+
 def test_tech_constant_500(tech500):
     assert tech500.c_min > 0
     assert tech500.c_min_numerator > 0
