@@ -38,6 +38,7 @@ from .linext import (
     is_extension,
     itlb,
     ln_count,
+    orders_by_rank,
     sample_extension,
     sample_order,
 )

@@ -111,15 +111,15 @@ def cmd_tech_constant(args: argparse.Namespace) -> int:
         payload = {
             "c_min": float(tc.c_min),
             "argmin": list(tc.argmin),
-            "ratios": [[int(a), int(b), float(r)] for a, b, r in tc.table],
+            "ratios": [[int(a), int(b), r] for a, b, r in tc.table.tolist()],
         }
         print(json.dumps(payload))
         return 0
-    print(f"c_min = {format(tc.c_min, '.17g')}")
-    print(f"argmin = {tc.argmin[0]},{tc.argmin[1]}")
-    print("n1,n2,ratio")
-    for a, b, r in tc.table:
-        print(f"{int(a)},{int(b)},{format(float(r), '.17g')}")
+    # one write: the table has about max_n**2 / 2 rows
+    rows = "".join(f"{int(a)},{int(b)},{format(r, '.17g')}\n" for a, b, r in tc.table.tolist())
+    sys.stdout.write(f"c_min = {format(tc.c_min, '.17g')}\n"
+                     f"argmin = {tc.argmin[0]},{tc.argmin[1]}\n"
+                     f"n1,n2,ratio\n{rows}")
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Each extension is a path up the lattice of ideals, one element placed per
 edge, and all three read its table ``Poset.lattice``: counting takes the
-completions of the empty ideal, enumeration grows every path and sampling
-walks one.  Counts are exact integers; n is capped (default 20) so the
-table stays at most 2**20 ideals.
+completions of the empty ideal, enumeration follows the path of each lex
+rank and sampling walks one at random.  Counts are exact integers; n is
+capped (default 20) so the table stays at most 2**20 ideals.
 """
 from __future__ import annotations
 
@@ -83,33 +83,29 @@ def enumerate_extensions(
 
 
 def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All extensions as an (N, n) array of element sequences, lex order.
-
-    Each prefix in turn takes the edges of its ideal in `Poset.lattice`,
-    by increasing element, so every step stays in lex order.  The rows are
-    read back through the (parent, element) pairs of the steps, kept as
-    int32 (int64 past 2**31 extensions) and the table's element type.
-    """
+    """All N extensions in lex order: `orders_by_rank` of 0..N-1."""
     total = count_extensions(P)  # caps n at 20
     if total > max_extensions:
         raise LimitExceededError(f"{total} extensions exceed the enumeration cap {max_extensions}")
-    index = np.int32 if total < 2**31 else np.int64
-    node = np.zeros(1, dtype=index)  # the ideal of each prefix, in its layer
-    steps = []
-    for layer in P.lattice[:-1]:
-        deg = (layer.start[1:] - layer.start[:-1])[node]
-        parent = np.arange(len(node), dtype=index).repeat(deg)
-        # the k-th child of a prefix takes the k-th edge of its ideal
-        edge = (layer.start[node] - deg.cumsum(dtype=index) + deg).repeat(deg)
-        edge += np.arange(len(parent), dtype=index)
-        steps.append((parent, layer.elem[edge]))
-        node = layer.dst[edge]
-    orders = np.empty((len(node), P.n), dtype=np.int16)
-    row = np.arange(len(node), dtype=index)
-    for k in range(P.n - 1, -1, -1):
-        parent, elem = steps.pop()
-        orders[:, k] = elem[row]
-        row = parent[row]
+    return orders_by_rank(P, np.arange(total))
+
+
+def orders_by_rank(P: Poset, ranks) -> np.ndarray:
+    """The extensions of lex ranks 0 <= r < N as (len(ranks), n) int16 element
+    sequences.  From the empty ideal each layer takes the edge whose prefix sum
+    of completions (``before`` of `IdealLattice.walk`) holds the rank and keeps
+    the remainder, 2**16 ranks at a time.  Callers cap n and the ranks first."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    walk = [tuple(map(np.asarray, layer)) for layer in P.lattice.walk]
+    orders = np.empty((len(ranks), P.n), dtype=np.int16)
+    for lo in range(0, len(ranks), 1 << 16):
+        rank, node = ranks[lo : lo + (1 << 16)], 0
+        for k, (start, before, elem, dst) in enumerate(walk):
+            at = before[start[node]] + rank
+            edge = before.searchsorted(at, side="right") - 1
+            rank = at - before[edge]
+            orders[lo : lo + len(rank), k] = elem[edge]
+            node = dst[edge]
     return orders
 
 

@@ -33,14 +33,10 @@ from .errors import (
     NotConsistentError,
     NotInChainPolytopeError,
 )
-from .linext import count_extensions, extension_orders, sample_order
+from .linext import count_extensions, orders_by_rank, sample_order
 from .poset import Poset, maximal_chains
 
 FEAS_TOL = 1e-12
-
-# Above this many extensions the batched sampler walks the counting DP per
-# sample instead of indexing into the enumerated list.
-_BATCH_ENUM_CAP = 500_000
 
 
 def chain_matrix(P: Poset) -> np.ndarray:
@@ -139,14 +135,14 @@ def sample_chain_point(P: Poset, seed: int) -> np.ndarray:
 
 
 def order_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """(samples, n) of uniform O(P) points; enumerates extensions when small."""
-    if count_extensions(P) <= _BATCH_ENUM_CAP:
-        orders = extension_orders(P, max_extensions=_BATCH_ENUM_CAP)
-        chosen = orders[rng.integers(0, len(orders), size=samples)].astype(np.int64)
+    """(samples, n) uniform O(P) points from uniform lex ranks drawn with rng."""
+    total = count_extensions(P)
+    ranks = rng.integers(0, total, size=samples)
+    if total <= samples:
+        orders = orders_by_rank(P, np.arange(total))[ranks]
     else:
-        walker = random.Random(int(rng.integers(0, 2**63)))
-        chosen = np.array([sample_order(P, walker) for _ in range(samples)])
-    return _order_points(chosen, rng)
+        orders = orders_by_rank(P, ranks)
+    return _order_points(orders, rng)
 
 
 def chain_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.ndarray:

@@ -65,8 +65,8 @@ class IdealLattice(tuple):
 
     @cached_property
     def walk(self) -> tuple[tuple[memoryview, ...], ...]:
-        """(start, before, elem, dst) per layer as memoryviews for `sample_order`:
-        before[k] sums c over the ends of edges before k, at most N (n <= 20)."""
+        """(start, before, elem, dst) per layer as memoryviews for `sample_order`
+        and `orders_by_rank`: before[k] sums c over the ends of edges before k, at most N."""
         return tuple(tuple(map(memoryview, (
             a.start, np.concatenate(([0], np.cumsum(b.counts[a.dst]))), a.elem, a.dst)))
             for a, b in zip(self, self[1:]))

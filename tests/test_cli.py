@@ -266,7 +266,8 @@ def test_tech_constant_usage_error(monkeypatch):
         assert exc.value.code == 2
 
 
-def test_tech_constant_survives_closed_pipe():
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_tech_constant_survives_closed_pipe(fmt):
     import os
     import pathlib
     import subprocess
@@ -279,8 +280,10 @@ def test_tech_constant_survives_closed_pipe():
     src = str(pathlib.Path(sortbounds.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    # at --max-n 200 every format writes over 0.5 MB, more than a pipe holds,
+    # so the write is still going when head exits
     producer = subprocess.Popen(
-        [_sys.executable, "-m", "sortbounds.cli", "tech-constant", "--max-n", "60"],
+        [_sys.executable, "-m", "sortbounds.cli", "tech-constant", "--max-n", "200", "--format", fmt],
         stdout=subprocess.PIPE, env=env,
     )
     consumer = subprocess.Popen(

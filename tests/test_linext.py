@@ -136,9 +136,9 @@ def test_walks_run_under_a_lowered_recursion_limit():
 
 @pytest.mark.parametrize("text", ["N(1)+antichain(6)", "antichain(9)"])
 def test_extension_orders_peak_memory(text):
-    # the (parent, element) steps are int32/int8 and the placeable matrix
-    # is filled column by column: the traced peak stays within 3x the
-    # returned int16 orders (756,000 and 362,880 rows)
+    # past the int64 ranks, the rows are read in blocks of 2**16 ranks: the
+    # traced peak stays within 3x the returned int16 orders (756,000 and
+    # 362,880 rows)
     P = realize(parse_sp(text))
     count_extensions(P)
     tracemalloc.start()

@@ -324,24 +324,29 @@ def test_volume_matches_extension_count(family8):
 
 
 # sha256 prefixes of the seeded sampler outputs, and qh_mc's values, so that
-# any change to the draws shows; antichain(10) has more than
-# _BATCH_ENUM_CAP extensions, so its batch takes the per-sample walk
+# any change to the draws shows; the batches of 64 read every rank of n2
+# (N = 53 <= 64) and only the drawn ranks of fence8 (N = 1,385) and
+# antichain10 (N = 10!)
 SAMPLER_PINS = {
     ("n2", 0): ("6f5a36d510dd16aa", "42447742a1176178", "7848346f5fa4c234",
                 (2.0623411163287417, 0.04336850926754781)),
     ("n2", 2024): ("8c4dc0594dfbac5e", "4ccf903b756fd999", "22ed76071f859b58",
                    (2.0857279608080685, 0.03115414343436844)),
-    ("antichain10", 0): ("cc444ad93f648b93", "cc444ad93f648b93", "306dfcc436d3ffc8",
-                         (0.939506060170737, 0.03977041112588824)),
-    ("antichain10", 2024): ("762ce23d0df5f534", "762ce23d0df5f534", "19c3f9f54f33f441",
-                            (1.0006323093990916, 0.03783478178482736)),
+    ("antichain10", 0): ("cc444ad93f648b93", "cc444ad93f648b93", "68077162f82b5204",
+                         (0.9350511900643428, 0.03607770467365709)),
+    ("antichain10", 2024): ("762ce23d0df5f534", "762ce23d0df5f534", "dd40f51cb6940d2c",
+                            (0.9922085551032521, 0.04030281666236703)),
+    ("fence8", 0): ("27a61eb18c2ccd7d", "0a9ed4e670ab003a", "76cdd5df002737c4",
+                    (1.4920854395851633, 0.038599345539042304)),
+    ("fence8", 2024): ("70281cc8d2ed121b", "d66a64c9612678e9", "0875108c05afa87d",
+                       (1.5683494847311712, 0.0380100908223356)),
 }
 
 
 @pytest.mark.parametrize("key", sorted(SAMPLER_PINS))
 def test_seeded_samplers_are_pinned(key):
     name, seed = key
-    P = {"n2": n_poset(2), "antichain10": antichain_poset(10)}[name]
+    P = {"n2": n_poset(2), "antichain10": antichain_poset(10), "fence8": fence_poset(8)}[name]
 
     def digest(a):
         return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]

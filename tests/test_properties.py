@@ -23,6 +23,7 @@ from sortbounds import (
     fence_poset,
     gamma_ij,
     norm_bracket,
+    orders_by_rank,
     parallel,
     parse_sp,
     poset_from_text,
@@ -36,6 +37,7 @@ from sortbounds import (
     sp_decomposition,
     transfer,
 )
+from sortbounds.polytopes import _order_points, order_point_batch
 from sortbounds.poset import parse_poset_text, transitive_closure
 from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
 
@@ -163,6 +165,25 @@ def test_extension_orders_are_brute_force_in_lex_order(case):
 @pytest.mark.parametrize("text", ["N(5)", "N(2)+chain(2)+chain(2)"])
 def test_extension_orders_match_recursion_at_n20(text):
     _assert_same_orders(realize(parse_sp(text)))
+
+
+@given(posets(), st.lists(st.floats(0, 1, exclude_max=True), max_size=12), st.integers(0, 2**32))
+def test_orders_by_rank_indexes_the_lex_list(case, fractions, seed):
+    P, _ = case
+    want = recursive_extension_orders(P)
+    N = len(want)
+    # unsorted, repeated ranks, with both ends
+    ranks = np.array([0, N - 1, *(int(f * N) for f in fractions), N - 1, 0])
+    got = orders_by_rank(P, ranks)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want[ranks])
+    # the batch sampler reads the same rows whether it enumerates (N <= samples)
+    # or walks only the drawn ranks
+    for samples in (max(N - 1, 1), N, N + 1):
+        rng = np.random.default_rng(seed)
+        rows = want[rng.integers(0, N, size=samples)]
+        np.testing.assert_array_equal(order_point_batch(P, samples, np.random.default_rng(seed)),
+                                      _order_points(rows, rng))
 
 
 @given(posets(), st.integers(0, 2**32))

@@ -27,3 +27,19 @@ def test_verify_exit_2_on_falsified_property(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 2
     assert "FAIL broken.always_fails" in out
+
+
+def test_entropy_failure_is_a_failed_check(capsys, monkeypatch):
+    from sortbounds import polytopes
+    from sortbounds.errors import NonConvergenceError
+
+    def diverges(P, tol=1e-8, max_newton=1000):
+        raise NonConvergenceError("no certified gap")
+
+    monkeypatch.setattr(polytopes, "entropy", diverges)
+    code = main(["verify", "polytopes", "--samples", "1000"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "FAIL polytopes.entropy_certificates:" in out
+    # a poset without a solution has no sandwich to check
+    assert "PASS polytopes.entropy_sandwich:" in out
