@@ -281,14 +281,6 @@ class AdversaryMatrix:
         return {(int(r), int(c)): float(v) for r, c, v in zip(self.rows, self.cols, self.vals)}
 
 
-def _lehmer_keys(orders: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row among the permutations of 0..n-1 (its
-    Lehmer code), below n! <= 20! < 2**63."""
-    n = orders.shape[1]
-    return sum((orders[:, k + 1:] < orders[:, k, None]).sum(axis=1) * math.factorial(n - 1 - k)
-               for k in range(n))
-
-
 def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> AdversaryMatrix:
     """Adversary matrix: weight 1/d between an extension and the one obtained
     by moving an element d ranks down.
@@ -300,27 +292,57 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     (extension, element), then by d, and their targets found by Lehmer key;
     an adjacent swap (d = 1), the one move that arises twice (once from each
     endpoint), is kept from the endpoint listed first.
+
+    The target's key is read off the source row's Lehmer digits, with no
+    moved order built.  Let dsigma[k] count the later elements of sigma
+    below sigma_k, so key(sigma) = sum_k dsigma[k] f[k] with
+    f[k] = (n - 1 - k)!, and let i = sigma_pos move to lo = pos - d.  tau's
+    digits equal sigma's outside lo..pos; at lo it is dsigma[pos] + L, for
+    the L of sigma_lo..sigma_{pos-1} below i, and at k in lo+1..pos it is
+    dsigma[k - 1] - [i < sigma_{k-1}].  So
+
+        key(tau) = key(sigma) + (dsigma[pos] + L) f[lo] - dsigma[pos] f[pos] + S,
+
+    where S sums (dsigma[j] - 1 + [sigma_j < i]) f[j + 1] - dsigma[j] f[j]
+    over j in lo..pos-1.  Each larger d adds one j to the window, so L and
+    S are running sums over the moves of one (sigma, i).  They are taken in
+    int64, whose wraparound is exact modulo 2**64, so the key, below
+    n! <= 20! < 2**63, comes out exact.
     """
     try:
         orders = extension_orders(P, max_extensions=matrix_cap)
     except LimitExceededError:  # the count is cached: say which cap it exceeds
         raise LimitExceededError(
             f"{count_extensions(P)} extensions exceed the matrix cap {matrix_cap}") from None
+    n = P.n
     ranks = orders.argsort(axis=1) + 1  # ranks[s, i]: 1-based rank of element i in row s
     steps = transfer_batch(P, ranks).ravel() - 1  # the moves of each (s, i)
     move = np.repeat(np.arange(len(steps)), steps)
-    dd = np.arange(len(move)) - np.repeat(np.cumsum(steps) - steps, steps) + 1
-    src, pos = move // P.n, ranks.ravel()[move, None] - 1
-    # the moved order holds order[pos] at pos - dd and order[k - 1] at k in (pos - dd, pos]
-    k, lo = np.arange(P.n), pos - dd[:, None]
-    take = np.where(k == lo, pos, k - ((k > lo) & (k <= pos)))
-    tgt = np.searchsorted(_lehmer_keys(orders),
-                          _lehmer_keys(orders.ravel()[src[:, None] * P.n + take]))
+    first = np.repeat(np.cumsum(steps) - steps, steps)  # the first move of each move's (s, i)
+    dd = np.arange(len(move)) - first + 1
+    src, elem = np.divmod(move, n)
+    row = src * n
+    pos = ranks.ravel()[move] - 1
+    lo = pos - dd
+    f = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
+    digits = np.stack([(orders[:, k + 1:] < orders[:, k, None]).sum(axis=1) for k in range(n)],
+                      axis=1).ravel()
+    keys = digits.reshape(-1, n) @ f  # sorted, since orders are in lex order
+    below = orders.ravel()[row + lo] < elem
+    d_lo, d_pos = digits[row + lo], digits[row + pos]
+
+    def window(v):
+        total = np.cumsum(v)
+        return total - (total - v)[first]
+
+    shift = (d_pos + window(below)) * f[lo] - d_pos * f[pos]
+    shift += window((d_lo - 1 + below) * f[lo + 1] - d_lo * f[lo])
+    tgt = np.searchsorted(keys, keys[src] + shift)
     keep = (dd > 1) | (src < tgt)
     src, tgt, dd = src[keep], tgt[keep], dd[keep]
     return AdversaryMatrix(
         dim=len(orders),
-        n=P.n,
+        n=n,
         rows=np.stack([src, tgt], axis=1).ravel(),
         cols=np.stack([tgt, src], axis=1).ravel(),
         vals=np.repeat(1.0 / dd, 2),
@@ -392,7 +414,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
         comps, slot = np.unique(comp[sel], return_inverse=True)
         if size > DENSE_MAX:
             for c in comps.tolist():
-                block = A[labels == c][:, labels == c]
+                block = A if size == A.shape[0] else A[labels == c][:, labels == c]
                 vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
                 x = np.maximum(np.abs(vec), np.finfo(float).tiny)
                 brackets.append(_bracket(x, block @ x, size))
@@ -503,6 +525,16 @@ def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
     return (keys[:, None] >> np.array([15, 10, 5, 0])) & 31
 
 
+def _maximal_types(types: np.ndarray) -> np.ndarray:
+    """The window types (rows of `_window_types`) whose box of slots fits
+    inside no other type's box moved by one integer c on both axes."""
+    # (types, types) tables in int8: every slot is <= 18, and n = 20 gives up to about 800 types
+    a_i, b_i, a_j, b_j = types.astype(np.int8).T[:, :, None]
+    contained = np.maximum(b_i - b_i.T, b_j - b_j.T) <= np.minimum(a_i - a_i.T, a_j - a_j.T)
+    np.fill_diagonal(contained, False)
+    return types[~contained.any(axis=1)]
+
+
 def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     """Upper side of `norm_bracket` over the masked matrices Gamma^{ij}: the
     safe side for every ||Gamma^{ij}|| <= 2 pi.
@@ -513,12 +545,21 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     windows of slots that i and j may take in rho (`_window_types`): it is
     the principal submatrix of W_{n-2} (`_window_matrix`) on the states
     inside them, up to a permutation of rows and columns, which moves no
-    eigenvalue.  So the bracket of a window type brackets every rho-block
-    of that type, and one `norm_bracket` call on the block diagonal of the
-    distinct types bounds every mask.  Comparable pairs are skipped: every
-    extension orders them alike, so their masks are empty.
+    eigenvalue.  Comparable pairs are skipped: every extension orders them
+    alike, so their masks are empty.
+
+    Only the maximal window types are bracketed.  W_m's weights and its
+    states (x <= y when o = 0, x >= y when o = 1) do not change when x and y
+    both move by c, so a type whose box fits inside another type's box moved
+    by an integer c on both axes, max(b_t - b_u) <= c <= min(a_t - a_u), has
+    a principal submatrix of that type's block as its block.  Containment
+    is transitive, and two distinct types (both shifted to min(a_i, a_j) = 0)
+    never contain each other, so every type lies in one that no other type
+    contains.  A nonnegative symmetric matrix's Perron root does not grow on
+    a principal submatrix, so one `norm_bracket` call on the block diagonal
+    of those maximal types bounds every mask.
     """
-    types = _window_types(gamma, P)
+    types = _maximal_types(_window_types(gamma, P))
     if not len(types):
         return 0.0
     W, states = _window_matrix(P.n - 2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy import sparse
 
 from sortbounds import (
     Block,
@@ -29,6 +30,7 @@ from sortbounds import (
     tech_constant,
 )
 from sortbounds.polytopes import transfer_batch
+from sortbounds.quantum import _window_matrix, _window_types
 from sortbounds.spexpr import MAX_DEPTH
 
 # Property tests draw the same examples on every run and leave no example
@@ -290,6 +292,23 @@ def per_mask_max_gamma_ij_norm(gamma, P):
     return max((norm_bracket(gamma_ij(gamma, P, i, j))[1]
                 for i, j in itertools.combinations(range(P.n), 2)
                 if not (P.rel[i, j] or P.rel[j, i])), default=0.0)
+
+
+def all_types_max_gamma_ij_norm(gamma, P):
+    """Oracle: the upper side of one `norm_bracket` call on the block
+    diagonal of every distinct window type, contained in another or not."""
+    types = _window_types(gamma, P)
+    if not len(types):
+        return 0.0
+    W, states = _window_matrix(P.n - 2)
+    a_i, b_i, a_j, b_j = types.T[:, :, None]
+    x, y = states[:, 0], states[:, 1]
+    inside = (a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j)
+    at = np.cumsum(inside).reshape(inside.shape) - 1
+    r, c = np.nonzero(W)
+    t, e = np.nonzero(inside[:, r] & inside[:, c])
+    A = sparse.csr_matrix((W[r, c][e], (at[t, r[e]], at[t, c[e]])), shape=(at.max() + 1,) * 2)
+    return norm_bracket(A)[1]
 
 
 def warshall_closure(rel):

@@ -42,6 +42,7 @@ from sortbounds.poset import parse_poset_text, transitive_closure
 from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
 
 from conftest import (
+    all_types_max_gamma_ij_norm,
     barrier_entropy,
     brute_force_extensions,
     brute_force_induced_N,
@@ -309,8 +310,9 @@ def test_max_gamma_ij_norm_matches_per_mask_oracle(case):
     P, _ = case
     assume(count_extensions(P) <= 400)
     gamma = build_adversary(P)
-    want = per_mask_max_gamma_ij_norm(gamma, P)
-    assert max_gamma_ij_norm(gamma, P) == pytest.approx(want, rel=1e-12, abs=0)
+    got = max_gamma_ij_norm(gamma, P)
+    assert got == all_types_max_gamma_ij_norm(gamma, P)
+    assert got == pytest.approx(per_mask_max_gamma_ij_norm(gamma, P), rel=1e-12, abs=0)
 
 
 def _assert_same_triplets(P):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from sortbounds import (
     count_extensions,
     d_vector,
     extension_orders,
+    fence_poset,
     gamma_ij,
     harmonic,
     hilbert_norm,
@@ -46,13 +48,19 @@ from sortbounds.quantum import (
     LEMMA_TOL,
     TECH_MAX_N,
     TWO_PI,
+    _maximal_types,
     _window_matrix,
     _window_types,
     analyze,
     max_gamma_ij_norm,
 )
 
-from conftest import brute_force_qlb, enumeration_qlb, per_mask_max_gamma_ij_norm
+from conftest import (
+    all_types_max_gamma_ij_norm,
+    brute_force_qlb,
+    enumeration_qlb,
+    per_mask_max_gamma_ij_norm,
+)
 
 
 def test_d_vector_examples(wedge):
@@ -548,7 +556,58 @@ def test_max_gamma_ij_norm_matches_per_mask_oracle(family8, monkeypatch):
         got = max_gamma_ij_norm(gamma, P)
         incomparable = not (P.rel | P.rel.T | np.eye(P.n, dtype=bool)).all()
         assert len(calls) == incomparable, name  # one bracket per Gamma, none for a chain
+        assert got == all_types_max_gamma_ij_norm(gamma, P), name
         assert got == pytest.approx(per_mask_max_gamma_ij_norm(gamma, P), rel=1e-12, abs=0), name
+
+
+@pytest.mark.parametrize("P", [fence_poset(8), realize(parse_sp("chain(2)+chain(2)+chain(2)+chain(2)")),
+                               realize(parse_sp("chain(3)+chain(17)"))],
+                         ids=["fence8", "c2x4", "chain(3)+chain(17)"])
+def test_dropped_window_types_are_principal_submatrices(P):
+    # each window type left out of the bracket has a kept type and a shift c
+    # such that its W_{n-2} block, moved by -c, is a principal submatrix of
+    # the kept type's block: a wrong containment rule fails here even where
+    # the maximum happens to agree
+    types = _window_types(build_adversary(P), P)
+    kept = _maximal_types(types)
+    assert 0 < len(kept) < len(types)
+    m = P.n - 2
+    W, states = _window_matrix(m)
+    index = np.full((m + 1, m + 1, 2), -1)
+    index[tuple(states.T)] = np.arange(len(states))
+    x, y, o = states.T
+    shifts = np.arange(-m, m + 1)[:, None]
+    dropped = set(map(tuple, types.tolist())) - set(map(tuple, kept.tolist()))
+    for a_i, b_i, a_j, b_j in dropped:
+        mine = np.nonzero((a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j))[0]
+        xs, ys = x[mine] - shifts, y[mine] - shifts
+        fits = [shifts[((u_ai <= xs) & (xs <= u_bi) & (u_aj <= ys) & (ys <= u_bj)).all(axis=1), 0]
+                for u_ai, u_bi, u_aj, u_bj in kept.tolist()]
+        moved = [index[x[mine] - c, y[mine] - c, o[mine]] for c in np.concatenate(fits).tolist()]
+        assert any((k >= 0).all() and np.array_equal(W[np.ix_(k, k)], W[np.ix_(mine, mine)])
+                   for k in moved), (a_i, b_i, a_j, b_j)
+
+
+def test_adversary_peak_memory():
+    # the move targets come from the source rows' Lehmer digits, with no
+    # (moves, n) array: the traced peak of the build stays within 5x its
+    # returned arrays (8.4x when the moved orders were gathered), and the
+    # masked norms of the maximal window types stay under 15.9 MB (16-18 MB
+    # when every type was bracketed)
+    P = realize(parse_sp("chain(3)+chain(17)"))
+    max_gamma_ij_norm(build_adversary(P), P)  # builds the lattice and imports csgraph
+    tracemalloc.start()
+    try:
+        gamma = build_adversary(P)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        max_gamma_ij_norm(gamma, P)
+        masked_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (gamma.rows, gamma.cols, gamma.vals, gamma.ranks))
+    assert build_peak <= 5 * returned
+    assert masked_peak <= 15.9e6
 
 
 def test_masks_are_window_type_blocks():
