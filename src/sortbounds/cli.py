@@ -5,7 +5,7 @@ Three commands, each with only the flags it reads:
     sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text]
                        [--max-n N] [--enum-cap C] [--matrix-cap M]
     sortbounds verify {lemmas,polytopes,orderstats,sp,adversary,all}
-                      [--seed S] [--samples K] [--tol T]
+                      [--seed S] [--samples K]
     sortbounds tech-constant --max-n N [--format json|csv|text]
 
 `analyze` prints one report with every bound for the input poset; qlb and qh
@@ -13,8 +13,8 @@ are null when a block of its series-parallel decomposition has more than
 --enum-cap extensions (or more than 20 elements), and adversary fields are
 null then too, or when the extension count exceeds the matrix cap or n
 exceeds the default counting cap 20.  It is deterministic and takes no seed
-or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0,
-1 <= K <= 10**6 and a finite T > 0, and `tech-constant` 2 <= N <= 1000.
+or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0 and
+1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
 Exit codes: 1 on parse or size failures, 2 on a usage error or when a
 certified property is false.  All floats are serialized with 17 significant
 digits, so identical configurations produce byte-identical output.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -36,7 +35,7 @@ from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
 from .poset import Poset, build_poset, parse_poset_text
 from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import expr_size, parse_sp, realize
-from .suites import MAX_SAMPLES, SUITES, run_suites
+from .suites import MAX_SAMPLES, SUITES, VERIFY_TOL, run_suites
 
 REPORT_KEYS = [f.name for f in dataclasses.fields(BoundsReport)]
 
@@ -97,7 +96,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed, samples=args.samples, tol=args.tol)
+    results = run_suites(names, seed=args.seed, samples=args.samples, tol=VERIFY_TOL)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.ok]
@@ -145,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ve.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p_ve.add_argument("--seed", type=int, default=42)
     p_ve.add_argument("--samples", type=int, default=10**5)
-    p_ve.add_argument("--tol", type=float, default=1e-8)
     p_ve.set_defaults(func=cmd_verify)
 
     p_tc = sub.add_parser("tech-constant", help="scan the harmonic merge-cost ratio")
@@ -164,8 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--samples must be in 1..{MAX_SAMPLES}")
     if args.command == "verify" and args.seed < 0:
         parser.error("--seed must be nonnegative")
-    if args.command == "verify" and not 0 < args.tol < math.inf:
-        parser.error("--tol must be positive and finite")
     if args.command == "analyze":
         for flag, value, default in (
             ("--max-n", args.max_n, DEFAULT_N_CAP),

@@ -37,6 +37,7 @@ from .linext import count_extensions, orders_by_rank, sample_order
 from .poset import Poset, maximal_chains
 
 FEAS_TOL = 1e-12
+MAX_NEWTON = 1000  # primal-dual iterations `entropy` may take
 
 
 def chain_matrix(P: Poset) -> np.ndarray:
@@ -207,7 +208,7 @@ def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
     return min(1.0, float((-x[neg] / dx[neg]).min())) if neg.any() else 1.0
 
 
-def entropy(P: Poset, tol: float = 1e-8, max_newton: int = 1000) -> EntropySolution:
+def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     """Minimize -(1/n) sum ln z_i over the chain polytope.
 
     Feasible-start primal-dual interior point (Mehrotra predictor-corrector)
@@ -223,7 +224,7 @@ def entropy(P: Poset, tol: float = 1e-8, max_newton: int = 1000) -> EntropySolut
     The returned kkt_residual is the duality gap certified by explicit
     multipliers; newton_steps counts primal-dual iterations.
     NonConvergence is raised if the gap cannot be brought below tol within
-    max_newton iterations.
+    MAX_NEWTON iterations.
     """
     if not tol > 0:  # also rejects NaN, which would pass every gap test
         raise ValueError("tol must be positive")
@@ -238,7 +239,7 @@ def entropy(P: Poset, tol: float = 1e-8, max_newton: int = 1000) -> EntropySolut
     steps = stalled = 0
     # Stop at the float64 noise floor, or once the certified gap is below
     # tol and has not improved for three iterations.
-    while steps < max_newton and best[0] > 1e-14 and (best[0] > tol or stalled < 3):
+    while steps < MAX_NEWTON and best[0] > 1e-14 and (best[0] > tol or stalled < 3):
         steps += 1
         w = A.T @ lam
         M = np.diag(w / z) + (A.T * (lam / s)) @ A

@@ -44,7 +44,7 @@ from .linext import (
 from .orderstats import harmonic, harmonic_float
 from .polytopes import chain_point_batch, entropy, transfer_batch
 from .poset import Poset
-from .spexpr import Block, NBlock, Series, Singleton, SPExpr, expr_size, sp_decomposition
+from .spexpr import Block, NBlock, Parallel, SPExpr, expr_size, nodes, sp_decomposition
 
 DEFAULT_MATRIX_CAP = 4000
 
@@ -140,23 +140,22 @@ def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
-    """Exact QLB of an SP expression by structural recursion.
+    """Exact QLB of an SP expression, summed over its `nodes`.
 
-    Series adds the parts; parallel adds the parts plus the harmonic merge
-    cost n H_n - sum_c n_c H_{n_c} (the binary n H_n - n1 H_{n1} - n2 H_{n2}
-    summed over a left fold).  Each Block and NBlock leaf takes the ideal
-    DP of `qlb_fraction`, which refuses a leaf of more than max_extensions
-    extensions.
+    Series adds the parts, so a Series node adds nothing; a Parallel node
+    adds the harmonic merge cost n H_n - sum_c n_c H_{n_c} of its children
+    (the binary n H_n - n1 H_{n1} - n2 H_{n2} summed over a left fold).  Each
+    Block and NBlock leaf adds the ideal DP of `qlb_fraction`, which refuses
+    a leaf of more than max_extensions extensions.
     """
-    if isinstance(e, Singleton):
-        return Fraction(0)
-    if isinstance(e, (Block, NBlock)):
-        return qlb_fraction(e.poset, max_extensions=max_extensions)
-    parts = sum((qlb_sp_fraction(c, max_extensions) for c in e.children), Fraction(0))
-    if isinstance(e, Series):
-        return parts
-    sizes = [expr_size(c) for c in e.children]
-    return parts + sum(sizes) * harmonic(sum(sizes)) - sum(k * harmonic(k) for k in sizes)
+    total = Fraction(0)
+    for node in nodes(e):
+        if isinstance(node, (Block, NBlock)):
+            total += qlb_fraction(node.poset, max_extensions=max_extensions)
+        elif isinstance(node, Parallel):
+            sizes = [expr_size(c) for c in node.children]
+            total += sum(sizes) * harmonic(sum(sizes)) - sum(k * harmonic(k) for k in sizes)
+    return total
 
 
 @dataclass(frozen=True)
@@ -513,7 +512,7 @@ def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
     from the largest predecessor rank and the smallest successor rank.
     """
     r = gamma.ranks
-    low = np.where(P.rel.T, r[:, None, :], 0).max(axis=2)  # largest predecessor rank
+    low = r - transfer_batch(P, r)  # largest predecessor rank: the rank less its gap
     high = np.where(P.rel, r[:, None, :], P.n + 1).min(axis=2)  # smallest successor rank
     I, J = np.nonzero(np.triu(~(P.rel | P.rel.T), 1))
     a_i, a_j = low[:, I] - (low[:, I] > r[:, J]), low[:, J] - (low[:, J] > r[:, I])

@@ -17,12 +17,13 @@ a series places every element of an earlier block below every element of a
 later block, a parallel adds no cross relations.  ``sp_decomposition`` inverts it up to
 renumbering for any ``Poset`` (n >= 1), splitting on the poset's cached
 ``pred_masks`` and ``succ_masks``.  ``nodes`` walks an expression without
-recursion.
+recursion, and ``expr_size`` and the folds over an expression sum along it.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -72,9 +73,9 @@ class NBlock:
     def __str__(self) -> str:
         return f"N({self.k})"
 
-    @property
+    @cached_property
     def poset(self) -> Poset:
-        """The realized N block."""
+        """The realized N block, built once per node."""
         return realize(self)
 
 
@@ -120,14 +121,11 @@ def nodes(e: SPExpr) -> Iterator[SPExpr]:
 
 
 def expr_size(e: SPExpr) -> int:
-    """Number of elements of the realized poset."""
-    if isinstance(e, Singleton):
-        return 1
-    if isinstance(e, NBlock):
-        return 4 * e.k
-    if isinstance(e, Block):
-        return e.poset.n
-    return sum(expr_size(c) for c in e.children)
+    """Number of elements of the realized poset: the sum of its leaf sizes."""
+    return sum(1 if isinstance(node, Singleton)
+               else 4 * node.k if isinstance(node, NBlock)
+               else node.poset.n if isinstance(node, Block)
+               else 0 for node in nodes(e))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Each parenthesis level costs three parser frames and adds at most a
 # parallel and a series node (an antichain in the innermost series one more),
 # so a parsed tree is at most MAX_DEPTH nodes deep; both bounds keep the
-# parser and the walks over its output inside the recursion limit of 1000.
+# parser, `_split`, `realize` and the printers inside the recursion limit of 1000.
 MAX_NESTING = 100
 MAX_DEPTH = 2 * MAX_NESTING + 3
 # Bound on the element count of a whole expression, counted before any leaf
@@ -319,7 +317,7 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
     elements that neither splits becomes a ``Block`` of its induced
     sub-poset, and P itself when P is indecomposable.  One nested deeper
     than any parsed expression, MAX_DEPTH, raises LimitExceededError, which
-    bounds every structural walk over the result.
+    bounds `realize` and the printers, the walks that recurse over the result.
     """
     expr, leaves = _split(P, (1 << P.n) - 1, 0)
     return expr, tuple(leaves)

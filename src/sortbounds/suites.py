@@ -20,6 +20,7 @@ from .spexpr import (Block, expr_size, nodes, parallel, parse_sp, realize, recog
                      sp_decomposition)
 
 MAX_SAMPLES = 10**6  # the samplers hold (samples, n) arrays: `verify` refuses more
+VERIFY_TOL = 1e-8  # the tol that `verify` passes to every suite
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from sortbounds import Parallel, Series, Singleton, realize, write_poset
 from sortbounds.cli import exit_code_for_report, main
 from sortbounds.quantum import TECH_MAX_N, BoundsReport, tech_constant
-from sortbounds.suites import MAX_SAMPLES
+from sortbounds.suites import MAX_SAMPLES, VERIFY_TOL
 
 DATA = Path(__file__).parent / "data"
 
@@ -302,12 +302,14 @@ def test_cap_override_warns(capsys):
     assert err == ""
 
 
-def test_config_invariants_rejected():
+def test_config_invariants_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--expr", ".", "--samples", "0"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "sp", "--tol", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 0" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["verify", "sp", "--seed", "-1"])
     assert exc.value.code == 2
@@ -334,9 +336,10 @@ def test_caps_at_their_bounds_run(capsys, monkeypatch):
     import sortbounds.cli as cli
 
     seen = []
-    monkeypatch.setattr(cli, "run_suites", lambda names, seed, samples, tol: seen.append(samples) or [])
+    monkeypatch.setattr(cli, "run_suites",
+                        lambda names, seed, samples, tol: seen.append((samples, tol)) or [])
     assert run_cli(capsys, "verify", "sp", "--samples", str(MAX_SAMPLES))[0] == 0
-    assert seen == [MAX_SAMPLES]
+    assert seen == [(MAX_SAMPLES, VERIFY_TOL)]
     code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)", "--enum-cap", "0", "--matrix-cap", "0")
     rep = json.loads(out)
     assert code == 0 and rep["num_extensions"] == 5
@@ -348,12 +351,11 @@ def test_caps_at_their_bounds_run(capsys, monkeypatch):
     *(["verify", "polytopes", "--tol", tol] for tol in ("nan", "inf", "-inf", "0", "-1e-8")),
 ])
 def test_tol_usage_errors(argv, capsys):
-    # analyze has no tolerance; a NaN or infinite verify --tol would pass
-    # every "gap > tol" test and report PASS without a certificate
+    # neither command takes a tolerance: verify runs at suites.VERIFY_TOL
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_exit_code_contract():

@@ -31,6 +31,7 @@ from sortbounds import (
     transfer,
     transfer_inverse,
 )
+from sortbounds import polytopes
 from sortbounds.orderstats import ks_critical, ks_statistic
 from sortbounds.poset import MAX_CHAINS
 from sortbounds.polytopes import (
@@ -111,15 +112,16 @@ def test_entropy_chain_and_antichain():
 def test_entropy_rejects_bad_tol(wedge):
     with pytest.raises(ValueError):
         entropy(wedge, tol=0.0)
-    # NaN fails every gap comparison, so it would return the uncertified
-    # start point (gap 0.049 on the 6-fence) if it were accepted
+    # NaN fails every gap comparison, so it would return an uncertified
+    # point if it were accepted; the check comes before the first step
     with pytest.raises(ValueError):
-        entropy(fence_poset(6), tol=float("nan"), max_newton=0)
+        entropy(fence_poset(6), tol=float("nan"))
 
 
-def test_entropy_nonconvergence_with_no_step_budget(wedge):
+def test_entropy_nonconvergence_with_no_step_budget(wedge, monkeypatch):
+    monkeypatch.setattr(polytopes, "MAX_NEWTON", 0)
     with pytest.raises(NonConvergenceError):
-        entropy(wedge, tol=1e-9, max_newton=0)
+        entropy(wedge, tol=1e-9)
 
 
 def _grid_minimum(P, step):

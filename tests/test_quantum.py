@@ -44,6 +44,7 @@ from sortbounds import (
     uniform_rayleigh,
 )
 from sortbounds import quantum
+from sortbounds.polytopes import transfer_batch
 from sortbounds.quantum import (
     LEMMA_TOL,
     TECH_MAX_N,
@@ -568,7 +569,13 @@ def test_dropped_window_types_are_principal_submatrices(P):
     # such that its W_{n-2} block, moved by -c, is a principal submatrix of
     # the kept type's block: a wrong containment rule fails here even where
     # the maximum happens to agree
-    types = _window_types(build_adversary(P), P)
+    gamma = build_adversary(P)
+    types = _window_types(gamma, P)
+    # the largest predecessor rank that `_window_types` reads as the rank
+    # less its gap, against a max over an (N, n, n) mask
+    r = gamma.ranks
+    np.testing.assert_array_equal(r - transfer_batch(P, r),
+                                  np.where(P.rel.T, r[:, None, :], 0).max(axis=2))
     kept = _maximal_types(types)
     assert 0 < len(kept) < len(types)
     m = P.n - 2

@@ -1,3 +1,7 @@
+import inspect
+import sys
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -5,12 +9,14 @@ from sortbounds import (
     NBlock,
     Parallel,
     ParseError,
+    Poset,
     Series,
     Singleton,
     count_extensions_sp,
     count_induced_N,
     entropy,
     expr_size,
+    harmonic,
     itlb,
     n_poset,
     parse_sp,
@@ -23,7 +29,7 @@ from sortbounds import (
     relabel,
     sp_decomposition,
 )
-from sortbounds.spexpr import MAX_DEPTH, MAX_NESTING
+from sortbounds.spexpr import MAX_DEPTH, MAX_NESTING, nodes
 
 from conftest import matrix_sp_decomposition
 
@@ -132,7 +138,40 @@ def test_decompose_deepest_parsed_expression():
         depth += 1
         node = max(node.children, key=expr_size)
     assert depth == MAX_DEPTH
-    assert count_extensions_sp(expr2) > 0 and qlb_sp_fraction(expr2) > 0
+    folds = (expr_size, count_extensions_sp, qlb_sp_fraction)
+    want = [fold(expr2) for fold in folds]
+    assert want[0] == P.n and want[1] > 0 and want[2] > 0
+    # the folds sum over `nodes`: a recursion limit a few frames above the
+    # caller, far below MAX_DEPTH, leaves them the same values
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 25)
+    try:
+        got = [fold(expr2) for fold in folds]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+
+
+def test_folds_share_one_n_leaf(monkeypatch):
+    # an N(k) leaf realizes its poset once, so the count and the QLB fold
+    # read one ideal lattice
+    want = qlb_fraction(n_poset(2)) + 9 * harmonic(9) - 8 * harmonic(8) - harmonic(1)
+    built = []
+    fill = Poset.lattice.func
+
+    def counted(self):
+        built.append(self)
+        return fill(self)
+
+    lattice = cached_property(counted)
+    lattice.__set_name__(Poset, "lattice")
+    monkeypatch.setattr(Poset, "lattice", lattice)
+    e = parse_sp("N(2)+.")
+    leaf = next(node for node in nodes(e) if isinstance(node, NBlock))
+    assert leaf.poset is leaf.poset
+    assert count_extensions_sp(e) == 53 * 9
+    assert qlb_sp_fraction(e) == want
+    assert len(built) == 1 and built[0] is leaf.poset
 
 
 def test_split_matches_matrix_oracle():

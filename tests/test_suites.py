@@ -33,7 +33,7 @@ def test_entropy_failure_is_a_failed_check(capsys, monkeypatch):
     from sortbounds import polytopes
     from sortbounds.errors import NonConvergenceError
 
-    def diverges(P, tol=1e-8, max_newton=1000):
+    def diverges(P, tol=1e-8):
         raise NonConvergenceError("no certified gap")
 
     monkeypatch.setattr(polytopes, "entropy", diverges)
