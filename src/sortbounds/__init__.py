@@ -40,7 +40,6 @@ from .linext import (
     ln_count,
     orders_by_rank,
     sample_extension,
-    sample_order,
 )
 from .orderstats import (
     ClosedFormResiduals,

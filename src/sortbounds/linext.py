@@ -2,21 +2,20 @@
 
 Each extension is a path up the lattice of ideals, one element placed per
 edge, and all three read its table ``Poset.lattice``: counting takes the
-completions of the empty ideal, enumeration follows the path of each lex
-rank and sampling walks one at random.  Counts are exact integers; n is
-capped (default 20) so the table stays at most 2**20 ideals.
+completions of the empty ideal, and `orders_by_rank` follows the path of
+each lex rank, for enumeration (every rank) and for sampling (uniform ranks
+drawn with numpy's ``Generator``).  Counts are exact integers; n is capped
+(default 20) so the table stays at most 2**20 ideals.
 """
 from __future__ import annotations
 
 import math
-import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import LimitExceededError
+from .errors import DomainError, LimitExceededError
 from .poset import Poset
 from .spexpr import Block, NBlock, Parallel, SPExpr, expr_size, nodes
 
@@ -93,10 +92,17 @@ def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.nda
 def orders_by_rank(P: Poset, ranks) -> np.ndarray:
     """The extensions of lex ranks 0 <= r < N as (len(ranks), n) int16 element
     sequences.  From the empty ideal each layer takes the edge whose prefix sum
-    of completions (``before`` of `IdealLattice.walk`) holds the rank and keeps
-    the remainder, 2**16 ranks at a time.  Callers cap n and the ranks first."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    walk = [tuple(map(np.asarray, layer)) for layer in P.lattice.walk]
+    of completions ``before`` holds the rank and keeps the remainder, 2**16
+    ranks at a time.  Caps n at 20 before the lattice is built; DomainError
+    unless ranks is a 1-d integer array in 0..N-1."""
+    total = count_extensions(P)
+    ranks = np.asarray(ranks)
+    if ranks.ndim != 1 or ranks.dtype.kind not in "iu" or (
+            ranks.size and not 0 <= ranks.min() <= ranks.max() < total):
+        raise DomainError(f"ranks must be a 1-d integer array in 0..{total - 1}")
+    ranks = ranks.astype(np.int64, copy=False)
+    walk = [(a.start, np.concatenate(([0], np.cumsum(b.counts[a.dst]))), a.elem, a.dst)
+            for a, b in zip(P.lattice, P.lattice[1:])]
     orders = np.empty((len(ranks), P.n), dtype=np.int16)
     for lo in range(0, len(ranks), 1 << 16):
         rank, node = ranks[lo : lo + (1 << 16)], 0
@@ -109,27 +115,11 @@ def orders_by_rank(P: Poset, ranks) -> np.ndarray:
     return orders
 
 
-def sample_order(P: Poset, rng: random.Random) -> tuple[int, ...]:
-    """One exactly-uniform extension as an element sequence, drawn with rng.
-
-    Rank 1 first: from the ideal placed so far, each edge of `Poset.lattice`
-    is taken with probability proportional to the completions of its end, in
-    exact integers.  The table is built on first use: callers cap n first.
-    """
-    node, order = 0, []
-    for start, before, elem, dst in P.lattice.walk:
-        lo, hi = start[node], start[node + 1]
-        base = before[lo]
-        t = bisect_right(before, base + rng.randrange(before[hi] - base), lo + 1, hi + 1) - 1
-        order.append(elem[t])
-        node = dst[t]
-    return tuple(order)
-
-
 def sample_extension(P: Poset, seed: int) -> LinearExtension:
-    """One exactly-uniform extension; deterministic given the seed."""
-    count_extensions(P)  # caps n before the lattice is built
-    return LinearExtension.from_order(sample_order(P, random.Random(seed)))
+    """One exactly-uniform extension, deterministic given the seed: the
+    `orders_by_rank` row of a rank drawn by ``np.random.default_rng(seed)``."""
+    rank = np.random.default_rng(seed).integers(0, count_extensions(P))
+    return LinearExtension.from_order(orders_by_rank(P, [rank])[0].tolist())
 
 
 def count_extensions_sp(e: SPExpr, max_n: int = DEFAULT_N_CAP) -> int:

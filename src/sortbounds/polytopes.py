@@ -23,7 +23,6 @@ bound LB = n (ln n - H(P)) is the solution's `lb`.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
     NotConsistentError,
     NotInChainPolytopeError,
 )
-from .linext import count_extensions, orders_by_rank, sample_order
+from .linext import count_extensions, orders_by_rank
 from .poset import Poset, maximal_chains
 
 FEAS_TOL = 1e-12
@@ -123,11 +122,9 @@ def _order_points(orders: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_order_point(P: Poset, seed: int) -> np.ndarray:
-    """One exactly-uniform point of O(P): a uniform extension assigns which
-    sorted uniform each element receives."""
-    count_extensions(P)
-    order = sample_order(P, random.Random(seed))
-    return _order_points(np.array([order]), np.random.default_rng(seed))[0]
+    """One exactly-uniform point of O(P): the one-row `order_point_batch`
+    of ``np.random.default_rng(seed)``."""
+    return order_point_batch(P, 1, np.random.default_rng(seed))[0]
 
 
 def sample_chain_point(P: Poset, seed: int) -> np.ndarray:
@@ -139,6 +136,7 @@ def order_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.nd
     """(samples, n) uniform O(P) points from uniform lex ranks drawn with rng."""
     total = count_extensions(P)
     ranks = rng.integers(0, total, size=samples)
+    # both read the same rows; at N <= samples, walking each rank once is fewer walks
     if total <= samples:
         orders = orders_by_rank(P, np.arange(total))[ranks]
     else:

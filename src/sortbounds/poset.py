@@ -9,8 +9,8 @@ only at that boundary.
 A ``Poset`` is immutable after construction and safe to share across workers.
 Its only caches are the declared cached properties below: the cover
 relation, the predecessor and successor bitmasks (bit i is element i) and
-``lattice``, the table of ideals that counting, enumeration, sampling and
-the exact QLB read.  Each is built on first use and never mutated afterwards.
+``lattice``, the ideal table that counting, `orders_by_rank` (enumeration,
+sampling) and the exact QLB read.  Each is built on first use, never mutated.
 """
 from __future__ import annotations
 
@@ -60,18 +60,6 @@ class IdealLayer(NamedTuple):
     dst: np.ndarray
 
 
-class IdealLattice(tuple):
-    """`Poset.lattice`: the `IdealLayer` of each size 0..n."""
-
-    @cached_property
-    def walk(self) -> tuple[tuple[memoryview, ...], ...]:
-        """(start, before, elem, dst) per layer as memoryviews for `sample_order`
-        and `orders_by_rank`: before[k] sums c over the ends of edges before k, at most N."""
-        return tuple(tuple(map(memoryview, (
-            a.start, np.concatenate(([0], np.cumsum(b.counts[a.dst]))), a.elem, a.dst)))
-            for a, b in zip(self, self[1:]))
-
-
 class Poset:
     """Immutable strict partial order: the closure of a relation, n >= 1.
 
@@ -118,9 +106,9 @@ class Poset:
         return _row_masks(self.rel)
 
     @cached_property
-    def lattice(self) -> "IdealLattice":
-        """The ideals (down-sets) of P, one `IdealLayer` per size 0..n: the
-        one place that decides which elements extend an ideal.
+    def lattice(self) -> tuple[IdealLayer, ...]:
+        """The ideals (down-sets) of P, a plain tuple of one `IdealLayer` per
+        size 0..n: the one place that decides which elements extend an ideal.
 
         Filled from the full set down: D ^ e is an ideal iff e is maximal in
         ideal D, D & (succ(e) | e) == e.  The pairs (e, D) are listed by
@@ -160,7 +148,7 @@ class Poset:
             layers.append(IdealLayer(masks, counts, start.astype(index), elem, dst))
         for a in itertools.chain.from_iterable(layers):
             a.setflags(write=False)
-        return IdealLattice(reversed(layers))
+        return tuple(reversed(layers))
 
     def predecessors(self, i: int) -> list[int]:
         return np.nonzero(self.rel[:, i])[0].tolist()

@@ -2,7 +2,7 @@
 
 Each check returns a CheckResult; a suite passes when every check does.  The
 instance families are built from seeded generators, so a run is reproducible
-given (seed, samples, tol).
+from (seed, samples); `verify` fixes `tol` at `VERIFY_TOL`.
 """
 from __future__ import annotations
 

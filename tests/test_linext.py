@@ -28,7 +28,7 @@ from sortbounds import (
     realize,
     sample_extension,
 )
-from sortbounds.linext import sample_order as _sample_order
+from sortbounds.polytopes import order_point_batch
 
 from conftest import brute_force_extensions, recursive_extension_orders
 
@@ -167,18 +167,19 @@ def test_sample_cap():
         sample_extension(antichain_poset(25), 0)
 
 
-def _chisquare_uniformity(P, samples, seed):
-    exts = list(enumerate_extensions(P))
-    index = {e.order: t for t, e in enumerate(exts)}
-    import random as _random
+def _drawn_orders(P, samples, seed):
+    """The extensions behind one seeded `order_point_batch`, read off each
+    row by argsort, and how often each was drawn, in lex order."""
+    orders = np.argsort(order_point_batch(P, samples, np.random.default_rng(seed)), axis=1)
+    return np.unique(orders, axis=0, return_counts=True)
 
-    walker = _random.Random(seed)
-    counts = np.zeros(len(exts))
-    for _ in range(samples):
-        counts[index[_sample_order(P, walker)]] += 1
-    expected = samples / len(exts)
+
+def _chisquare_uniformity(P, samples, seed):
+    drawn, counts = _drawn_orders(P, samples, seed)
+    np.testing.assert_array_equal(drawn, extension_orders(P))  # every extension, nothing else
+    expected = samples / len(counts)
     stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, float(chi2.ppf(1 - 0.001, df=len(exts) - 1))
+    return stat, float(chi2.ppf(1 - 0.001, df=len(counts) - 1))
 
 
 @pytest.mark.parametrize("build,n_exp", [
@@ -206,22 +207,11 @@ def test_sampler_uniformity_across_family(family8):
 
 def test_sampler_frequencies_small(wedge):
     # the two spec-level frequency checks at +-0.01
-    import random as _random
-
-    walker = _random.Random(7)
-    counts = {}
     samples = 10**5
-    for _ in range(samples):
-        o = _sample_order(wedge, walker)
-        counts[o] = counts.get(o, 0) + 1
-    for o, c in counts.items():
-        assert abs(c / samples - 1 / 3) <= 0.01
-    walker = _random.Random(8)
-    a2 = antichain_poset(2)
-    counts = {(0, 1): 0, (1, 0): 0}
-    for _ in range(samples):
-        counts[_sample_order(a2, walker)] += 1
-    assert abs(counts[(0, 1)] / samples - 0.5) <= 0.01
+    for P, seed, n_exp in ((wedge, 7, 3), (antichain_poset(2), 8, 2)):
+        _, counts = _drawn_orders(P, samples, seed)
+        assert len(counts) == n_exp
+        assert np.abs(counts / samples - 1 / n_exp).max() <= 0.01
 
 
 def test_count_monotone_under_extension():

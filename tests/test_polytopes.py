@@ -22,11 +22,13 @@ from sortbounds import (
     fence_poset,
     lb,
     n_poset,
+    orders_by_rank,
     parse_sp,
     qh_fraction,
     qh_mc,
     realize,
     sample_chain_point,
+    sample_extension,
     sample_order_point,
     transfer,
     transfer_inverse,
@@ -261,9 +263,11 @@ def test_single_point_samplers_cap_n(monkeypatch):
         pytest.fail("the lattice was built before the n cap was checked")
 
     monkeypatch.setattr(Poset, "lattice", property(reached))
-    for sampler in (sample_order_point, sample_chain_point):
+    for sampler in (sample_order_point, sample_chain_point, sample_extension):
         with pytest.raises(LimitExceededError):
             sampler(P, 0)
+    with pytest.raises(LimitExceededError):
+        orders_by_rank(P, [0])
 
 
 def test_sample_order_point_uniform_marginals():
@@ -330,17 +334,17 @@ def test_volume_matches_extension_count(family8):
 # (N = 53 <= 64) and only the drawn ranks of fence8 (N = 1,385) and
 # antichain10 (N = 10!)
 SAMPLER_PINS = {
-    ("n2", 0): ("6f5a36d510dd16aa", "42447742a1176178", "7848346f5fa4c234",
+    ("n2", 0): ("5ea5a16e4a27ae85", "d7797e8192c967d3", "7848346f5fa4c234",
                 (2.0623411163287417, 0.04336850926754781)),
-    ("n2", 2024): ("8c4dc0594dfbac5e", "4ccf903b756fd999", "22ed76071f859b58",
+    ("n2", 2024): ("1a60cf79ef4ea5f6", "ed374d5b94f90f7b", "22ed76071f859b58",
                    (2.0857279608080685, 0.03115414343436844)),
-    ("antichain10", 0): ("cc444ad93f648b93", "cc444ad93f648b93", "68077162f82b5204",
+    ("antichain10", 0): ("4e00512af37a7791", "4e00512af37a7791", "68077162f82b5204",
                          (0.9350511900643428, 0.03607770467365709)),
-    ("antichain10", 2024): ("762ce23d0df5f534", "762ce23d0df5f534", "dd40f51cb6940d2c",
+    ("antichain10", 2024): ("75d68b146aa9cd4d", "75d68b146aa9cd4d", "dd40f51cb6940d2c",
                             (0.9922085551032521, 0.04030281666236703)),
-    ("fence8", 0): ("27a61eb18c2ccd7d", "0a9ed4e670ab003a", "76cdd5df002737c4",
+    ("fence8", 0): ("07f5b122d8a3243d", "4101f741db3ae9fb", "76cdd5df002737c4",
                     (1.4920854395851633, 0.038599345539042304)),
-    ("fence8", 2024): ("70281cc8d2ed121b", "d66a64c9612678e9", "0875108c05afa87d",
+    ("fence8", 2024): ("221e63fbd2bbe42f", "1fdab1862d6e5b50", "0875108c05afa87d",
                        (1.5683494847311712, 0.0380100908223356)),
 }
 
@@ -355,6 +359,8 @@ def test_seeded_samplers_are_pinned(key):
 
     order_pt, chain_pt, batch, mc = SAMPLER_PINS[key]
     assert digest(sample_order_point(P, seed)) == order_pt
+    np.testing.assert_array_equal(sample_order_point(P, seed),
+                                  order_point_batch(P, 1, np.random.default_rng(seed))[0])
     assert digest(sample_chain_point(P, seed)) == chain_pt
     assert digest(order_point_batch(P, 64, np.random.default_rng(seed))) == batch
     # qh_mc averages np.log, whose last bit may differ between SIMD builds

@@ -1,13 +1,11 @@
 """Property tests: the fast paths against the brute-force oracles."""
-import random
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sortbounds import (
-    LinearExtension,
+    DomainError,
     Singleton,
     SortboundsError,
     build_adversary,
@@ -32,7 +30,7 @@ from sortbounds import (
     random_poset,
     realize,
     recognize_sp,
-    sample_order,
+    sample_extension,
     series,
     sp_decomposition,
     transfer,
@@ -178,6 +176,10 @@ def test_orders_by_rank_indexes_the_lex_list(case, fractions, seed):
     got = orders_by_rank(P, ranks)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want[ranks])
+    # a rank outside 0..N-1, a fraction or a 2-d array is refused
+    for bad in ([-1], [N], [1.5], [[0]]):
+        with pytest.raises(DomainError):
+            orders_by_rank(P, bad)
     # the batch sampler reads the same rows whether it enumerates (N <= samples)
     # or walks only the drawn ranks
     for samples in (max(N - 1, 1), N, N + 1):
@@ -190,10 +192,7 @@ def test_orders_by_rank_indexes_the_lex_list(case, fractions, seed):
 @given(posets(), st.integers(0, 2**32))
 def test_sample_order_is_an_extension(case, seed):
     P, pairs = case
-    rng = random.Random(seed)
-    orders = set(brute_force_extensions(P.n, pairs))
-    for _ in range(5):
-        assert sample_order(P, rng) in orders
+    assert sample_extension(P, seed).order in brute_force_extensions(P.n, pairs)
 
 
 @settings(max_examples=40)
@@ -207,7 +206,7 @@ def test_qlb_fraction_matches_brute_force(case):
 def test_d_vector_is_transfer_at_ranks(case, seed):
     # the gap vector is the transfer map evaluated at ranks/n, scaled back
     P, _ = case
-    ext = LinearExtension.from_order(sample_order(P, random.Random(seed)))
+    ext = sample_extension(P, seed)
     scaled = transfer(P, np.asarray(ext.rank) / P.n) * P.n
     assert tuple(np.rint(scaled).astype(int).tolist()) == d_vector(P, ext)
 
