@@ -33,7 +33,6 @@ from .linext import (
     LinearExtension,
     count_extensions,
     count_extensions_sp,
-    enumerate_extensions,
     extension_orders,
     is_extension,
     itlb,
@@ -84,8 +83,9 @@ from .quantum import (
     TechConstant,
     analyze,
     build_adversary,
+    certify_sandwich,
     d_vector,
-    gamma_ij,
+    entropy_sp,
     hilbert_norm,
     max_gamma_ij_norm,
     nk_bounds,

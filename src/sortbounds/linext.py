@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -71,14 +70,6 @@ def ln_count(x: int) -> float:
 def itlb(P: Poset) -> float:
     """Information-theoretic lower bound ln |extensions|; 0 for a chain."""
     return ln_count(count_extensions(P))
-
-
-def enumerate_extensions(
-    P: Poset, max_extensions: int = DEFAULT_ENUM_CAP
-) -> Iterator[LinearExtension]:
-    """Yield every extension once, in lexicographic order of element sequence."""
-    for order in extension_orders(P, max_extensions).tolist():
-        yield LinearExtension.from_order(order)
 
 
 def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.ndarray:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -42,9 +42,9 @@ from .linext import (
     ln_count,
 )
 from .orderstats import harmonic, harmonic_float
-from .polytopes import chain_point_batch, entropy, transfer_batch
+from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
 from .poset import Poset
-from .spexpr import Block, NBlock, Parallel, SPExpr, expr_size, nodes, sp_decomposition
+from .spexpr import Block, NBlock, Parallel, Series, SPExpr, expr_size, nodes, sp_decomposition
 
 DEFAULT_MATRIX_CAP = 4000
 
@@ -158,6 +158,69 @@ def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fracti
     return total
 
 
+def _ln(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+class EntropyFold(NamedTuple):
+    H: float
+    lb: float
+    sandwich_ok: bool
+
+
+def entropy_sp(e: SPExpr, num: int) -> EntropyFold:
+    """H(P), LB and the sandwich of an SP expression with num extensions,
+    folded over its `nodes` by the graph-entropy rules of Kahn and Kim
+    (1995).
+
+    A parallel composition is a product of chain polytopes, so a Parallel
+    node adds nothing to n H; a Series node of size m is a join, split at
+    alpha_c = n_c / m, and multiplies the rational R by prod_c (m / n_c)**n_c;
+    each Block and NBlock leaf adds n_b H_b, H_b from `entropy(node.poset)`,
+    the only interior-point solves (and chain lists).  So
+    n H = ln R + sum_b n_b H_b and LB = ln(n**n / R) - sum_b n_b H_b,
+    clamped at 0; each log of a Fraction is taken from its numerator and
+    denominator, so an antichain has H = 0.0 and a chain LB = 0.0 exactly.
+    The sandwich is `certify_sandwich` of (num, n**n / R, the solved leaves).
+    """
+    R, leaves = Fraction(1), []
+    for node in nodes(e):
+        if isinstance(node, (Block, NBlock)):
+            leaves.append(entropy(node.poset))
+        elif isinstance(node, Series):
+            sizes = [expr_size(c) for c in node.children]
+            R *= Fraction(sum(sizes) ** sum(sizes), math.prod(k**k for k in sizes))
+    n = expr_size(e)
+    spent = sum(len(sol.z_star) * sol.H for sol in leaves)
+    top = n**n / R
+    return EntropyFold(H=(_ln(R) + spent) / n, lb=max(0.0, _ln(top) - spent),
+                       sandwich_ok=certify_sandwich(num, top, leaves))
+
+
+def certify_sandwich(num: int, top: Fraction, leaves: Sequence[EntropySolution]) -> bool:
+    """ITLB <= LB <= 2 ITLB, for ITLB = ln num and LB = ln(top) - sum_b n_b H_b
+    over the solved leaves (n_b = len(z_star)), decided with no tolerance.
+
+    With no leaf it is the exact comparison num <= top <= num**2.  Otherwise
+    each leaf's true entropy lies between its dual value H_b - kkt_residual_b
+    and its primal value H_b, so LB lies in the certified bracket
+    [ln(top) - sum_b n_b H_b, that + sum_b n_b kkt_residual_b].  The bracket
+    is widened outward by a relative (n + 8) eps of its terms, n the leaves'
+    total size, and ITLB by the same relative slack, as `_bracket` widens
+    its values; a bracket that straddles either side decides it false.
+    """
+    if not leaves:
+        return num <= top <= num * num
+    ln_top = _ln(top)
+    spent = sum(len(sol.z_star) * sol.H for sol in leaves)
+    gap = sum(len(sol.z_star) * sol.kkt_residual for sol in leaves)
+    slack = (sum(len(sol.z_star) for sol in leaves) + 8) * math.ulp(1.0)
+    width = slack * (ln_top + spent + gap)
+    itlb_val = ln_count(num)
+    return (itlb_val * (1.0 + slack) <= ln_top - spent - width
+            and ln_top - spent + gap + width <= 2.0 * itlb_val * (1.0 - slack))
+
+
 @dataclass(frozen=True)
 class NkBounds:
     """Bracketing bounds for the k-fold chain blowup of the N poset."""
@@ -259,13 +322,6 @@ class AdversaryMatrix:
     vals: np.ndarray
     ranks: np.ndarray  # (dim, n) rank matrix of the indexing extensions
 
-    def index_of(self, ext: LinearExtension | Sequence[int]) -> int:
-        rank = tuple(ext.rank) if isinstance(ext, LinearExtension) else tuple(ext)
-        matches = np.nonzero((self.ranks == np.asarray(rank)).all(axis=1))[0]
-        if len(matches) != 1:
-            raise KeyError(f"rank vector {rank} is not an indexed extension")
-        return int(matches[0])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
         np.add.at(out, (self.rows, self.cols), self.vals)
@@ -275,9 +331,6 @@ class AdversaryMatrix:
         return sparse.coo_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
         ).tocsr()
-
-    def nonzero_entries(self) -> dict[tuple[int, int], float]:
-        return {(int(r), int(c)): float(v) for r, c, v in zip(self.rows, self.cols, self.vals)}
 
 
 def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> AdversaryMatrix:
@@ -346,24 +399,6 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
         cols=np.stack([tgt, src], axis=1).ravel(),
         vals=np.repeat(1.0 / dd, 2),
         ranks=ranks,
-    )
-
-
-def gamma_ij(gamma: AdversaryMatrix, P: Poset, i: int, j: int) -> AdversaryMatrix:
-    """Mask keeping entries where extensions disagree on the i-vs-j comparison."""
-    if i == j:
-        raise DomainError("the two compared elements must differ")
-    if not (0 <= i < P.n and 0 <= j < P.n):
-        raise DomainError(f"elements ({i}, {j}) out of range 0..{P.n - 1}")
-    below = gamma.ranks[:, i] < gamma.ranks[:, j]
-    keep = below[gamma.rows] != below[gamma.cols]
-    return AdversaryMatrix(
-        dim=gamma.dim,
-        n=gamma.n,
-        rows=gamma.rows[keep],
-        cols=gamma.cols[keep],
-        vals=gamma.vals[keep],
-        ranks=gamma.ranks,
     )
 
 
@@ -510,10 +545,14 @@ def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
     element's rest rank, its rank less one for each of i and j below it,
     is a nondecreasing function of its rank, so the extreme rest ranks come
     from the largest predecessor rank and the smallest successor rank.
+    Both are read off the one gap map, `transfer_batch`: the largest
+    predecessor rank is the rank less its gap, and the smallest successor
+    rank the rank plus its gap in the dual order at the reversed ranks
+    n + 1 - r (n + 1 for an element with no successor).
     """
     r = gamma.ranks
-    low = r - transfer_batch(P, r)  # largest predecessor rank: the rank less its gap
-    high = np.where(P.rel, r[:, None, :], P.n + 1).min(axis=2)  # smallest successor rank
+    low = r - transfer_batch(P, r)
+    high = r + transfer_batch(Poset(P.rel.T), P.n + 1 - r)
     I, J = np.nonzero(np.triu(~(P.rel | P.rel.T), 1))
     a_i, a_j = low[:, I] - (low[:, I] > r[:, J]), low[:, J] - (low[:, J] > r[:, I])
     b_i, b_j = high[:, I] - 2 - (high[:, I] > r[:, J]), high[:, J] - 2 - (high[:, J] > r[:, I])
@@ -575,12 +614,6 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
 LEMMA_TOL = 1e-6
 
 
-def sandwich_holds(itlb_val: float, lb_val: float) -> bool:
-    """ITLB <= LB <= 2 ITLB, each side relaxed by LEMMA_TOL."""
-    return (lb_val >= itlb_val * (1.0 - LEMMA_TOL) - 1e-9
-            and lb_val <= 2.0 * itlb_val + LEMMA_TOL)
-
-
 def analyze(
     P: Poset,
     *,
@@ -599,12 +632,16 @@ def analyze(
     else its fields are None.  Each norm is a side of its
     `norm_bracket`, the safe one for its lemma: `gamma_norm` is the lower
     side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
-    masks.  The certificates are
+    masks.  H(P) and LB fold the same decomposition (`entropy_sp`), so
+    only its Block leaves list maximal chains and run the interior-point
+    method.  The certificates are
 
     (a) ||Gamma|| >= QLB, up to relative LEMMA_TOL;
     (b) every masked norm ||Gamma^{ij}|| <= 2 pi + LEMMA_TOL;
     (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi) - LEMMA_TOL;
-    and the sandwich ITLB <= LB <= 2 ITLB.
+    and the sandwich ITLB <= LB <= 2 ITLB, decided with no tolerance by
+    `certify_sandwich`: exactly when P has no block, else on the certified
+    bracket of LB.
 
     Failures are reported as False flags, never raised.
     """
@@ -617,7 +654,7 @@ def analyze(
     except LimitExceededError:
         qlb_val = None
     itlb_val = ln_count(num)
-    sol = entropy(P)
+    fold = entropy_sp(expr, num)
     qh_val = harmonic_float(P.n) - qlb_val / P.n if qlb_val is not None else None
 
     gnorm = mnorm = None
@@ -634,8 +671,8 @@ def analyze(
         n=P.n,
         num_extensions=int(num),
         itlb=itlb_val,
-        entropy=sol.H,
-        lb=sol.lb,
+        entropy=fold.H,
+        lb=fold.lb,
         qlb=qlb_val,
         qh=qh_val,
         gamma_norm=gnorm,
@@ -643,5 +680,5 @@ def analyze(
         lemma1_ok=lemma1,
         lemma2_ok=lemma2,
         lemma3_ok=lemma3,
-        sandwich_ok=sandwich_holds(itlb_val, sol.lb),
+        sandwich_ok=fold.sandwich_ok,
     )

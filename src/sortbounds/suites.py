@@ -205,8 +205,11 @@ def suite_polytopes(seed: int, samples: int, tol: float) -> list[CheckResult]:
             continue
         if sol.kkt_residual > max(tol, 1e-9):
             solver_bad += 1
-        it = linext.itlb(P)
-        if it > 1e-12 and not quantum.sandwich_holds(it, sol.lb):
+        # a blockless member by the exact fold, with no solve; any other by
+        # the solve above as its one leaf, with R = 1
+        num, expr = linext.count_extensions(P), recognize_sp(P)
+        if not (quantum.entropy_sp(expr, num).sandwich_ok if expr is not None
+                else quantum.certify_sandwich(num, Fraction(P.n**P.n), [sol])):
             sandwich_bad += 1
     out.append(_result("polytopes", "entropy_certificates", solver_bad == 0,
                        "certified duality gap below tolerance on the family"))

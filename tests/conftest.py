@@ -12,8 +12,10 @@ from scipy import sparse
 
 from sortbounds import (
     Block,
+    DomainError,
     EntropySolution,
     LimitExceededError,
+    LinearExtension,
     NonConvergenceError,
     Poset,
     Singleton,
@@ -21,7 +23,6 @@ from sortbounds import (
     chain2_plus_point,
     chain_matrix,
     extension_orders,
-    gamma_ij,
     harmonic,
     norm_bracket,
     parallel,
@@ -30,7 +31,7 @@ from sortbounds import (
     tech_constant,
 )
 from sortbounds.polytopes import transfer_batch
-from sortbounds.quantum import _window_matrix, _window_types
+from sortbounds.quantum import AdversaryMatrix, _window_matrix, _window_types
 from sortbounds.spexpr import MAX_DEPTH
 
 # Property tests draw the same examples on every run and leave no example
@@ -284,6 +285,40 @@ def loop_adversary(P):
                 vals.extend((1.0 / dd, 1.0 / dd))
     return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
             np.asarray(vals, dtype=np.float64))
+
+
+def enumerate_extensions(P, max_extensions=10**6):
+    """Every extension as a `LinearExtension`, in lexicographic order of
+    element sequence: the rows of `extension_orders`, read lazily."""
+    for order in extension_orders(P, max_extensions).tolist():
+        yield LinearExtension.from_order(order)
+
+
+def index_of(gamma, ext):
+    """The row of gamma indexed by an extension (or its rank vector)."""
+    rank = tuple(ext.rank) if isinstance(ext, LinearExtension) else tuple(ext)
+    matches = np.nonzero((gamma.ranks == np.asarray(rank)).all(axis=1))[0]
+    if len(matches) != 1:
+        raise KeyError(f"rank vector {rank} is not an indexed extension")
+    return int(matches[0])
+
+
+def nonzero_entries(gamma):
+    """Every stored entry of gamma as a dict (row, col) -> value."""
+    return {(int(r), int(c)): float(v) for r, c, v in zip(gamma.rows, gamma.cols, gamma.vals)}
+
+
+def gamma_ij(gamma, P, i, j):
+    """Oracle: gamma masked to the entries whose two extensions disagree on
+    the i-vs-j comparison, as a matrix of its own."""
+    if i == j:
+        raise DomainError("the two compared elements must differ")
+    if not (0 <= i < P.n and 0 <= j < P.n):
+        raise DomainError(f"elements ({i}, {j}) out of range 0..{P.n - 1}")
+    below = gamma.ranks[:, i] < gamma.ranks[:, j]
+    keep = below[gamma.rows] != below[gamma.cols]
+    return AdversaryMatrix(dim=gamma.dim, n=gamma.n, rows=gamma.rows[keep],
+                           cols=gamma.cols[keep], vals=gamma.vals[keep], ranks=gamma.ranks)
 
 
 def per_mask_max_gamma_ij_norm(gamma, P):

@@ -105,13 +105,28 @@ def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
     assert "nested deeper" in err
 
 
-def test_analyze_exponential_chain_set_exits_1(capsys):
-    # 3**12 maximal chains on 36 elements: refused from the chain count,
-    # before the chains are listed or the entropy program is built
+def test_analyze_exponential_chain_set_exits_1(capsys, tmp_path):
+    # 12 antichain(3) factors in series have 3**12 maximal chains on 36
+    # elements, but no block: the fold lists none, and H = ln 12 (R = 12**36),
+    # LB = ln(36**36 / 12**36) = 36 ln 3, QLB = 12 (3 H_3 - 3) = 30
     expr = "*".join(["antichain(3)"] * 12)
     code, out, err = run_cli(capsys, "analyze", "--expr", expr, "--max-n", "40")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["entropy"] == pytest.approx(math.log(12), abs=1e-12)
+    assert rep["lb"] == pytest.approx(36 * math.log(3), abs=1e-12)
+    assert rep["qlb"] == 30
+    assert rep["sandwich_ok"] is True
+    # 12 layers of 3, each element below every element of the next layer but
+    # the first below the last: one indecomposable block of 36 elements,
+    # refused from its chain count before the chains are listed
+    pairs = [(3 * k + a + 1, 3 * k + b + 4) for k in range(11)
+             for a in range(3) for b in range(3) if (a, b) != (0, 2)]
+    layered = tmp_path / "layered.poset"
+    layered.write_text("36\n" + "".join(f"{i} {j}\n" for i, j in pairs), encoding="ascii")
+    code, out, err = run_cli(capsys, "analyze", str(layered), "--max-n", "40")
     assert code == 1 and out == ""
-    assert "531441 maximal chains exceed the chain cap" in err
+    assert "121393 maximal chains exceed the chain cap" in err
 
 
 def test_analyze_non_sp_over_enum_cap(capsys):

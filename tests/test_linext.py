@@ -15,7 +15,6 @@ from sortbounds import (
     chain_poset,
     count_extensions,
     count_extensions_sp,
-    enumerate_extensions,
     extension_orders,
     extends,
     is_extension,
@@ -30,7 +29,7 @@ from sortbounds import (
 )
 from sortbounds.polytopes import order_point_batch
 
-from conftest import brute_force_extensions, recursive_extension_orders
+from conftest import brute_force_extensions, enumerate_extensions, recursive_extension_orders
 
 
 def test_count_examples(wedge):

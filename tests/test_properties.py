@@ -1,4 +1,7 @@
 """Property tests: the fast paths against the brute-force oracles."""
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -16,10 +19,10 @@ from sortbounds import (
     count_induced_N,
     d_vector,
     entropy,
+    entropy_sp,
     expr_size,
     extension_orders,
     fence_poset,
-    gamma_ij,
     norm_bracket,
     orders_by_rank,
     parallel,
@@ -28,6 +31,7 @@ from sortbounds import (
     qlb_fraction,
     qlb_sp_fraction,
     random_poset,
+    random_sp_expr,
     realize,
     recognize_sp,
     sample_extension,
@@ -35,6 +39,7 @@ from sortbounds import (
     sp_decomposition,
     transfer,
 )
+from sortbounds import polytopes, quantum
 from sortbounds.polytopes import _order_points, order_point_batch
 from sortbounds.poset import parse_poset_text, transitive_closure
 from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
@@ -46,6 +51,7 @@ from conftest import (
     brute_force_induced_N,
     brute_force_qlb,
     dict_upset_counts,
+    gamma_ij,
     lattice_counts,
     loop_adversary,
     pair_loop_random_poset,
@@ -347,6 +353,47 @@ def test_entropy_matches_barrier_oracle(case):
     # constraint with no tolerance
     assert (sol.z_star > 0).all()
     assert ((chain_matrix(P) @ sol.z_star) <= 1.0).all()
+
+
+def _assert_fold_matches_solve(P, e):
+    fold = entropy_sp(e, count_extensions(P))
+    sol = entropy(P)
+    assert abs(fold.H - sol.H) <= sol.kkt_residual + 1e-12
+    assert fold.sandwich_ok
+
+
+@given(posets(max_n=9))
+def test_entropy_fold_matches_whole_poset_solve(case):
+    P, _ = case
+    _assert_fold_matches_solve(P, sp_decomposition(P)[0])
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32))
+def test_entropy_fold_matches_solve_on_random_sp_exprs(n, seed):
+    e = random_sp_expr(np.random.default_rng(seed), n)
+    _assert_fold_matches_solve(realize(e), e)
+
+
+def test_analyze_lists_no_chain_without_a_block(monkeypatch):
+    # the 35 reference inputs whose decomposition has no Block: H, LB and the
+    # sandwich come from the exact fold, with no chain listed
+    listed = []
+    real = polytopes.maximal_chains
+    monkeypatch.setattr(polytopes, "maximal_chains", lambda P: listed.append(P.n) or real(P))
+    ref = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    inputs = json.loads(ref.read_text(encoding="ascii"))["inputs"].values()
+    blockless = 0
+    for entry in inputs:
+        if "report" not in entry:
+            continue
+        P = (poset_from_text(entry["text"]) if entry["fmt"] == "poset"
+             else realize(parse_sp(entry["text"])))
+        if recognize_sp(P) is None:
+            continue
+        blockless += 1
+        assert quantum.analyze(P).sandwich_ok is entry["report"]["sandwich_ok"]
+    assert blockless == 35
+    assert listed == []
 
 
 @given(st.integers(1, 9).flatmap(

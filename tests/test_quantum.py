@@ -21,7 +21,6 @@ from sortbounds import (
     d_vector,
     extension_orders,
     fence_poset,
-    gamma_ij,
     harmonic,
     hilbert_norm,
     itlb,
@@ -59,7 +58,11 @@ from sortbounds.quantum import (
 from conftest import (
     all_types_max_gamma_ij_norm,
     brute_force_qlb,
+    enumerate_extensions,
     enumeration_qlb,
+    gamma_ij,
+    index_of,
+    nonzero_entries,
     per_mask_max_gamma_ij_norm,
 )
 
@@ -333,15 +336,13 @@ def test_adversary_wedge_entries(wedge):
         (1, 2): 1.0, (2, 1): 1.0,
         (0, 2): 0.5, (2, 0): 0.5,
     }
-    assert g.nonzero_entries() == expected
-    assert g.index_of(LinearExtension.from_order((1, 0, 2))) == 0
+    assert nonzero_entries(g) == expected
+    assert index_of(g, LinearExtension.from_order((1, 0, 2))) == 0
 
 
 def _brute_adversary(P):
     """Oracle: try every (k, d) down-move and keep those whose image is an
     extension, with no use of the gap-vector shortcut."""
-    from sortbounds import enumerate_extensions
-
     orders = [e.order for e in enumerate_extensions(P)]
     index = {o: t for t, o in enumerate(orders)}
     M = np.zeros((len(orders), len(orders)))
@@ -399,7 +400,7 @@ def test_gamma_ij_masks(wedge):
     assert (gamma_ij(ga, a2, 0, 1).to_dense() == ga.to_dense()).all()
     # extensions 0 and 1 order elements (0, 2) differently from 2; the
     # (1, 2) pair agrees, so its entry is masked away
-    masked = gamma_ij(g, wedge, 0, 2).nonzero_entries()
+    masked = nonzero_entries(gamma_ij(g, wedge, 0, 2))
     assert masked == {(0, 1): 1.0, (1, 0): 1.0, (0, 2): 0.5, (2, 0): 0.5}
 
 
