@@ -42,7 +42,6 @@ from .linext import (
 )
 from .orderstats import (
     ClosedFormResiduals,
-    HarmonicTable,
     closed_form_checks,
     density_cdf,
     density_f,
@@ -50,6 +49,7 @@ from .orderstats import (
     gap_distribution_check,
     harmonic,
     harmonic_float,
+    harmonic_table,
     ks_critical,
     ks_statistic,
 )

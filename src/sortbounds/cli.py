@@ -15,9 +15,10 @@ null then too, or when the extension count exceeds the matrix cap or n
 exceeds the default counting cap 20.  It is deterministic and takes no seed
 or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0 and
 1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
-Exit codes: 1 on parse or size failures, 2 on a usage error or when a
-certified property is false.  All floats are serialized with 17 significant
-digits, so identical configurations produce byte-identical output.
+Exit codes: 1 on parse or size failures or when `analyze` runs out of memory,
+2 on a usage error or when a certified property is false.  All floats are
+serialized with 17 significant digits, so identical configurations produce
+byte-identical output.
 
 --enum-cap bounds the extension count of each block whose QLB the ideal DP
 computes; no extension is enumerated for QLB.
@@ -87,8 +88,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         report = analyze(load_input(args), max_n=args.max_n, enum_cap=args.enum_cap,
                          matrix_cap=args.matrix_cap)
-    except (SortboundsError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SortboundsError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     print(_emit_report(report, args.format))
     return exit_code_for_report(report)

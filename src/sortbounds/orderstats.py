@@ -6,9 +6,15 @@ Provides exact harmonic numbers, the gap density
 
 its closed-form integrals, and Monte-Carlo checks that the gap z_{i+d} - z_i
 of sorted uniforms is f_{n,d-1}-distributed regardless of i.
+
+Each quantity has its one implementation here: `harmonic_table` holds every
+harmonic number over one common denominator (`harmonic`,
+`quantum.qlb_fraction` and `quantum.tech_constant` all read it), `quad` is
+the one quadrature and `density_cdf` the one binomial tail.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,36 +30,24 @@ from .polytopes import transfer_batch
 from .poset import Poset
 
 
-class HarmonicTable:
-    """Exact harmonic numbers H_q = sum_{i<=q} 1/i as Fractions, H_0 = 0."""
-
-    def __init__(self):
-        self._vals: list[Fraction] = [Fraction(0)]
-        self._floats: list[float] = [0.0]
-
-    def __getitem__(self, q: int) -> Fraction:
-        if q < 0:
-            raise DomainError(f"harmonic number index must be >= 0, got {q}")
-        while len(self._vals) <= q:
-            nxt = self._vals[-1] + Fraction(1, len(self._vals))
-            self._vals.append(nxt)
-            self._floats.append(float(nxt))
-        return self._vals[q]
-
-    def as_float(self, q: int) -> float:
-        self[q]
-        return self._floats[q]
-
-
-harmonic_numbers = HarmonicTable()
+@lru_cache(maxsize=64)
+def harmonic_table(m: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (L H_0, ..., L H_m)) over the common denominator L = lcm(1..m):
+    every harmonic number up to H_m as an exact integer numerator, H_0 = 0."""
+    if m < 0:
+        raise DomainError(f"harmonic number index must be >= 0, got {m}")
+    L = math.lcm(*range(1, m + 1))
+    return L, tuple(itertools.accumulate(L // k if k else 0 for k in range(m + 1)))
 
 
 def harmonic(q: int) -> Fraction:
-    return harmonic_numbers[q]
+    """Exact harmonic number H_q = sum_{i<=q} 1/i, read off harmonic_table(q)."""
+    L, LH = harmonic_table(q)
+    return Fraction(LH[q], L)
 
 
 def harmonic_float(q: int) -> float:
-    return harmonic_numbers.as_float(q)
+    return float(harmonic(q))
 
 
 def _check_nk(n: int, k: int, s: float = 0.0) -> None:
@@ -88,7 +82,9 @@ def density_cdf(n: int, k: int, x) -> np.ndarray | float:
 QUAD_TOL = 1e-12  # absolute and relative target of every gap-integral quadrature
 
 
-def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+def quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive quadrature of f over [a, b] at QUAD_TOL; raises
+    QuadratureFailureError when the error estimate exceeds 1e-8."""
     if a >= b:
         return 0.0
     val, err = integrate.quad(f, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
@@ -107,7 +103,7 @@ class ClosedFormResiduals:
 
 
 def _integral_I(n: int, k: int, s: float) -> float:
-    return k * math.comb(n, k) * _quad(
+    return k * math.comb(n, k) * quad(
         lambda t: t ** (n - k) * (1.0 - t - s) ** (k - 1), 0.0, 1.0 - s
     )
 
@@ -117,14 +113,8 @@ def _closed_I(n: int, k: int, s: float) -> float:
 
 
 def _integral_J(n: int, k: int, s: float) -> float:
-    return n * math.comb(n - 1, k) * _quad(
+    return n * math.comb(n - 1, k) * quad(
         lambda t: t**k * (1.0 - t) ** (n - k - 1), 0.0, 1.0 - s
-    )
-
-
-def _closed_J(n: int, k: int, s: float) -> float:
-    return sum(
-        math.comb(n, l) * s ** (n - l) * (1.0 - s) ** l for l in range(k + 1, n + 1)
     )
 
 
@@ -135,9 +125,9 @@ _LOG_EPS = 1e-6  # split point isolating the ln t endpoint singularity
 def _integral_H(n: int, k: int) -> float:
     """E[ln z] under density_f, by quadrature with the t = exp(-u) substitution
     on (0, eps) to remove the logarithmic singularity at 0."""
-    body = _quad(lambda t: t**k * (1.0 - t) ** (n - k - 1) * math.log(t), _LOG_EPS, 1.0)
-    tail = _quad(lambda u: -u * math.exp(-(k + 1) * u) * (1.0 - math.exp(-u)) ** (n - k - 1),
-                 -math.log(_LOG_EPS), np.inf)
+    body = quad(lambda t: t**k * (1.0 - t) ** (n - k - 1) * math.log(t), _LOG_EPS, 1.0)
+    tail = quad(lambda u: -u * math.exp(-(k + 1) * u) * (1.0 - math.exp(-u)) ** (n - k - 1),
+                -math.log(_LOG_EPS), np.inf)
     return n * math.comb(n - 1, k) * (body + tail)
 
 
@@ -149,13 +139,14 @@ def closed_form_checks(n: int, k: int, s: float) -> ClosedFormResiduals:
     """Quadrature-vs-closed-form residuals for the three gap integrals at s.
 
     The first integral needs 1 <= k <= n and its residual is None for k = 0;
-    the expectation-of-log integral does not depend on s.
+    the expectation-of-log integral does not depend on s.  The closed form
+    of the second is the binomial tail density_cdf(n, k, 1 - s).
     """
     _check_nk(n, k, s)
     i_res = None
     if k >= 1:
         i_res = abs(_integral_I(n, k, s) - _closed_I(n, k, s))
-    j_res = abs(_integral_J(n, k, s) - _closed_J(n, k, s))
+    j_res = abs(_integral_J(n, k, s) - float(density_cdf(n, k, 1.0 - s)))
     h_res = abs(_integral_H(n, k) - _closed_H(n, k))
     return ClosedFormResiduals(i_res, j_res, h_res)
 

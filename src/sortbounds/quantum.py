@@ -19,7 +19,6 @@ the outcome of a single comparison can never push the spectral norm past
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .linext import (
     is_extension,
     ln_count,
 )
-from .orderstats import harmonic, harmonic_float
+from .orderstats import harmonic, harmonic_float, harmonic_table
 from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
 from .poset import Poset
 from .spexpr import Block, NBlock, Parallel, Series, SPExpr, expr_size, nodes, sp_decomposition
@@ -75,7 +74,8 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     c(D | i) at k = 0 and the sum of H_{k-1}(D | e, i) over the edges of D at
     k > 0.  Over an edge D' -> D placing the last predecessor of i,
     f(D') H_k(D, i) extensions have gap d_i = k + 1 (H_k(0, i) for a minimal
-    i), so QLB = sum_k C[k] H_k / N for the sums C[k] of those counts.
+    i), so QLB = sum_k C[k] H_k / N for the sums C[k] of those counts, each
+    H_k read off `harmonic_table(n - 1)` over its common denominator.
 
     The ideals are walked one layer of sizes at a time, in int64: every
     entry, product and sum over a layer is a count of (prefixes of)
@@ -86,9 +86,8 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     if num > max_extensions:
         raise LimitExceededError(f"{num} extensions exceed the enumeration cap {max_extensions}")
     n, lattice = P.n, P.lattice
-    # sum_k C[k] H_k over the common denominator L = lcm(1..n-1): L H_k = sum_{j<=k} L / j
-    L = math.lcm(*range(1, n))
-    LH = list(itertools.accumulate(L // k if k else 0 for k in range(n)))
+    # sum_k C[k] H_k over the common denominator L = lcm(1..n-1)
+    L, LH = harmonic_table(n - 1)
     f, deg = [np.ones(1, dtype=np.int64)], [layer.start[1:] - layer.start[:-1] for layer in lattice]
     for layer, up, d in zip(lattice, lattice[1:], deg):
         reach = np.zeros(len(up.masks), dtype=np.int64)
@@ -263,18 +262,13 @@ def tech_constant(max_n: int) -> TechConstant:
     (cached, so read-only) table.
 
     The numerator is evaluated in exact integer arithmetic over the common
-    denominator lcm(1..2*max_n); only the division by the (irrational) log
-    binomial is floating point.
+    denominator lcm(1..2*max_n) of `harmonic_table(2 * max_n)`; only the
+    division by the (irrational) log binomial is floating point.
     """
     if not 2 <= max_n <= TECH_MAX_N:
         raise DomainError(f"max_n must be in 2..{TECH_MAX_N}, got {max_n}")
-    den = math.lcm(*range(1, 2 * max_n + 1))
-    # acc[q] = q * H_q * den, exactly.
-    acc = [0] * (2 * max_n + 1)
-    run = 0
-    for q in range(1, 2 * max_n + 1):
-        run += den // q
-        acc[q] = q * run
+    den, LH = harmonic_table(2 * max_n)
+    acc = [q * h for q, h in enumerate(LH)]  # acc[q] = q * H_q * den, exactly
     shift = 1 << 64
     best = math.inf
     best_arg = (0, 0)

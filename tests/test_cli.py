@@ -84,6 +84,22 @@ def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path, monke
         assert "max-n" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 48.0 GiB for an array"),
+                                 MemoryError()])
+def test_analyze_memory_error_exits_1(capsys, monkeypatch, exc):
+    # a raised --enum-cap or --matrix-cap can end in numpy's _ArrayMemoryError
+    import sortbounds.cli as cli
+
+    def exhausted(*_, **__):
+        raise exc
+
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    code, out, err = run_cli(capsys, "analyze", "--expr", "antichain(3)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.strip() != "error:"
+    assert "Traceback" not in err
+
+
 def test_analyze_deep_nesting_exits_1(capsys):
     depth = 5000
     code, out, err = run_cli(capsys, "analyze", "--expr", "(" * depth + "." + ")" * depth)

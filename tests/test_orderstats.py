@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from scipy import integrate
 
 from sortbounds import (
     DomainError,
-    HarmonicTable,
     LinearExtension,
     antichain_poset,
     chain_poset,
@@ -18,6 +18,7 @@ from sortbounds import (
     gap_distribution_check,
     harmonic,
     harmonic_float,
+    harmonic_table,
     ks_critical,
     ks_statistic,
 )
@@ -32,16 +33,25 @@ def test_harmonic_values():
 
 
 def test_harmonic_difference_exact():
-    table = HarmonicTable()
     for q in (1, 2, 17, 100, 999, 5000, 10_000):
-        assert table[q] - table[q - 1] == Fraction(1, q)
+        assert harmonic(q) - harmonic(q - 1) == Fraction(1, q)
     # spot check a full independent summation
-    assert table[200] == sum((Fraction(1, i) for i in range(1, 201)), Fraction(0))
+    assert harmonic(200) == sum((Fraction(1, i) for i in range(1, 201)), Fraction(0))
 
 
 def test_harmonic_rejects_negative():
     with pytest.raises(DomainError):
         harmonic(-1)
+
+
+def test_harmonic_table_exact():
+    H = list(itertools.accumulate((Fraction(1, i) for i in range(1, 61)), initial=Fraction(0)))
+    for m in range(61):
+        L, LH = harmonic_table(m)
+        assert L == math.lcm(*range(1, m + 1))
+        assert [Fraction(h, L) for h in LH] == H[: m + 1]
+    with pytest.raises(DomainError, match="must be >= 0"):
+        harmonic_table(-1)
 
 
 def test_density_examples():
