@@ -30,6 +30,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 
 from .errors import LimitExceededError, SortboundsError
 from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
@@ -123,7 +124,10 @@ def cmd_tech_constant(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: building takes about ten times a parse, and
+    # in-process callers run `main` once per op
     parser = argparse.ArgumentParser(
         prog="sortbounds",
         description="Lower bounds for sorting under partial information.",

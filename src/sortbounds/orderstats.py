@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureFailureError
 from .linext import LinearExtension, is_extension
@@ -87,6 +86,10 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
     QuadratureFailureError when the error estimate exceeds 1e-8."""
     if a >= b:
         return 0.0
+    # imported at the first quadrature: scipy.integrate brings scipy.optimize
+    # and scipy.special, about 0.25 s that `analyze` would pay for nothing
+    from scipy import integrate
+
     val, err = integrate.quad(f, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
     if err > 1e-8:
         raise QuadratureFailureError(f"quadrature error estimate {err:.2e} too large")

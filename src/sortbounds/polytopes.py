@@ -44,8 +44,7 @@ def chain_matrix(P: Poset) -> np.ndarray:
     `maximal_chains` refuses more than MAX_CHAINS rows."""
     chains = maximal_chains(P)
     A = np.zeros((len(chains), P.n))
-    for r, chain in enumerate(chains):
-        A[r, list(chain)] = 1.0
+    A[np.repeat(np.arange(len(chains)), [len(c) for c in chains]), np.concatenate(chains)] = 1.0
     return A
 
 

@@ -26,7 +26,11 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+# at module top: `analyze` reaches eigsh on lattice inputs too (a 1,024-vertex
+# component), where an import inside the op costs about 0.2 s, and csgraph
+# splits every matrix `norm_bracket` brackets
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
 from .errors import DomainError, LimitExceededError, NotAnExtensionError
@@ -419,9 +423,6 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
     batched dense eigh per component size up to DENSE_MAX, and from ARPACK
     (eigsh, started from the all-ones vector so reruns agree) above it.
     """
-    # imported here: it adds about 1 MB to every process that imports the package
-    from scipy.sparse.csgraph import connected_components
-
     A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(M, dtype=float)
     A.eliminate_zeros()
     if not (np.isfinite(A.data).all() and (A.data > 0).all()):

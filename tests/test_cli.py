@@ -1,10 +1,16 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import sortbounds
 from sortbounds import Parallel, Series, Singleton, realize, write_poset
 from sortbounds.cli import exit_code_for_report, main
 from sortbounds.quantum import TECH_MAX_N, BoundsReport, tech_constant
@@ -17,6 +23,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports the package under
+    test, also when only pytest's `pythonpath` setting puts it on the path."""
+    src = str(Path(sortbounds.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def test_analyze_expr_json(capsys):
@@ -299,23 +313,11 @@ def test_tech_constant_usage_error(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_tech_constant_survives_closed_pipe(fmt):
-    import os
-    import pathlib
-    import subprocess
-    import sys as _sys
-
-    import sortbounds
-
-    # the child imports the package under test, also when only pytest's
-    # `pythonpath` setting puts it on the path
-    src = str(pathlib.Path(sortbounds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     # at --max-n 200 every format writes over 0.5 MB, more than a pipe holds,
     # so the write is still going when head exits
     producer = subprocess.Popen(
-        [_sys.executable, "-m", "sortbounds.cli", "tech-constant", "--max-n", "200", "--format", fmt],
-        stdout=subprocess.PIPE, env=env,
+        [sys.executable, "-m", "sortbounds.cli", "tech-constant", "--max-n", "200", "--format", fmt],
+        stdout=subprocess.PIPE, env=child_env(),
     )
     consumer = subprocess.Popen(
         ["head", "-2"], stdin=producer.stdout, stdout=subprocess.DEVNULL
@@ -408,3 +410,51 @@ def test_exit_code_contract():
         lemma1_ok=None, lemma2_ok=None, lemma3_ok=None, sandwich_ok=True,
     )
     assert exit_code_for_report(capped) == 0
+
+
+def test_parser_built_once_keeps_usage_errors(capsys, monkeypatch):
+    # usage lines wrap at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    env = child_env()
+    assert run_cli(capsys, "analyze", "--expr", "(. * .) + .")[0] == 0
+
+    def rebuilt(*_, **__):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", rebuilt)
+    for argv in (["verify", "lemmas", "--samples", "0"], ["verify", "no-such-suite"]):
+        alone = subprocess.run([sys.executable, "-m", "sortbounds.cli", *argv],
+                               env=env, capture_output=True, text=True)
+        assert alone.returncode == 2 and alone.stderr.startswith("usage: sortbounds")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert (exc.value.code, capsys.readouterr().err) == (alone.returncode, alone.stderr)
+
+
+LAYERS2X10 = "(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)"
+
+
+def test_import_loads_only_what_analyze_runs():
+    # a fresh interpreter: this one has long loaded scipy.integrate.  The
+    # layered input sends a 1,024-vertex component to eigsh, so analyze
+    # reaches every scipy module it uses.
+    script = textwrap.dedent(f"""
+        import math, sys
+        import sortbounds.cli
+        from sortbounds import orderstats
+        quadrature = ("scipy.integrate", "scipy.optimize", "scipy.special")
+        print(sorted(m for m in quadrature if m in sys.modules))
+        before = set(sys.modules)
+        assert sortbounds.cli.main(["analyze", "--expr", "{LAYERS2X10}"]) == 0
+        print(sorted(set(sys.modules) - before))
+        print(abs(orderstats.quad(math.sin, 0, math.pi) - 2) <= 1e-12)
+        print("scipy.integrate" in sys.modules)
+    """)
+    child = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    loaded, report, added, quad_ok, integrate_loaded = child.stdout.splitlines()
+    assert loaded == "[]"
+    assert json.loads(report)["num_extensions"] == 1024
+    assert added == "[]"
+    assert quad_ok == "True" and integrate_loaded == "True"
