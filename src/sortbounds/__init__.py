@@ -48,7 +48,6 @@ from .orderstats import (
     exp_ln_gap_check,
     gap_distribution_check,
     harmonic,
-    harmonic_float,
     harmonic_table,
     ks_critical,
     ks_statistic,
@@ -58,7 +57,6 @@ from .polytopes import (
     chain_matrix,
     chain_polytope_volume_mc,
     entropy,
-    lb,
     sample_chain_point,
     sample_order_point,
     transfer,
@@ -87,6 +85,7 @@ from .quantum import (
     d_vector,
     entropy_sp,
     hilbert_norm,
+    lb,
     max_gamma_ij_norm,
     nk_bounds,
     norm_bracket,

@@ -37,7 +37,7 @@ from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
 from .poset import Poset, build_poset, parse_poset_text
 from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import expr_size, parse_sp, realize
-from .suites import MAX_SAMPLES, SUITES, VERIFY_TOL, run_suites
+from .suites import MAX_SAMPLES, SUITES, run_suites
 
 REPORT_KEYS = [f.name for f in dataclasses.fields(BoundsReport)]
 
@@ -98,7 +98,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, seed=args.seed, samples=args.samples, tol=VERIFY_TOL)
+    results = run_suites(names, seed=args.seed, samples=args.samples)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.ok]

@@ -45,10 +45,6 @@ def harmonic(q: int) -> Fraction:
     return Fraction(LH[q], L)
 
 
-def harmonic_float(q: int) -> float:
-    return float(harmonic(q))
-
-
 def _check_nk(n: int, k: int, s: float = 0.0) -> None:
     if not 0 <= k < n:
         raise DomainError(f"need 0 <= k < n, got n={n}, k={k}")

@@ -17,8 +17,8 @@ The entropy program
 is solved by a feasible-start primal-dual interior-point method (Mehrotra
 predictor-corrector) over the maximal-chain inequalities; the objective
 itself bars z > 0.  The reported kkt_residual is a certified duality gap,
-obtained by evaluating the Lagrange dual at explicit multipliers, and the
-bound LB = n (ln n - H(P)) is the solution's `lb`.
+obtained by evaluating the Lagrange dual at explicit multipliers.  The
+reported H(P) and LB fold the SP decomposition (`quantum.entropy_sp`).
 """
 from __future__ import annotations
 
@@ -175,13 +175,6 @@ class EntropySolution:
     kkt_residual: float
     newton_steps: int
 
-    @property
-    def lb(self) -> float:
-        """Classical comparison bound n(ln n - H(P)), clamped at 0: z = 1/n is
-        feasible, so H(P) <= ln n and only rounding makes it negative."""
-        n = len(self.z_star)
-        return max(0.0, n * (math.log(n) - self.H))
-
 
 def _objective(z: np.ndarray) -> float:
     return -float(np.log(z).mean()) + 0.0  # +0.0 normalizes -0.0
@@ -284,8 +277,3 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     z = z.copy()
     z.setflags(write=False)
     return EntropySolution(H=_objective(z), z_star=z, kkt_residual=max(gap, 0.0), newton_steps=steps)
-
-
-def lb(P: Poset, tol: float = 1e-8) -> float:
-    """`EntropySolution.lb` of P's entropy program."""
-    return entropy(P, tol=tol).lb

@@ -44,7 +44,7 @@ from .linext import (
     is_extension,
     ln_count,
 )
-from .orderstats import harmonic, harmonic_float, harmonic_table
+from .orderstats import harmonic, harmonic_table
 from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
 from .poset import Poset
 from .spexpr import Block, NBlock, Parallel, Series, SPExpr, expr_size, nodes, sp_decomposition
@@ -168,23 +168,24 @@ def _ln(q: Fraction) -> float:
 class EntropyFold(NamedTuple):
     H: float
     lb: float
-    sandwich_ok: bool
+    top: Fraction  # n**n / R, the exact part of LB
+    leaves: list[EntropySolution]
 
 
-def entropy_sp(e: SPExpr, num: int) -> EntropyFold:
-    """H(P), LB and the sandwich of an SP expression with num extensions,
-    folded over its `nodes` by the graph-entropy rules of Kahn and Kim
-    (1995).
+def entropy_sp(e: SPExpr) -> EntropyFold:
+    """H(P) and LB of an SP expression, folded over its `nodes` by the
+    graph-entropy rules of Kahn and Kim (1995).
 
     A parallel composition is a product of chain polytopes, so a Parallel
     node adds nothing to n H; a Series node of size m is a join, split at
     alpha_c = n_c / m, and multiplies the rational R by prod_c (m / n_c)**n_c;
     each Block and NBlock leaf adds n_b H_b, H_b from `entropy(node.poset)`,
     the only interior-point solves (and chain lists).  So
-    n H = ln R + sum_b n_b H_b and LB = ln(n**n / R) - sum_b n_b H_b,
-    clamped at 0; each log of a Fraction is taken from its numerator and
-    denominator, so an antichain has H = 0.0 and a chain LB = 0.0 exactly.
-    The sandwich is `certify_sandwich` of (num, n**n / R, the solved leaves).
+    n H = ln R + sum_b n_b H_b and LB = ln(top) - sum_b n_b H_b for
+    top = n**n / R, clamped at 0; each log of a Fraction is taken from its
+    numerator and denominator, so an antichain has H = 0.0 and a chain
+    LB = 0.0 exactly.  The fold also returns top and the solved leaves, from
+    which `certify_sandwich` decides the sandwich.
     """
     R, leaves = Fraction(1), []
     for node in nodes(e):
@@ -197,7 +198,13 @@ def entropy_sp(e: SPExpr, num: int) -> EntropyFold:
     spent = sum(len(sol.z_star) * sol.H for sol in leaves)
     top = n**n / R
     return EntropyFold(H=(_ln(R) + spent) / n, lb=max(0.0, _ln(top) - spent),
-                       sandwich_ok=certify_sandwich(num, top, leaves))
+                       top=top, leaves=leaves)
+
+
+def lb(P: Poset) -> float:
+    """The entropy bound LB of P, as `analyze` reports it: read off the fold
+    of its series-parallel decomposition, so it needs no extension count."""
+    return entropy_sp(sp_decomposition(P)[0]).lb
 
 
 def certify_sandwich(num: int, top: Fraction, leaves: Sequence[EntropySolution]) -> bool:
@@ -266,14 +273,14 @@ def tech_constant(max_n: int) -> TechConstant:
     (cached, so read-only) table.
 
     The numerator is evaluated in exact integer arithmetic over the common
-    denominator lcm(1..2*max_n) of `harmonic_table(2 * max_n)`; only the
+    denominator lcm(1..2*max_n) of `harmonic_table(2 * max_n)` and rounded
+    once, by Python's correctly rounded integer true division; only the
     division by the (irrational) log binomial is floating point.
     """
     if not 2 <= max_n <= TECH_MAX_N:
         raise DomainError(f"max_n must be in 2..{TECH_MAX_N}, got {max_n}")
     den, LH = harmonic_table(2 * max_n)
     acc = [q * h for q, h in enumerate(LH)]  # acc[q] = q * H_q * den, exactly
-    shift = 1 << 64
     best = math.inf
     best_arg = (0, 0)
     best_num = 0
@@ -284,8 +291,7 @@ def tech_constant(max_n: int) -> TechConstant:
         binom = math.comb(2 * n1, n1)  # C(n1 + n2, n1), carried along the row
         for n2 in range(n1, max_n + 1):
             merge_scaled = acc[n1 + n2] - acc[n1] - acc[n2]
-            merge = float((merge_scaled * shift) // den) / shift
-            ratio = merge / math.log(binom)
+            ratio = merge_scaled / den / math.log(binom)
             table[t] = n1, n2, ratio
             t += 1
             if ratio < best:
@@ -510,10 +516,11 @@ class BoundsReport:
         return any(f is False for f in self.flags())
 
 
+@lru_cache(maxsize=DEFAULT_N_CAP - 1)  # m = n - 2 <= 18: 5.2 MB for all 19
 def _window_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """W_m and its states (x, y, o): the masked adversary block of two
-    incomparable elements i and j that may each take any of the m + 1 slots
-    of the order of the other m elements.
+    """W_m and its states (x, y, o), both cached and read-only: the masked
+    adversary block of two incomparable elements i and j that may each take
+    any of the m + 1 slots of the order of the other m elements.
 
     In state (x, y, o), i follows x of the others and j follows y of them;
     o = 0 when i comes first (so x <= y) and o = 1 when j does (x >= y),
@@ -527,7 +534,10 @@ def _window_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
     states = np.stack([x, y, o], axis=1)[np.where(o == 0, x <= y, x >= y)]
     x, y, o = states.T[:, :, None]
     d = np.where(y == y.T, abs(x - x.T), abs(y - y.T)) + 1
-    return np.where((o != o.T) & ((x == x.T) | (y == y.T)), 1.0 / d, 0.0), states
+    W = np.where((o != o.T) & ((x == x.T) | (y == y.T)), 1.0 / d, 0.0)
+    for a in (W, states):
+        a.setflags(write=False)
+    return W, states
 
 
 def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
@@ -629,12 +639,14 @@ def analyze(
     side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
     masks.  H(P) and LB fold the same decomposition (`entropy_sp`), so
     only its Block leaves list maximal chains and run the interior-point
-    method.  The certificates are
+    method.  QLB is the exact `Fraction` of `qlb_sp_fraction` and QH the
+    exact H_n - QLB / n, each rounded once to a float.  The certificates are
 
     (a) ||Gamma|| >= QLB, up to relative LEMMA_TOL;
-    (b) every masked norm ||Gamma^{ij}|| <= 2 pi + LEMMA_TOL;
-    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi) - LEMMA_TOL;
-    and the sandwich ITLB <= LB <= 2 ITLB, decided with no tolerance by
+    (b) every masked norm ||Gamma^{ij}|| <= 2 pi;
+    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi);
+    (b) and (c) against the double TWO_PI, which lies below 2 pi; and the
+    sandwich ITLB <= LB <= 2 ITLB, decided with no tolerance by
     `certify_sandwich`: exactly when P has no block, else on the certified
     bracket of LB.
 
@@ -645,27 +657,27 @@ def analyze(
     expr = sp_decomposition(P)[0]
     num = count_extensions_sp(expr, max_n=max_n)
     try:
-        qlb_val = float(qlb_sp_fraction(expr, max_extensions=enum_cap))
+        qlb = qlb_sp_fraction(expr, max_extensions=enum_cap)
     except LimitExceededError:
-        qlb_val = None
-    itlb_val = ln_count(num)
-    fold = entropy_sp(expr, num)
-    qh_val = harmonic_float(P.n) - qlb_val / P.n if qlb_val is not None else None
+        qlb = None
+    qlb_val = float(qlb) if qlb is not None else None
+    qh_val = float(harmonic(P.n) - qlb / P.n) if qlb is not None else None
+    fold = entropy_sp(expr)
 
     gnorm = mnorm = None
     lemma1 = lemma2 = lemma3 = None
-    if num <= matrix_cap and qlb_val is not None and P.n <= DEFAULT_N_CAP:
+    if num <= matrix_cap and qlb is not None and P.n <= DEFAULT_N_CAP:
         gamma = build_adversary(P, matrix_cap=matrix_cap)
         gnorm = spectral_norm(gamma)
         mnorm = max_gamma_ij_norm(gamma, P)
         lemma1 = bool(gnorm >= qlb_val * (1.0 - LEMMA_TOL))
-        lemma2 = bool(mnorm <= TWO_PI + LEMMA_TOL)
+        lemma2 = bool(mnorm <= TWO_PI)
         ratio = gnorm / mnorm if mnorm > 0 else 0.0
-        lemma3 = bool(ratio >= qlb_val / TWO_PI - LEMMA_TOL)
+        lemma3 = bool(ratio >= qlb_val / TWO_PI)
     return BoundsReport(
         n=P.n,
         num_extensions=int(num),
-        itlb=itlb_val,
+        itlb=ln_count(num),
         entropy=fold.H,
         lb=fold.lb,
         qlb=qlb_val,
@@ -675,5 +687,5 @@ def analyze(
         lemma1_ok=lemma1,
         lemma2_ok=lemma2,
         lemma3_ok=lemma3,
-        sandwich_ok=fold.sandwich_ok,
+        sandwich_ok=certify_sandwich(num, fold.top, fold.leaves),
     )

@@ -117,7 +117,7 @@ def test_c04_sandwich():
         it = itlb(P)
         if it <= 1e-12:
             continue
-        l = lb(P, tol=1e-9)
+        l = lb(P)
         assert it <= l + 1e-6, (name, it, l)
         assert l <= 2 * it + 1e-6, (name, it, l)
         worst = max(worst, l / it)

@@ -14,7 +14,7 @@ import sortbounds
 from sortbounds import Parallel, Series, Singleton, realize, write_poset
 from sortbounds.cli import exit_code_for_report, main
 from sortbounds.quantum import TECH_MAX_N, BoundsReport, tech_constant
-from sortbounds.suites import MAX_SAMPLES, VERIFY_TOL
+from sortbounds.suites import MAX_SAMPLES
 
 DATA = Path(__file__).parent / "data"
 
@@ -370,9 +370,9 @@ def test_caps_at_their_bounds_run(capsys, monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli, "run_suites",
-                        lambda names, seed, samples, tol: seen.append((samples, tol)) or [])
+                        lambda names, seed, samples: seen.append(samples) or [])
     assert run_cli(capsys, "verify", "sp", "--samples", str(MAX_SAMPLES))[0] == 0
-    assert seen == [(MAX_SAMPLES, VERIFY_TOL)]
+    assert seen == [MAX_SAMPLES]
     code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)", "--enum-cap", "0", "--matrix-cap", "0")
     rep = json.loads(out)
     assert code == 0 and rep["num_extensions"] == 5
@@ -384,7 +384,7 @@ def test_caps_at_their_bounds_run(capsys, monkeypatch):
     *(["verify", "polytopes", "--tol", tol] for tol in ("nan", "inf", "-inf", "0", "-1e-8")),
 ])
 def test_tol_usage_errors(argv, capsys):
-    # neither command takes a tolerance: verify runs at suites.VERIFY_TOL
+    # neither command takes a tolerance, and no verify check reads one
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

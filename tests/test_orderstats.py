@@ -17,7 +17,6 @@ from sortbounds import (
     exp_ln_gap_check,
     gap_distribution_check,
     harmonic,
-    harmonic_float,
     harmonic_table,
     ks_critical,
     ks_statistic,
@@ -29,7 +28,6 @@ def test_harmonic_values():
     assert harmonic(0) == 0
     assert harmonic(1) == 1
     assert harmonic(3) == Fraction(11, 6)
-    assert harmonic_float(3) == pytest.approx(11 / 6)
 
 
 def test_harmonic_difference_exact():

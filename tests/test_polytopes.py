@@ -243,9 +243,12 @@ def test_exponential_chain_sets_refused():
 
 def test_lb_examples(wedge):
     assert lb(chain_poset(4)) == pytest.approx(0.0, abs=1e-7)
-    assert lb(chain_poset(20)) == 0.0  # rounding would make it negative
+    assert lb(chain_poset(20)) == 0.0  # exactly: the fold's n**n / R is 1
     assert lb(antichain_poset(4)) == pytest.approx(4 * math.log(4), abs=1e-7)
     assert lb(wedge) == pytest.approx(3 * (math.log(3) - (2 / 3) * math.log(2)), abs=1e-7)
+    # 36 elements and 3**12 maximal chains, but no block: no count, no chain list
+    P = realize(parse_sp("*".join(["antichain(3)"] * 12)))
+    assert lb(P) == pytest.approx(36 * math.log(3), abs=1e-12)
 
 
 def test_sample_order_point_respects_order():

@@ -24,6 +24,7 @@ from sortbounds import (
     harmonic,
     hilbert_norm,
     itlb,
+    lb,
     n_poset,
     nk_bounds,
     norm_bracket,
@@ -39,6 +40,7 @@ from sortbounds import (
     series,
     sp_decomposition,
     spectral_norm,
+    standard_family,
     tech_constant,
     uniform_rayleigh,
 )
@@ -496,6 +498,38 @@ def test_lemmas_judged_on_the_safe_side(monkeypatch):
     rep = analyze(P)
     assert rep.gamma_norm == lo
     assert rep.lemma1_ok is False and rep.lemma2_ok
+
+
+def test_lemmas_2_and_3_have_no_slack(monkeypatch):
+    P = antichain_poset(3)  # QLB = 2.5
+    # a masked norm 5e-7 above TWO_PI, the double below 2 pi: lemma 2 fails
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (TWO_PI, TWO_PI + 5e-7))
+    rep = analyze(P)
+    assert rep.max_gamma_ij_norm == TWO_PI + 5e-7
+    assert rep.lemma1_ok and rep.lemma2_ok is False and rep.lemma3_ok
+    # a ratio ||Gamma|| / max ||Gamma^{ij}|| 5e-7 below QLB / TWO_PI: lemma 3 fails
+    lo = 2.5 / TWO_PI - 5e-7
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (lo, 1.0))
+    rep = analyze(P)
+    assert rep.gamma_norm / rep.max_gamma_ij_norm == lo
+    assert rep.lemma2_ok and rep.lemma3_ok is False
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_analyze_reports_the_library_qh_and_lb(seed):
+    # one derivation per number: QH is the exact fraction rounded once, and
+    # LB is `lb`, both read off the same fold as the report
+    for name, P in standard_family(max_n=8, seed=seed):
+        rep = analyze(P)
+        assert rep.qh == float(qh_fraction(P)), name
+        assert rep.lb == lb(P), name
+
+
+def test_window_matrix_is_built_once_and_read_only():
+    W, states = _window_matrix(5)
+    assert _window_matrix(5)[0] is W
+    assert not W.flags.writeable and not states.flags.writeable
+    assert W.shape == (len(states),) * 2 == (6 * 6 + 6,) * 2
 
 
 def test_hilbert_norm_matches_dense_eigensolve():

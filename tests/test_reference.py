@@ -4,7 +4,9 @@ report recorded for it in bench/reference.json.
 The comparison is the benchmark's own, `bench/ops.check_report`: exact for
 counts and flags, relative 1e-12 for ITLB/QLB/QH, 1e-8 for the entropy, and
 relative 1e-6 for the norms; a field recorded as null is not checked.  The
-files under bench/ are only read.
+files under bench/ are only read.  Each report's LB and QH must also equal,
+bit for bit, the library's one derivation of each: `lb(P)`, and the exact
+H_n - QLB / n rounded once.
 """
 import contextlib
 import io
@@ -15,7 +17,8 @@ import types
 
 import pytest
 
-from sortbounds import cli
+from sortbounds import (cli, harmonic, lb, parse_sp, poset_from_text, qlb_sp_fraction, realize,
+                        sp_decomposition)
 
 OPS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "ops.py"
 # compiled from source, so that no bytecode cache is written under bench/
@@ -40,4 +43,11 @@ def test_analyze_matches_reference(name, tmp_path):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["analyze", *source, "--format", "json"])
     assert (code, err.getvalue()) == (0, "")
-    assert ops.check_report(json.loads(out.getvalue()), entry["report"]) is None
+    rep = json.loads(out.getvalue())
+    assert ops.check_report(rep, entry["report"]) is None
+    text = entry["text"]
+    P = poset_from_text(text) if entry["fmt"] == "poset" else realize(parse_sp(text))
+    assert rep["lb"] == lb(P)
+    if rep["qlb"] is not None:
+        qlb = qlb_sp_fraction(sp_decomposition(P)[0])
+        assert rep["qh"] == float(harmonic(P.n) - qlb / P.n)
