@@ -16,8 +16,9 @@ exceeds the default counting cap 20.  It is deterministic and takes no seed
 or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0 and
 1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
 Exit codes: 1 on parse or size failures or when `analyze` runs out of memory,
-2 on a usage error or when a certified property is false.  All floats are
-serialized with 17 significant digits, so identical configurations produce
+2 on a usage error or when a certified property is false.  Floats are
+written with 17 significant digits (by `json.dumps`, the shortest repr, in
+`tech-constant --format json`), so identical configurations produce
 byte-identical output.
 
 --enum-cap bounds the extension count of each block whose QLB the ideal DP

@@ -462,7 +462,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
 
 
 def spectral_norm(M: AdversaryMatrix | np.ndarray) -> float:
-    """Lower side of `norm_bracket`: the safe side for ||Gamma|| >= QLB."""
+    """Lower side of `norm_bracket`: the safe side for lemma 3's ratio."""
     return norm_bracket(M)[0]
 
 
@@ -474,11 +474,15 @@ def hilbert_norm(m: int) -> float:
     return spectral_norm(1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0))
 
 
-def uniform_rayleigh(gamma: AdversaryMatrix) -> float:
-    """Rayleigh quotient of the uniform unit vector: total weight / dim."""
-    if gamma.dim == 0:
-        return 0.0
-    return float(gamma.vals.sum()) / gamma.dim
+def uniform_rayleigh(gamma: AdversaryMatrix) -> Fraction:
+    """Exact Rayleigh quotient 1'Gamma 1 / dim of the uniform unit vector, at
+    most ||Gamma||: sum_d count_d / d over the steps d = 1 / vals of the
+    entries; raises DomainError on an entry that is no such 1/d."""
+    steps = np.rint(1.0 / gamma.vals).astype(np.int64)
+    if not ((steps >= 1).all() and (1.0 / steps == gamma.vals).all()):
+        raise DomainError("adversary weights must be reciprocals of integer steps")
+    counts = np.bincount(steps).tolist()
+    return sum(Fraction(c, d) for d, c in enumerate(counts) if c) / Fraction(gamma.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +493,10 @@ def uniform_rayleigh(gamma: AdversaryMatrix) -> float:
 class BoundsReport:
     """Flat summary of every bound and certificate for one poset.
 
-    QLB and QH are None when a block of the decomposition has more
-    extensions than the cap enum_cap of `analyze`; adversary-dependent
-    fields are None then, and when the extension count exceeds the matrix
-    cap.
+    QLB and QH are None when a block of the decomposition has more than
+    `analyze`'s enum_cap extensions or DEFAULT_N_CAP elements; the adversary
+    fields are None then, and when the count exceeds matrix_cap or n exceeds
+    DEFAULT_N_CAP.
     """
 
     n: int
@@ -509,11 +513,9 @@ class BoundsReport:
     lemma3_ok: bool | None
     sandwich_ok: bool
 
-    def flags(self) -> list[bool | None]:
-        return [self.lemma1_ok, self.lemma2_ok, self.lemma3_ok, self.sandwich_ok]
-
     def any_failed(self) -> bool:
-        return any(f is False for f in self.flags())
+        return any(f is False for f in (self.lemma1_ok, self.lemma2_ok, self.lemma3_ok,
+                                         self.sandwich_ok))
 
 
 @lru_cache(maxsize=DEFAULT_N_CAP - 1)  # m = n - 2 <= 18: 5.2 MB for all 19
@@ -616,9 +618,6 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     return norm_bracket(A)[1]
 
 
-LEMMA_TOL = 1e-6
-
-
 def analyze(
     P: Poset,
     *,
@@ -634,17 +633,17 @@ def analyze(
     DEFAULT_N_CAP elements.  Only the adversary matrix enumerates the
     extensions, and it is built only when the count is within matrix_cap,
     QLB is known and n <= DEFAULT_N_CAP (its Lehmer keys need n! < 2**63),
-    else its fields are None.  Each norm is a side of its
-    `norm_bracket`, the safe one for its lemma: `gamma_norm` is the lower
-    side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
-    masks.  H(P) and LB fold the same decomposition (`entropy_sp`), so
-    only its Block leaves list maximal chains and run the interior-point
-    method.  QLB is the exact `Fraction` of `qlb_sp_fraction` and QH the
-    exact H_n - QLB / n, each rounded once to a float.  The certificates are
+    else its fields are None.  Each norm is a side of its `norm_bracket`:
+    `gamma_norm` is the lower side of ||Gamma||, `max_gamma_ij_norm` the
+    upper side over the masks.  H(P) and LB fold the same decomposition
+    (`entropy_sp`), so only its Block leaves list maximal chains and run the
+    interior-point method.  QLB is the exact `Fraction` of `qlb_sp_fraction`
+    and QH the exact H_n - QLB / n, each rounded once to a float.  The
+    certificates, each an exact comparison of exact values, are
 
-    (a) ||Gamma|| >= QLB, up to relative LEMMA_TOL;
+    (a) ||Gamma|| >= QLB, as `uniform_rayleigh(gamma)` >= QLB;
     (b) every masked norm ||Gamma^{ij}|| <= 2 pi;
-    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi);
+    (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi), multiplied out;
     (b) and (c) against the double TWO_PI, which lies below 2 pi; and the
     sandwich ITLB <= LB <= 2 ITLB, decided with no tolerance by
     `certify_sandwich`: exactly when P has no block, else on the certified
@@ -670,10 +669,9 @@ def analyze(
         gamma = build_adversary(P, matrix_cap=matrix_cap)
         gnorm = spectral_norm(gamma)
         mnorm = max_gamma_ij_norm(gamma, P)
-        lemma1 = bool(gnorm >= qlb_val * (1.0 - LEMMA_TOL))
+        lemma1 = uniform_rayleigh(gamma) >= qlb
         lemma2 = bool(mnorm <= TWO_PI)
-        ratio = gnorm / mnorm if mnorm > 0 else 0.0
-        lemma3 = bool(ratio >= qlb_val / TWO_PI)
+        lemma3 = Fraction(gnorm) * Fraction(TWO_PI) >= qlb * Fraction(mnorm)
     return BoundsReport(
         n=P.n,
         num_extensions=int(num),

@@ -309,8 +309,8 @@ def suite_adversary(seed: int, samples: int) -> list[CheckResult]:
         rep = quantum.analyze(P)
         if rep.gamma_norm is None or rep.any_failed():
             flag_bad.append(name)
-        gamma = quantum.build_adversary(P)
-        if quantum.uniform_rayleigh(gamma) < rep.qlb - 1e-9:
+        # both exact; qlb_fraction reads the P.lattice the matrix was built from
+        if quantum.uniform_rayleigh(quantum.build_adversary(P)) < quantum.qlb_fraction(P):
             rayleigh_bad.append(name)
     out.append(_result("adversary", "norm_certificates", not flag_bad,
                        f"all flags true on {len(fam)} posets" if not flag_bad

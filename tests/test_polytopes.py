@@ -235,10 +235,20 @@ def test_exponential_chain_sets_refused():
     P = realize(parse_sp("*".join(["antichain(3)"] * 11)))
     assert 3**11 > MAX_CHAINS
     for call in (lambda: chain_matrix(P), lambda: entropy(P),
-                 lambda: transfer_inverse(P, np.zeros(P.n)),
                  lambda: chain_polytope_volume_mc(P, 10, 0)):
         with pytest.raises(LimitExceededError, match="maximal chains"):
             call()
+
+
+def test_transfer_inverse_lists_no_chains():
+    # antichain(3)^12: 3**12 = 531441 maximal chains, each summing to 12/13
+    P = realize(parse_sp("*".join(["antichain(3)"] * 12)))
+    z = np.full(P.n, 1 / 13)
+    y = transfer_inverse(P, z)
+    assert y.max() == pytest.approx(12 / 13, abs=1e-15)
+    np.testing.assert_allclose(transfer(P, y), z, atol=1e-15)
+    with pytest.raises(NotInChainPolytopeError, match="chain sum"):
+        transfer_inverse(P, np.full(P.n, 1 / 11))  # chain sums 12/11
 
 
 def test_lb_examples(wedge):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -47,7 +48,6 @@ from sortbounds import (
 from sortbounds import quantum
 from sortbounds.polytopes import transfer_batch
 from sortbounds.quantum import (
-    LEMMA_TOL,
     TECH_MAX_N,
     TWO_PI,
     _maximal_types,
@@ -486,18 +486,47 @@ def test_analyzed_poset_is_freed_without_the_cycle_collector():
 
 def test_lemmas_judged_on_the_safe_side(monkeypatch):
     P = antichain_poset(3)  # QLB = 2.5
-    # the upper side straddles 2 pi + LEMMA_TOL: lemma 2 fails, though the
-    # lower side alone would pass it
-    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (TWO_PI, TWO_PI + 2 * LEMMA_TOL))
+    # the upper side straddles 2 pi: lemma 2 fails, though the lower side
+    # alone would pass it
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (TWO_PI, TWO_PI + 2e-6))
     rep = analyze(P)
-    assert rep.max_gamma_ij_norm == TWO_PI + 2 * LEMMA_TOL
+    assert rep.max_gamma_ij_norm == TWO_PI + 2e-6
     assert rep.lemma1_ok and rep.lemma2_ok is False
-    # the lower side just under QLB fails lemma 1, though the upper side passes
-    lo = 2.5 * (1.0 - 2 * LEMMA_TOL)
-    monkeypatch.setattr(quantum, "norm_bracket", lambda M: (lo, 3.0))
+    monkeypatch.undo()
+    # lemma 1 reads Gamma's own weights: halved, 1'Gamma 1 / N = 3 falls to
+    # 1.5, below QLB, and lemma 1 fails
+    build = quantum.build_adversary
+
+    def halved(P, **kw):
+        gamma = build(P, **kw)
+        return dataclasses.replace(gamma, vals=gamma.vals / 2)
+
+    monkeypatch.setattr(quantum, "build_adversary", halved)
     rep = analyze(P)
-    assert rep.gamma_norm == lo
-    assert rep.lemma1_ok is False and rep.lemma2_ok
+    assert uniform_rayleigh(quantum.build_adversary(P)) == Fraction(3, 2)
+    assert rep.lemma1_ok is False
+
+
+def test_lemma1_holds_exactly_where_the_lower_bracket_falls_short():
+    # 1'Gamma 1 / N equals QLB on both, while the float lower side of ||Gamma||
+    # lies below it
+    for text in (". * (. + .) * " + ". * " * 13 + "(. + .) * . * .", "*".join(["(.+.)"] * 10)):
+        P = realize(parse_sp(text))
+        rep = analyze(P)
+        assert rep.gamma_norm < rep.qlb and rep.lemma1_ok, text
+        assert uniform_rayleigh(build_adversary(P)) == qlb_fraction(P), text
+
+
+def test_total_weight_identity():
+    # 1'Gamma 1 = 2 N QLB - S, S the adjacent incomparable pairs over all extensions
+    members = [(name, P) for name, P in standard_family(max_n=8, seed=3)
+               if count_extensions(P) <= 4000]
+    assert len(members) == 22
+    for name, P in members:
+        orders = extension_orders(P)
+        S = int((~P.rel[orders[:, :-1], orders[:, 1:]]).sum())
+        N = len(orders)
+        assert uniform_rayleigh(build_adversary(P)) * N == 2 * N * qlb_fraction(P) - S, name
 
 
 def test_lemmas_2_and_3_have_no_slack(monkeypatch):
@@ -565,11 +594,17 @@ def test_uniform_rayleigh_dominates_qlb(family8):
             continue
         g = build_adversary(P)
         r = uniform_rayleigh(g)
-        assert r >= float(qlb_fraction(P)) - 1e-12, name
+        assert isinstance(r, Fraction) and r >= qlb_fraction(P), name
         # cross-check the quotient against an explicit vector product
-        if g.dim:
-            v = np.full(g.dim, 1.0 / math.sqrt(g.dim))
-            assert r == pytest.approx(float(v @ g.to_csr() @ v), abs=1e-9)
+        v = np.full(g.dim, 1.0 / math.sqrt(g.dim))
+        assert float(r) == pytest.approx(float(v @ g.to_csr() @ v), abs=1e-9)
+
+
+def test_uniform_rayleigh_refuses_weights_off_the_steps():
+    g = build_adversary(antichain_poset(3))
+    for vals in (g.vals * 0.3, -g.vals, g.vals * 4):
+        with pytest.raises(DomainError):
+            uniform_rayleigh(dataclasses.replace(g, vals=vals))
 
 
 def test_masked_norms_below_two_pi(family8):
