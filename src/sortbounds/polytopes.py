@@ -175,25 +175,19 @@ class EntropySolution:
 
 
 def _objective(z: np.ndarray) -> float:
-    return -float(np.log(z).mean()) + 0.0  # +0.0 normalizes -0.0
+    return -float(np.log(z).sum() / len(z)) + 0.0  # .mean()'s sum and division; +0.0 for -0.0
 
 
-def _dual_value(A: np.ndarray, lam: np.ndarray) -> float:
-    """Lagrange dual of the entropy program at multipliers lam >= 0.
-
-    The inner minimization is solved by z_i = 1 / (n * w_i) with
-    w = A^T lam, giving g(lam) = (1/n) sum ln(n w_i) + 1 - sum lam."""
-    w = A.T @ lam
-    if (w <= 0.0).any():
-        return -math.inf
-    n = A.shape[1]
-    return float(np.log(n * w).mean() + 1.0 - lam.sum())
+def _dual_value(w: np.ndarray, lam: np.ndarray) -> float:
+    """Lagrange dual g(lam) = (1/n) sum ln(n w_i) + 1 - sum lam of the entropy
+    program at lam >= 0, w = A^T lam: the inner minimum is z_i = 1 / (n w_i)."""
+    return float(np.log(len(w) * w).sum() / len(w) + 1.0 - lam.sum()) if w.min() > 0 else -math.inf
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha <= 1 with x + alpha dx >= 0."""
-    neg = dx < 0
-    return min(1.0, float((-x[neg] / dx[neg]).min())) if neg.any() else 1.0
+    """Largest alpha <= 1 with x + alpha dx >= 0: -x/dx over dx < 0 is -(x/dx) in floats."""
+    ratios = np.divide(x, dx, out=np.full(len(x), -np.inf), where=dx < 0)
+    return min(1.0, -float(ratios.max()))
 
 
 def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
@@ -202,12 +196,13 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     Feasible-start primal-dual interior point (Mehrotra predictor-corrector)
     on the maximal-chain inequalities A z <= 1 with multipliers lam > 0.
     The slacks s = 1 - A z are recomputed from z after every step, so each
-    iterate is exactly feasible.  Each iteration solves the n x n system
-    diag(w/z) + A^T diag(lam/s) A, with w = A^T lam, twice: for the affine
-    step and for the corrector with centering (mu_aff/mu)^3.  Its diagonal
-    linearizes n z w = 1, the primal-dual form of the stationarity
-    condition.  A final step divides each z_i by the largest chain sum
-    through i when that stays feasible in floats and lowers the gap.
+    iterate is exactly feasible.  Each iteration solves with one n x n matrix
+    M = diag(w/z) + A^T diag(lam/s) A, w = A^T lam from the last dual value,
+    twice: for the affine step, whose right-hand side is exactly 1/(n z), and
+    for the corrector with centering (mu_aff/mu)^3.  M's diagonal linearizes
+    n z w = 1, the primal-dual form of the stationarity condition.  A final
+    step divides each z_i by the largest chain sum through i when that stays
+    feasible in floats and lowers the gap.
 
     The returned kkt_residual is the duality gap certified by explicit
     multipliers; newton_steps counts primal-dual iterations.
@@ -216,48 +211,49 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     """
     if not tol > 0:  # also rejects NaN, which would pass every gap test
         raise ValueError("tol must be positive")
-    n = P.n
     A = chain_matrix(P)
-    m = A.shape[0]
+    m, n = A.shape
     # Strictly feasible start: every chain sum is at most longest/(longest+1).
-    z = np.full(n, 1.0 / (A.sum(axis=1).max() + 1.0))
+    # x stacks z and s, as d stacks dz and ds, for one ratio test over both.
+    x = np.full(n + m, 1.0 / (A.sum(axis=1).max() + 1.0))
+    x[n:] = 1.0 - A @ x[:n]
     lam = np.full(m, 1.0 / m)
-    s = 1.0 - A @ z
-    best = (_objective(z) - _dual_value(A, lam), z, lam)
+    best = (_objective(x[:n]) - _dual_value(w := A.T @ lam, lam), x[:n], lam)
     steps = stalled = 0
     # Stop at the float64 noise floor, or once the certified gap is below
     # tol and has not improved for three iterations.
     while steps < MAX_NEWTON and best[0] > 1e-14 and (best[0] > tol or stalled < 3):
         steps += 1
-        w = A.T @ lam
-        M = np.diag(w / z) + (A.T * (lam / s)) @ A
+        z, s = x[:n], x[n:]
+        M = (A.T * (lam / s)) @ A
+        M.reshape(-1)[:: n + 1] += w / z
+        inv_nz = 1.0 / (n * z)
 
-        def direction(c: np.ndarray | float):
+        def direction(rhs: np.ndarray, c: np.ndarray | float):
             # Newton step for n z w = 1 and lam s = c, with ds = -A dz.
-            dz = np.linalg.solve(M, 1.0 / (n * z) - A.T @ (c / s))
-            ds = -(A @ dz)
-            return dz, ds, (c - lam * ds) / s - lam
+            dz = np.linalg.solve(M, rhs)
+            d = np.concatenate((dz, -(A @ dz)))
+            return d, d[n:], (c - lam * d[n:]) / s - lam
 
-        dz, ds, dlam = direction(0.0)
+        d, ds, dlam = direction(inv_nz, 0.0)  # A^T (0/s) is an exact zero
         mu = float(lam @ s) / m
-        mu_aff = float((lam + _max_step(lam, dlam) * dlam)
-                       @ (s + min(_max_step(z, dz), _max_step(s, ds)) * ds)) / m
-        dz, ds, dlam = direction((mu_aff / mu) ** 3 * mu - dlam * ds)
-        alpha = 0.99 * min(_max_step(z, dz), _max_step(s, ds))
+        mu_aff = float((lam + _max_step(lam, dlam) * dlam) @ (s + _max_step(x, d) * ds)) / m
+        c = (mu_aff / mu) ** 3 * mu - dlam * ds
+        d, ds, dlam = direction(inv_nz - A.T @ (c / s), c)
+        alpha = 0.99 * _max_step(x, d)
         # Rounding can leave a tiny slack at or below 0: halve the step.
         for _ in range(50):
-            zn = z + alpha * dz
-            sn = 1.0 - A @ zn
-            if (zn > 0).all() and (sn > 0).all():
+            xn = x + alpha * d
+            xn[n:] = 1.0 - A @ xn[:n]
+            if xn.min() > 0:
                 break
             alpha *= 0.5
         else:
             break
-        z, s = zn, sn
-        lam = lam + 0.99 * _max_step(lam, dlam) * dlam
-        gap = _objective(z) - _dual_value(A, lam)
+        x, lam = xn, lam + 0.99 * _max_step(lam, dlam) * dlam
+        gap = _objective(x[:n]) - _dual_value(w := A.T @ lam, lam)
         if gap < best[0]:
-            best = (gap, z, lam)
+            best = (gap, x[:n], lam)
             stalled = 0
         else:
             stalled += 1
@@ -265,7 +261,7 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     gap, z, lam = best
     scaled = z / (A * (A @ z)[:, None]).max(axis=0)
     if ((A @ scaled) <= 1.0).all():
-        scaled_gap = _objective(scaled) - _dual_value(A, lam)
+        scaled_gap = _objective(scaled) - _dual_value(A.T @ lam, lam)
         if scaled_gap < gap:
             z, gap = scaled, scaled_gap
     if gap > tol:

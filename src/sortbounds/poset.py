@@ -154,7 +154,7 @@ class Poset:
         return np.nonzero(self.rel[:, i])[0].tolist()
 
     def minimal_elements(self) -> list[int]:
-        return [i for i in range(self.n) if not self.rel[:, i].any()]
+        return (~self.rel.any(axis=0)).nonzero()[0].tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
@@ -204,43 +204,40 @@ def extends(Q: Poset, P: Poset) -> bool:
 def count_maximal_chains(P: Poset) -> int:
     """Number of maximal chains (source-to-sink paths of the cover
     relation), counted in Python ints from the sinks down."""
-    covers = P.covers
-    paths = [0] * P.n
+    return _cover_paths(P)[0]
+
+
+def _cover_paths(P: Poset) -> tuple[int, list[int], list[int], list[list[int]]]:
+    """`count_maximal_chains`, with the sources, the order from the sinks
+    down and the increasing cover list of each element that it walks."""
+    succ_lists = [row.nonzero()[0].tolist() for row in P.covers]
     # An element has strictly more successors than any element above it.
-    for i in np.argsort(P.rel.sum(axis=1), kind="stable").tolist():
-        succs = np.nonzero(covers[i])[0].tolist()
-        paths[i] = sum(paths[j] for j in succs) if succs else 1
-    return sum(paths[i] for i in P.minimal_elements())
+    order = np.argsort(P.rel.sum(axis=1), kind="stable").tolist()
+    paths = [0] * P.n
+    for i in order:
+        paths[i] = sum(paths[j] for j in succ_lists[i]) or 1  # a sink ends one path
+    sources = P.minimal_elements()
+    return sum(paths[i] for i in sources), sources, order, succ_lists
 
 
 def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
     """All inclusion-maximal chains, as tuples of elements in increasing order.
 
-    Every maximal chain is a source-to-sink path of the cover relation, so a
-    DFS over the Hasse diagram enumerates each exactly once.  Isolated
-    elements yield singleton chains.  The count is exponential in the
-    worst case, so it is taken first and more than MAX_CHAINS raises
+    Every maximal chain is a source-to-sink path of the cover relation, so
+    the count's recurrence, run over the same cover lists, builds each one
+    once: the paths up from an element are that element followed by the
+    paths up from each of its covers in turn, in depth-first order.
+    Isolated elements yield singleton chains.  The count is exponential in
+    the worst case, so it is taken first and more than MAX_CHAINS raises
     LimitExceededError.
     """
-    total = count_maximal_chains(P)
+    total, sources, order, succ_lists = _cover_paths(P)
     if total > MAX_CHAINS:
         raise LimitExceededError(f"{total} maximal chains exceed the chain cap {MAX_CHAINS}")
-    covers = P.covers
-    succ_lists = [np.nonzero(covers[i])[0].tolist() for i in range(P.n)]
-    chains: list[tuple[int, ...]] = []
-    path: list[int] = []
-    # (depth, element) pairs; successors pushed in reverse pop in order
-    stack = [(0, s) for s in reversed(P.minimal_elements())]
-    while stack:
-        depth, v = stack.pop()
-        del path[depth:]
-        path.append(v)
-        succs = succ_lists[v]
-        if succs:
-            stack.extend((depth + 1, s) for s in reversed(succs))
-        else:
-            chains.append(tuple(path))
-    return chains
+    up: list[list[tuple[int, ...]]] = [[] for _ in range(P.n)]
+    for i in order:
+        up[i] = [(i, *path) for j in succ_lists[i] for path in up[j]] or [(i,)]
+    return [path for s in sources for path in up[s]]
 
 
 _QUAD_PAIRS = [(p, q) for p in range(4) for q in range(4) if p != q]

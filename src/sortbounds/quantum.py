@@ -47,7 +47,7 @@ from .linext import (
 from .orderstats import harmonic, harmonic_table
 from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
 from .poset import Poset
-from .spexpr import Block, NBlock, Parallel, Series, SPExpr, expr_size, nodes, sp_decomposition
+from .spexpr import Block, NBlock, Parallel, Series, SPExpr, node_sizes, nodes, sp_decomposition
 
 DEFAULT_MATRIX_CAP = 4000
 
@@ -151,12 +151,12 @@ def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fracti
     Block and NBlock leaf adds the ideal DP of `qlb_fraction`, which refuses
     a leaf of more than max_extensions extensions.
     """
-    total = Fraction(0)
+    total, size = Fraction(0), node_sizes(e)
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
             total += qlb_fraction(node.poset, max_extensions=max_extensions)
         elif isinstance(node, Parallel):
-            sizes = [expr_size(c) for c in node.children]
+            sizes = [size[id(c)] for c in node.children]
             total += sum(sizes) * harmonic(sum(sizes)) - sum(k * harmonic(k) for k in sizes)
     return total
 
@@ -187,14 +187,14 @@ def entropy_sp(e: SPExpr) -> EntropyFold:
     LB = 0.0 exactly.  The fold also returns top and the solved leaves, from
     which `certify_sandwich` decides the sandwich.
     """
-    R, leaves = Fraction(1), []
+    R, leaves, size = Fraction(1), [], node_sizes(e)
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
             leaves.append(entropy(node.poset))
         elif isinstance(node, Series):
-            sizes = [expr_size(c) for c in node.children]
+            sizes = [size[id(c)] for c in node.children]
             R *= Fraction(sum(sizes) ** sum(sizes), math.prod(k**k for k in sizes))
-    n = expr_size(e)
+    n = size[id(e)]
     spent = sum(len(sol.z_star) * sol.H for sol in leaves)
     top = n**n / R
     return EntropyFold(H=(_ln(R) + spent) / n, lb=max(0.0, _ln(top) - spent),

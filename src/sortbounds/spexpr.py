@@ -17,7 +17,7 @@ a series places every element of an earlier block below every element of a
 later block, a parallel adds no cross relations.  ``sp_decomposition`` inverts it up to
 renumbering for any ``Poset`` (n >= 1), splitting on the poset's cached
 ``pred_masks`` and ``succ_masks``.  ``nodes`` walks an expression without
-recursion, and ``expr_size`` and the folds over an expression sum along it.
+recursion, and ``node_sizes`` and the folds over an expression sum along it.
 """
 from __future__ import annotations
 
@@ -120,12 +120,21 @@ def nodes(e: SPExpr) -> Iterator[SPExpr]:
         stack.extend(getattr(node, "children", ()))
 
 
+def node_sizes(e: SPExpr) -> dict[int, int]:
+    """Element count of every node of e by ``id(node)``, each counted once,
+    children first: the reversed `nodes` order puts them before their parent."""
+    size: dict[int, int] = {}
+    for node in reversed(list(nodes(e))):
+        size[id(node)] = (1 if isinstance(node, Singleton)
+                          else 4 * node.k if isinstance(node, NBlock)
+                          else node.poset.n if isinstance(node, Block)
+                          else sum(size[id(c)] for c in node.children))
+    return size
+
+
 def expr_size(e: SPExpr) -> int:
-    """Number of elements of the realized poset: the sum of its leaf sizes."""
-    return sum(1 if isinstance(node, Singleton)
-               else 4 * node.k if isinstance(node, NBlock)
-               else node.poset.n if isinstance(node, Block)
-               else 0 for node in nodes(e))
+    """Number of elements of the realized poset: the size of the root."""
+    return node_sizes(e)[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # Each parenthesis level costs three parser frames and adds at most a
 # parallel and a series node (an antichain in the innermost series one more),
 # so a parsed tree is at most MAX_DEPTH nodes deep; both bounds keep the
-# parser, `_split`, `realize` and the printers inside the recursion limit of 1000.
+# parser, `_split` and the printers inside the recursion limit of 1000.
 MAX_NESTING = 100
 MAX_DEPTH = 2 * MAX_NESTING + 3
 # Bound on the element count of a whole expression, counted before any leaf
@@ -258,13 +267,14 @@ def parse_sp(text: str) -> SPExpr:
 # ---------------------------------------------------------------------------
 
 def realize(e: SPExpr) -> Poset:
-    """Build the poset of an expression on elements 0..n-1 in leaf order."""
-    n = expr_size(e)
+    """Build the poset of an expression on elements 0..n-1 in leaf order,
+    placing each node at its offset by the `node_sizes` of its elder siblings."""
+    size = node_sizes(e)
+    n = size[id(e)]
     rel = np.zeros((n, n), dtype=bool)
-
-    def fill(node: SPExpr, offset: int) -> int:
-        if isinstance(node, Singleton):
-            return offset + 1
+    stack = [(e, 0)]
+    while stack:
+        node, offset = stack.pop()
         if isinstance(node, NBlock):
             k = node.k
             a, b, c, d = (slice(offset + t * k, offset + (t + 1) * k) for t in range(4))
@@ -272,19 +282,16 @@ def realize(e: SPExpr) -> Poset:
                 rel[chain_block, chain_block] = np.triu(np.ones((k, k), dtype=bool), 1)
             for lo_block, hi_block in ((a, b), (c, b), (c, d)):
                 rel[lo_block, hi_block] = True
-            return offset + 4 * k
-        if isinstance(node, Block):
-            end = offset + node.poset.n
-            rel[offset:end, offset:end] = node.poset.rel
-            return end
-        cur = offset
-        for child in node.children:
-            start, cur = cur, fill(child, cur)
-            if isinstance(node, Series):  # every earlier child lies below this one
-                rel[offset:start, start:cur] = True
-        return cur
-
-    fill(e, 0)
+        elif isinstance(node, Block):
+            block = slice(offset, offset + node.poset.n)
+            rel[block, block] = node.poset.rel
+        elif not isinstance(node, Singleton):
+            start = offset
+            for child in node.children:
+                if isinstance(node, Series):  # every earlier child lies below this one
+                    rel[offset:start, start:start + size[id(child)]] = True
+                stack.append((child, start))
+                start += size[id(child)]
     return Poset(rel)
 
 
@@ -317,7 +324,7 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
     elements that neither splits becomes a ``Block`` of its induced
     sub-poset, and P itself when P is indecomposable.  One nested deeper
     than any parsed expression, MAX_DEPTH, raises LimitExceededError, which
-    bounds `realize` and the printers, the walks that recurse over the result.
+    bounds the printers, the walks that recurse over the result.
     """
     expr, leaves = _split(P, (1 << P.n) - 1, 0)
     return expr, tuple(leaves)

@@ -467,3 +467,74 @@ def _barrier_polish(A, gap, z, lam_barrier):
                   for zc in (zp, z) for lc in (lam_full, lam_barrier)]
     gbest, zbest, lbest = min(candidates, key=lambda c: c[0])
     return max(gbest, 0.0), zbest, lbest
+
+
+def _seed_max_step(x, dx):
+    """Largest alpha <= 1 with x + alpha dx >= 0."""
+    neg = dx < 0
+    return min(1.0, float((-x[neg] / dx[neg]).min())) if neg.any() else 1.0
+
+
+def seed_entropy(P, tol=1e-8, max_newton=1000):
+    """Oracle: the Mehrotra predictor-corrector loop of `entropy` in its
+    plain form (M through `np.diag`, w and the predictor's zero matvec
+    recomputed, one `_seed_max_step` per ratio test), with
+    `_barrier_objective` and `_barrier_dual`, line for line the objective
+    and dual it used.  `entropy` must take the same iterates bit for bit."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    n = P.n
+    A = chain_matrix(P)
+    m = A.shape[0]
+    z = np.full(n, 1.0 / (A.sum(axis=1).max() + 1.0))
+    lam = np.full(m, 1.0 / m)
+    s = 1.0 - A @ z
+    best = (_barrier_objective(z) - _barrier_dual(A, lam), z, lam)
+    steps = stalled = 0
+    while steps < max_newton and best[0] > 1e-14 and (best[0] > tol or stalled < 3):
+        steps += 1
+        w = A.T @ lam
+        M = np.diag(w / z) + (A.T * (lam / s)) @ A
+
+        def direction(c):
+            dz = np.linalg.solve(M, 1.0 / (n * z) - A.T @ (c / s))
+            ds = -(A @ dz)
+            return dz, ds, (c - lam * ds) / s - lam
+
+        dz, ds, dlam = direction(0.0)
+        mu = float(lam @ s) / m
+        mu_aff = float((lam + _seed_max_step(lam, dlam) * dlam)
+                       @ (s + min(_seed_max_step(z, dz), _seed_max_step(s, ds)) * ds)) / m
+        dz, ds, dlam = direction((mu_aff / mu) ** 3 * mu - dlam * ds)
+        alpha = 0.99 * min(_seed_max_step(z, dz), _seed_max_step(s, ds))
+        for _ in range(50):
+            zn = z + alpha * dz
+            sn = 1.0 - A @ zn
+            if (zn > 0).all() and (sn > 0).all():
+                break
+            alpha *= 0.5
+        else:
+            break
+        z, s = zn, sn
+        lam = lam + 0.99 * _seed_max_step(lam, dlam) * dlam
+        gap = _barrier_objective(z) - _barrier_dual(A, lam)
+        if gap < best[0]:
+            best = (gap, z, lam)
+            stalled = 0
+        else:
+            stalled += 1
+
+    gap, z, lam = best
+    scaled = z / (A * (A @ z)[:, None]).max(axis=0)
+    if ((A @ scaled) <= 1.0).all():
+        scaled_gap = _barrier_objective(scaled) - _barrier_dual(A, lam)
+        if scaled_gap < gap:
+            z, gap = scaled, scaled_gap
+    if gap > tol:
+        raise NonConvergenceError(f"certified duality gap {gap:.3e} above tol {tol:.3e}")
+    if (z < 1e-9).any():
+        raise NonConvergenceError("optimal point degenerate: some z*[i] < 1e-9")
+    z = z.copy()
+    z.setflags(write=False)
+    return EntropySolution(H=_barrier_objective(z), z_star=z, kkt_residual=max(gap, 0.0),
+                           newton_steps=steps)

@@ -120,6 +120,17 @@ def test_entropy_rejects_bad_tol(wedge):
         entropy(fence_poset(6), tol=float("nan"))
 
 
+def test_ratio_test_without_a_decreasing_component_takes_the_full_step():
+    x = np.array([1.0, 2.0, 3.0])
+    # no component decreases: a zero, a negative zero and a positive one
+    assert polytopes._max_step(x, np.array([0.0, -0.0, 5.0])) == 1.0
+    assert polytopes._max_step(x, np.zeros(3)) == 1.0
+    # otherwise the smallest -x_i/dx_i over dx_i < 0, capped at 1
+    assert polytopes._max_step(x, np.array([-4.0, -0.0, 6.0])) == 0.25
+    assert polytopes._max_step(x, np.array([-0.5, -1.0, 0.0])) == 1.0
+    assert polytopes._max_step(x, np.array([-3.0, -7.0, -9.0])) == min(1 / 3, 2 / 7, 3 / 9)
+
+
 def test_entropy_nonconvergence_with_no_step_budget(wedge, monkeypatch):
     monkeypatch.setattr(polytopes, "MAX_NEWTON", 0)
     with pytest.raises(NonConvergenceError):

@@ -44,6 +44,7 @@ from sortbounds import polytopes, quantum
 from sortbounds.polytopes import _order_points, order_point_batch
 from sortbounds.poset import parse_poset_text, transitive_closure
 from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
+from sortbounds.spexpr import Block, NBlock, nodes
 
 from conftest import (
     all_types_max_gamma_ij_norm,
@@ -58,6 +59,7 @@ from conftest import (
     pair_loop_random_poset,
     per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
+    seed_entropy,
     warshall_closure,
 )
 
@@ -356,6 +358,40 @@ def test_entropy_matches_barrier_oracle(case):
     assert ((chain_matrix(P) @ sol.z_star) <= 1.0).all()
 
 
+def _reference_reports():
+    """(name, recorded report, poset) of each report input of bench/reference.json."""
+    ref = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    inputs = json.loads(ref.read_text(encoding="ascii"))["inputs"]
+    return [(name, entry["report"],
+             poset_from_text(entry["text"]) if entry["fmt"] == "poset"
+             else realize(parse_sp(entry["text"])))
+            for name, entry in inputs.items() if "report" in entry]
+
+
+def _assert_seed_iterates(P, name=None):
+    got, want = entropy(P), seed_entropy(P)
+    assert (got.H, got.kkt_residual, got.newton_steps) == (want.H, want.kkt_residual,
+                                                           want.newton_steps), name
+    assert got.z_star.tobytes() == want.z_star.tobytes(), name
+
+
+@given(posets(max_n=14))
+def test_entropy_takes_the_seed_loops_iterates(case):
+    _assert_seed_iterates(case[0])
+
+
+def test_entropy_takes_the_seed_loops_iterates_on_the_corpus(family8):
+    # every Block and N(k) leaf that `analyze` solves on the reference
+    # inputs, the standard family, and the 1458 chains of the widest layered
+    # poset at n = 20
+    leaves = [(name, node.poset) for name, _, P in _reference_reports()
+              for node in nodes(sp_decomposition(P)[0]) if isinstance(node, (Block, NBlock))]
+    assert len(leaves) == 94
+    layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
+    for name, P in [*family8, ("layered", layered), *leaves]:
+        _assert_seed_iterates(P, name)
+
+
 def _assert_fold_matches_solve(P, e):
     fold = entropy_sp(e)
     sol = entropy(P)
@@ -381,18 +417,12 @@ def test_analyze_lists_no_chain_without_a_block(monkeypatch):
     listed = []
     real = polytopes.maximal_chains
     monkeypatch.setattr(polytopes, "maximal_chains", lambda P: listed.append(P.n) or real(P))
-    ref = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference.json"
-    inputs = json.loads(ref.read_text(encoding="ascii"))["inputs"].values()
     blockless = 0
-    for entry in inputs:
-        if "report" not in entry:
-            continue
-        P = (poset_from_text(entry["text"]) if entry["fmt"] == "poset"
-             else realize(parse_sp(entry["text"])))
+    for _, report, P in _reference_reports():
         if recognize_sp(P) is None:
             continue
         blockless += 1
-        assert quantum.analyze(P).sandwich_ok is entry["report"]["sandwich_ok"]
+        assert quantum.analyze(P).sandwich_ok is report["sandwich_ok"]
     assert blockless == 35
     assert listed == []
 
