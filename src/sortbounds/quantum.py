@@ -430,34 +430,42 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
     (eigsh, started from the all-ones vector so reruns agree) above it.
     """
     A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(M, dtype=float)
+    A.sum_duplicates()  # sorted and summed, so a symmetric A equals its transpose array by array
     A.eliminate_zeros()
     if not (np.isfinite(A.data).all() and (A.data > 0).all()):
         raise DomainError("matrix entries must be finite and nonnegative")
-    if A.shape[0] != A.shape[1] or (A != A.T).nnz:
+    T = A.T.tocsr()
+    if A.shape != T.shape or not (np.array_equal(A.indptr, T.indptr)
+                                  and np.array_equal(A.indices, T.indices)
+                                  and np.array_equal(A.data, T.data)):
         raise DomainError(f"matrix of shape {A.shape} is not square and symmetric")
     if A.nnz == 0:
         return 0.0, 0.0
-    labels = connected_components(A, directed=False)[1]
+    # A is symmetric, so its strong components are its connected components,
+    # found with no transpose
+    labels = connected_components(A, directed=True, connection="strong")[1]
     sizes = np.bincount(labels)
-    # a vertex's position in its component: its rank by label minus the earlier sizes
-    pos = np.argsort(np.argsort(labels, kind="stable")) - (np.cumsum(sizes) - sizes)[labels]
-    coo = A.tocoo()
-    comp = labels[coo.row]
     brackets = [(0.0, 0.0)]
-    for size in np.unique(sizes[comp]).tolist():
-        sel = sizes[comp] == size
-        comps, slot = np.unique(comp[sel], return_inverse=True)
-        if size > DENSE_MAX:
-            for c in comps.tolist():
-                block = A if size == A.shape[0] else A[labels == c][:, labels == c]
-                vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
-                x = np.maximum(np.abs(vec), np.finfo(float).tiny)
-                brackets.append(_bracket(x, block @ x, size))
-            continue
-        blocks = np.zeros((len(comps), size, size))
-        blocks[slot, pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
-        x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
-        brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
+    for c in np.flatnonzero(sizes > DENSE_MAX).tolist():
+        size = int(sizes[c])
+        block = A if size == A.shape[0] else A[labels == c][:, labels == c]
+        vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
+        x = np.maximum(np.abs(vec), np.finfo(float).tiny)
+        brackets.append(_bracket(x, block @ x, size))
+    if sizes.min() <= DENSE_MAX:
+        # a vertex's position in its component: its rank by label minus the earlier sizes
+        pos = np.argsort(np.argsort(labels, kind="stable")) - (np.cumsum(sizes) - sizes)[labels]
+        coo = A.tocoo()
+        comp = labels[coo.row]
+        for size in np.unique(sizes[comp]).tolist():
+            if size > DENSE_MAX:
+                break
+            sel = sizes[comp] == size
+            comps, slot = np.unique(comp[sel], return_inverse=True)
+            blocks = np.zeros((len(comps), size, size))
+            blocks[slot, pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
+            x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
+            brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
     return tuple(map(max, zip(*brackets)))
 
 
@@ -557,16 +565,19 @@ def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
     rank the rank plus its gap in the dual order at the reversed ranks
     n + 1 - r (n + 1 for an element with no successor).
     """
-    r = gamma.ranks
+    r = gamma.ranks.astype(np.int32)
     low = r - transfer_batch(P, r)
     high = r + transfer_batch(Poset(P.rel.T), P.n + 1 - r)
     I, J = np.nonzero(np.triu(~(P.rel | P.rel.T), 1))
     a_i, a_j = low[:, I] - (low[:, I] > r[:, J]), low[:, J] - (low[:, J] > r[:, I])
     b_i, b_j = high[:, I] - 2 - (high[:, I] > r[:, J]), high[:, J] - 2 - (high[:, J] > r[:, I])
     shift = np.minimum(a_i, a_j)
-    # 5 bits a slot: Gamma is built only for n <= DEFAULT_N_CAP, so every slot is <= 18
-    keys = np.unique(((a_i - shift) << 15) | ((b_i - shift) << 10)
-                     | ((a_j - shift) << 5) | (b_j - shift))
+    # 5 bits a slot: Gamma is built only for n <= DEFAULT_N_CAP, so every slot
+    # is <= 18 and every key < 2**20 indexes one table of the keys seen
+    seen = np.zeros(1 << 20, dtype=bool)
+    seen[((a_i - shift) << 15) | ((b_i - shift) << 10)
+         | ((a_j - shift) << 5) | (b_j - shift)] = True
+    keys = np.flatnonzero(seen)
     return (keys[:, None] >> np.array([15, 10, 5, 0])) & 31
 
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import eigsh
 
 from sortbounds import (
     Block,
@@ -31,7 +33,7 @@ from sortbounds import (
     tech_constant,
 )
 from sortbounds.polytopes import transfer_batch
-from sortbounds.quantum import AdversaryMatrix, _window_matrix, _window_types
+from sortbounds.quantum import DENSE_MAX, AdversaryMatrix, _bracket, _window_matrix, _window_types
 from sortbounds.spexpr import MAX_DEPTH
 
 # Property tests draw the same examples on every run and leave no example
@@ -344,6 +346,66 @@ def all_types_max_gamma_ij_norm(gamma, P):
     t, e = np.nonzero(inside[:, r] & inside[:, c])
     A = sparse.csr_matrix((W[r, c][e], (at[t, r[e]], at[t, c[e]])), shape=(at.max() + 1,) * 2)
     return norm_bracket(A)[1]
+
+
+def seed_norm_bracket(M):
+    """Oracle: `norm_bracket` in its plain form: symmetry from the sparse
+    binop A != A.T, components from an undirected search, and the dense
+    path's positions and per-size groups built on every call.
+    `norm_bracket` must give the same bracket bit for bit."""
+    A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(M, dtype=float)
+    A.eliminate_zeros()
+    if not (np.isfinite(A.data).all() and (A.data > 0).all()):
+        raise DomainError("matrix entries must be finite and nonnegative")
+    if A.shape[0] != A.shape[1] or (A != A.T).nnz:
+        raise DomainError(f"matrix of shape {A.shape} is not square and symmetric")
+    if A.nnz == 0:
+        return 0.0, 0.0
+    labels = connected_components(A, directed=False)[1]
+    sizes = np.bincount(labels)
+    # a vertex's position in its component: its rank by label minus the earlier sizes
+    pos = np.argsort(np.argsort(labels, kind="stable")) - (np.cumsum(sizes) - sizes)[labels]
+    coo = A.tocoo()
+    comp = labels[coo.row]
+    brackets = [(0.0, 0.0)]
+    for size in np.unique(sizes[comp]).tolist():
+        sel = sizes[comp] == size
+        comps, slot = np.unique(comp[sel], return_inverse=True)
+        if size > DENSE_MAX:
+            for c in comps.tolist():
+                block = A if size == A.shape[0] else A[labels == c][:, labels == c]
+                vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
+                x = np.maximum(np.abs(vec), np.finfo(float).tiny)
+                brackets.append(_bracket(x, block @ x, size))
+            continue
+        blocks = np.zeros((len(comps), size, size))
+        blocks[slot, pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
+        x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
+        brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
+    return tuple(map(max, zip(*brackets)))
+
+
+def loop_window_types(gamma, P):
+    """Oracle: `_window_types` as a loop over the rows of gamma and the
+    incomparable pairs i < j.  With rho the order of the other n - 2
+    elements in the row, i may take the slots after its last predecessor
+    (its place in rho, counted from 1; 0 with none) and before its first
+    successor (that successor's place less one; n - 2 with none), and j
+    likewise; the four are shifted so that min(a_i, a_j) = 0.  The distinct
+    windows come back sorted, as a (types, 4) array."""
+    windows = set()
+    for rank in gamma.ranks.tolist():
+        for i, j in itertools.combinations(range(P.n), 2):
+            if P.rel[i, j] or P.rel[j, i]:
+                continue
+            rho = sorted((e for e in range(P.n) if e not in (i, j)), key=lambda e: rank[e])
+            place = {e: k + 1 for k, e in enumerate(rho)}
+            a_i, a_j = (max((place[p] for p in P.predecessors(e)), default=0) for e in (i, j))
+            b_i, b_j = (min((place[q] - 1 for q in np.nonzero(P.rel[e])[0].tolist()),
+                            default=P.n - 2) for e in (i, j))
+            shift = min(a_i, a_j)
+            windows.add((a_i - shift, b_i - shift, a_j - shift, b_j - shift))
+    return np.array(sorted(windows), dtype=np.int64).reshape(-1, 4)
 
 
 def warshall_closure(rel):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.linalg import block_diag
 
 from sortbounds import (
     DomainError,
@@ -43,7 +45,7 @@ from sortbounds import (
 from sortbounds import polytopes, quantum
 from sortbounds.polytopes import _order_points, order_point_batch
 from sortbounds.poset import parse_poset_text, transitive_closure
-from sortbounds.quantum import DENSE_MAX, max_gamma_ij_norm
+from sortbounds.quantum import DENSE_MAX, _window_types, max_gamma_ij_norm
 from sortbounds.spexpr import Block, NBlock, nodes
 
 from conftest import (
@@ -56,10 +58,12 @@ from conftest import (
     gamma_ij,
     lattice_counts,
     loop_adversary,
+    loop_window_types,
     pair_loop_random_poset,
     per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
     seed_entropy,
+    seed_norm_bracket,
     warshall_closure,
 )
 
@@ -321,6 +325,63 @@ def test_max_gamma_ij_norm_matches_per_mask_oracle(case):
     got = max_gamma_ij_norm(gamma, P)
     assert got == all_types_max_gamma_ij_norm(gamma, P)
     assert got == pytest.approx(per_mask_max_gamma_ij_norm(gamma, P), rel=1e-12, abs=0)
+
+
+def test_norm_bracket_is_the_seed_bracket_on_the_reference_matrices(monkeypatch):
+    # every Gamma that `analyze` brackets on the reference inputs, the block
+    # diagonal of each one's maximal masks, and hilbert_norm's sections
+    bracket, masked = quantum.norm_bracket, []
+    monkeypatch.setattr(quantum, "norm_bracket", lambda M: masked.append(M) or bracket(M))
+    gammas = []
+    for name, report, P in _reference_reports():
+        if report["gamma_norm"] is not None:
+            gammas.append((name, build_adversary(P)))
+            max_gamma_ij_norm(gammas[-1][1], P)
+    assert len(gammas) == len(masked) == 73
+    hilbert = [1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0) for m in (10, 50, 200)]
+    masks = [(f"{name} masks", M) for (name, _), M in zip(gammas, masked)]
+    for name, M in [*gammas, *masks, *zip((10, 50, 200), hilbert)]:
+        assert bracket(M) == seed_norm_bracket(M), name
+
+
+@st.composite
+def mixed_block_diagonals(draw):
+    """A nonnegative symmetric matrix of several components, each a weighted
+    path with random chords: some of at most DENSE_MAX vertices and some
+    past it, sizes repeated, isolated vertices among them, and the vertices
+    shuffled so that components interleave and their labels come in any
+    order."""
+    small = st.integers(1, 6)
+    large = st.integers(DENSE_MAX + 1, DENSE_MAX + 12)
+    sizes = draw(st.lists(small | large, min_size=1, max_size=6))
+    sizes += draw(st.lists(st.sampled_from(sizes), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    weights = np.array([0.25, 1 / 3, 0.5, 1.0, 2.0])
+    blocks = []
+    for s in sizes:
+        B = np.diag(rng.choice(weights, s - 1), 1) if s > 1 else np.zeros((1, 1))
+        B += np.triu(rng.choice(weights, (s, s)) * (rng.random((s, s)) < 3 / s), 2)
+        blocks.append(B + B.T)
+    A = block_diag(*blocks)
+    order = rng.permutation(len(A)) if draw(st.booleans()) else np.arange(len(A))
+    return sparse.csr_matrix(A[np.ix_(order, order)])
+
+
+@settings(max_examples=60)
+@given(mixed_block_diagonals())
+def test_norm_bracket_is_the_seed_bracket_on_mixed_block_diagonals(A):
+    assert norm_bracket(A) == seed_norm_bracket(A)
+
+
+@settings(max_examples=60)
+@given(posets())
+def test_window_types_match_the_loop_oracle(case):
+    P, _ = case
+    assume(count_extensions(P) <= 400)
+    gamma = build_adversary(P)
+    got, want = _window_types(gamma, P), loop_window_types(gamma, P)
+    assert np.issubdtype(got.dtype, np.integer)
+    np.testing.assert_array_equal(got, want)
 
 
 def _assert_same_triplets(P):

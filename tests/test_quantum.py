@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sortbounds import (
     Block,
@@ -441,6 +442,27 @@ def test_norm_bracket_rejects_non_perron_input():
     with pytest.raises(DomainError):
         norm_bracket(flipped)
     assert norm_bracket(np.zeros((3, 3))) == (0.0, 0.0)
+
+
+def test_norm_bracket_reads_a_canonical_form():
+    # symmetry is decided on the arrays of A and its transpose, which agree
+    # only once both are canonical: sorted in each row, duplicates summed
+    dense = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 2.0, 0.0]])
+    # row 0 lists columns 2, 1, 1 and row 1 lists 2, 0: unsorted, with 1.0 = 0.75 + 0.25
+    messy = sparse.csr_matrix((np.array([0.5, 0.75, 0.25, 2.0, 1.0, 0.5, 2.0]),
+                               np.array([2, 1, 1, 2, 0, 0, 1]), np.array([0, 3, 5, 7])),
+                              shape=(3, 3))
+    assert not messy.has_sorted_indices
+    assert norm_bracket(messy) == norm_bracket(dense)
+    skew = sparse.csr_matrix(np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 2.0], [0.5, 3.0, 0.0]]))
+    assert skew.has_canonical_format
+    with pytest.raises(DomainError):
+        norm_bracket(skew)
+    # 1.0 - 1.5 in (0, 1) and (1, 0): symmetric, and negative once summed
+    negative = sparse.csr_matrix((np.array([1.0, -1.5, 1.0, -1.5]), np.array([1, 1, 0, 0]),
+                                  np.array([0, 2, 4])), shape=(2, 2))
+    with pytest.raises(DomainError):
+        norm_bracket(negative)
 
 
 def test_norm_bracket_gives_equal_blocks_equal_brackets():
