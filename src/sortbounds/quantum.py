@@ -315,16 +315,22 @@ class AdversaryMatrix:
     """Sparse symmetric nonnegative matrix on extension pairs.
 
     Rows/columns follow the lexicographic enumeration order of extensions.
-    Both orientations of every nonzero are stored, so a single scatter pass
-    realizes the symmetric matvec.
+    Both orientations of every nonzero are stored, each as its integer step
+    d (weight 1/d), so a single scatter pass realizes the symmetric matvec.
     """
 
-    dim: int
-    n: int
     rows: np.ndarray
     cols: np.ndarray
-    vals: np.ndarray
+    steps: np.ndarray  # int64 step d of each stored entry
     ranks: np.ndarray  # (dim, n) rank matrix of the indexing extensions
+
+    @property
+    def dim(self) -> int:
+        return len(self.ranks)
+
+    @property
+    def vals(self) -> np.ndarray:
+        return 1.0 / self.steps
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))
@@ -397,11 +403,9 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     keep = (dd > 1) | (src < tgt)
     src, tgt, dd = src[keep], tgt[keep], dd[keep]
     return AdversaryMatrix(
-        dim=len(orders),
-        n=n,
         rows=np.stack([src, tgt], axis=1).ravel(),
         cols=np.stack([tgt, src], axis=1).ravel(),
-        vals=np.repeat(1.0 / dd, 2),
+        steps=np.repeat(dd, 2),
         ranks=ranks,
     )
 
@@ -429,7 +433,8 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
     batched dense eigh per component size up to DENSE_MAX, and from ARPACK
     (eigsh, started from the all-ones vector so reruns agree) above it.
     """
-    A = M.to_csr() if isinstance(M, AdversaryMatrix) else sparse.csr_matrix(M, dtype=float)
+    A = (M.to_csr() if isinstance(M, AdversaryMatrix)  # a CSR M's own arrays stay as they were
+         else sparse.csr_matrix(M, dtype=float, copy=True))
     A.sum_duplicates()  # sorted and summed, so a symmetric A equals its transpose array by array
     A.eliminate_zeros()
     if not (np.isfinite(A.data).all() and (A.data > 0).all()):
@@ -470,7 +475,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
 
 
 def spectral_norm(M: AdversaryMatrix | np.ndarray) -> float:
-    """Lower side of `norm_bracket`: the safe side for lemma 3's ratio."""
+    """Lower side of `norm_bracket`: the safe side for ||Gamma|| in lemma 3."""
     return norm_bracket(M)[0]
 
 
@@ -484,12 +489,9 @@ def hilbert_norm(m: int) -> float:
 
 def uniform_rayleigh(gamma: AdversaryMatrix) -> Fraction:
     """Exact Rayleigh quotient 1'Gamma 1 / dim of the uniform unit vector, at
-    most ||Gamma||: sum_d count_d / d over the steps d = 1 / vals of the
-    entries; raises DomainError on an entry that is no such 1/d."""
-    steps = np.rint(1.0 / gamma.vals).astype(np.int64)
-    if not ((steps >= 1).all() and (1.0 / steps == gamma.vals).all()):
-        raise DomainError("adversary weights must be reciprocals of integer steps")
-    counts = np.bincount(steps).tolist()
+    most ||Gamma||: sum_d count_d / d over the integer steps d of the stored
+    entries."""
+    counts = np.bincount(gamma.steps).tolist()
     return sum(Fraction(c, d) for d, c in enumerate(counts) if c) / Fraction(gamma.dim)
 
 
@@ -622,11 +624,7 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     a_i, b_i, a_j, b_j = types.T[:, :, None]
     x, y = states[:, 0], states[:, 1]
     inside = (a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j)
-    at = np.cumsum(inside).reshape(inside.shape) - 1  # each state's row in the block diagonal
-    r, c = np.nonzero(W)
-    t, e = np.nonzero(inside[:, r] & inside[:, c])
-    A = sparse.csr_matrix((W[r, c][e], (at[t, r[e]], at[t, c[e]])), shape=(at.max() + 1,) * 2)
-    return norm_bracket(A)[1]
+    return norm_bracket(sparse.block_diag([W[np.ix_(row, row)] for row in inside]))[1]
 
 
 def analyze(

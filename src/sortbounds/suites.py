@@ -309,8 +309,7 @@ def suite_adversary(seed: int, samples: int) -> list[CheckResult]:
         rep = quantum.analyze(P)
         if rep.gamma_norm is None or rep.any_failed():
             flag_bad.append(name)
-        # both exact; qlb_fraction reads the P.lattice the matrix was built from
-        if quantum.uniform_rayleigh(quantum.build_adversary(P)) < quantum.qlb_fraction(P):
+        if not rep.lemma1_ok:  # the exact uniform_rayleigh(Gamma) >= QLB
             rayleigh_bad.append(name)
     out.append(_result("adversary", "norm_certificates", not flag_bad,
                        f"all flags true on {len(fam)} posets" if not flag_bad

@@ -319,8 +319,8 @@ def gamma_ij(gamma, P, i, j):
         raise DomainError(f"elements ({i}, {j}) out of range 0..{P.n - 1}")
     below = gamma.ranks[:, i] < gamma.ranks[:, j]
     keep = below[gamma.rows] != below[gamma.cols]
-    return AdversaryMatrix(dim=gamma.dim, n=gamma.n, rows=gamma.rows[keep],
-                           cols=gamma.cols[keep], vals=gamma.vals[keep], ranks=gamma.ranks)
+    return AdversaryMatrix(rows=gamma.rows[keep], cols=gamma.cols[keep],
+                           steps=gamma.steps[keep], ranks=gamma.ranks)
 
 
 def per_mask_max_gamma_ij_norm(gamma, P):

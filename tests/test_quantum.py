@@ -438,7 +438,7 @@ def test_norm_bracket_rejects_non_perron_input():
         with pytest.raises(DomainError):
             norm_bracket(np.array(bad))
     g = build_adversary(antichain_poset(3))
-    flipped = quantum.AdversaryMatrix(g.dim, g.n, g.rows, g.cols, -g.vals, g.ranks)
+    flipped = quantum.AdversaryMatrix(g.rows, g.cols, -g.steps, g.ranks)
     with pytest.raises(DomainError):
         norm_bracket(flipped)
     assert norm_bracket(np.zeros((3, 3))) == (0.0, 0.0)
@@ -463,6 +463,22 @@ def test_norm_bracket_reads_a_canonical_form():
                                   np.array([0, 2, 4])), shape=(2, 2))
     with pytest.raises(DomainError):
         norm_bracket(negative)
+
+
+def test_norm_bracket_leaves_its_input_as_it_was():
+    # csr_matrix(M) of a float CSR shares M's arrays, so the bracket must
+    # canonicalize a copy: row 0 lists columns 2, 1, 1 (1.0 = 0.75 + 0.25,
+    # unsorted) and row 2 an explicit zero at column 2
+    M = sparse.csr_matrix((np.array([0.5, 0.75, 0.25, 2.0, 1.0, 0.5, 2.0, 0.0]),
+                           np.array([2, 1, 1, 2, 0, 0, 1, 2]), np.array([0, 3, 5, 8])),
+                          shape=(3, 3))
+    before = [a.copy() for a in (M.indptr, M.indices, M.data)]
+    nnz = M.nnz
+    expected = norm_bracket(M.toarray())
+    assert norm_bracket(M) == expected
+    assert M.nnz == nnz == 8
+    for got, want in zip((M.indptr, M.indices, M.data), before):
+        assert np.array_equal(got, want)
 
 
 def test_norm_bracket_gives_equal_blocks_equal_brackets():
@@ -521,7 +537,7 @@ def test_lemmas_judged_on_the_safe_side(monkeypatch):
 
     def halved(P, **kw):
         gamma = build(P, **kw)
-        return dataclasses.replace(gamma, vals=gamma.vals / 2)
+        return dataclasses.replace(gamma, steps=gamma.steps * 2)
 
     monkeypatch.setattr(quantum, "build_adversary", halved)
     rep = analyze(P)
@@ -622,13 +638,6 @@ def test_uniform_rayleigh_dominates_qlb(family8):
         assert float(r) == pytest.approx(float(v @ g.to_csr() @ v), abs=1e-9)
 
 
-def test_uniform_rayleigh_refuses_weights_off_the_steps():
-    g = build_adversary(antichain_poset(3))
-    for vals in (g.vals * 0.3, -g.vals, g.vals * 4):
-        with pytest.raises(DomainError):
-            uniform_rayleigh(dataclasses.replace(g, vals=vals))
-
-
 def test_masked_norms_below_two_pi(family8):
     for name, P in family8:
         if count_extensions(P) > 2000:
@@ -704,7 +713,7 @@ def test_adversary_peak_memory():
         masked_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (gamma.rows, gamma.cols, gamma.vals, gamma.ranks))
+    returned = sum(a.nbytes for a in (gamma.rows, gamma.cols, gamma.steps, gamma.ranks))
     assert build_peak <= 5 * returned
     assert masked_peak <= 15.9e6
 

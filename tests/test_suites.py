@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 
+from sortbounds import families, linext, quantum
 from sortbounds.cli import main
-from sortbounds.suites import SUITES, CheckResult, run_suites
+from sortbounds.suites import SUITES, CheckResult, run_suites, suite_adversary
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -44,3 +47,38 @@ def test_entropy_failure_is_a_failed_check(capsys, monkeypatch):
     assert "FAIL polytopes.entropy_certificates:" in out
     # a poset without a solution has no sandwich to check
     assert "PASS polytopes.entropy_sandwich:" in out
+
+
+def _adversary_members(seed):
+    return [P for _, P in families.standard_family(max_n=7, seed=seed)
+            if linext.count_extensions(P) <= 2000]
+
+
+def test_suite_adversary_builds_gamma_once_per_member(monkeypatch):
+    build, calls = quantum.build_adversary, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "build_adversary", counted)
+    results = suite_adversary(seed=5, samples=1000)
+    assert all(r.ok for r in results), [r.line() for r in results if not r.ok]
+    # one per member, inside analyze, plus the 10 random posets of the dense check
+    assert len(calls) == len(_adversary_members(5)) + 10
+
+
+def test_uniform_rayleigh_floor_reads_analyze_lemma1(monkeypatch):
+    analyze, seen = quantum.analyze, []
+
+    def lemma1_fails_on_first(P, **kwargs):
+        rep = analyze(P, **kwargs)
+        seen.append(P)
+        return dataclasses.replace(rep, lemma1_ok=False) if len(seen) == 1 else rep
+
+    monkeypatch.setattr(quantum, "analyze", lemma1_fails_on_first)
+    checks = {r.name: r.ok for r in suite_adversary(seed=5, samples=1000)}
+    assert len(seen) == len(_adversary_members(5))
+    assert checks["uniform_rayleigh_floor"] is False
+    assert checks["norm_certificates"] is False
+    assert checks["hilbert_below_pi"] and checks["power_iteration_vs_dense"]
