@@ -104,7 +104,6 @@ from .spexpr import (
     Series,
     Singleton,
     SPExpr,
-    expr_size,
     parallel,
     parse_sp,
     realize,

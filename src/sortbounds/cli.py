@@ -37,7 +37,7 @@ from .errors import LimitExceededError, SortboundsError
 from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
 from .poset import Poset, build_poset, parse_poset_text
 from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech_constant
-from .spexpr import expr_size, parse_sp, realize
+from .spexpr import parse_sp, realize
 from .suites import MAX_SAMPLES, SUITES, run_suites
 
 REPORT_KEYS = [f.name for f in dataclasses.fields(BoundsReport)]
@@ -74,7 +74,7 @@ def load_input(args: argparse.Namespace) -> Poset:
         raise SortboundsError("provide exactly one input: a poset file or --expr")
     if args.expr is not None:
         expr = parse_sp(args.expr)
-        _check_size(expr_size(expr), args.max_n)
+        _check_size(expr.size, args.max_n)
         return realize(expr)
     with open(args.input, "r", encoding="ascii") as fh:
         n, pairs = parse_poset_text(fh.read())

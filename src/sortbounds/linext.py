@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, LimitExceededError
 from .poset import Poset
-from .spexpr import Block, NBlock, Parallel, SPExpr, node_sizes, nodes
+from .spexpr import Block, NBlock, Parallel, SPExpr, nodes
 
 DEFAULT_N_CAP = 20
 DEFAULT_ENUM_CAP = 10**6
@@ -121,11 +121,11 @@ def count_extensions_sp(e: SPExpr, max_n: int = DEFAULT_N_CAP) -> int:
     the parallel nodes and of the counts of the Block and NBlock leaves,
     which `Poset.lattice` gives under max_n.
     """
-    total, size = 1, node_sizes(e)
+    total = 1
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
             total *= count_extensions(node.poset, max_n=max_n)
         if isinstance(node, Parallel):
-            sizes = [size[id(c)] for c in node.children]
-            total *= math.factorial(sum(sizes)) // math.prod(map(math.factorial, sizes))
+            total *= math.factorial(node.size) // math.prod(math.factorial(c.size)
+                                                            for c in node.children)
     return total

@@ -59,9 +59,13 @@ def density_f(n: int, k: int, s: float) -> float:
 
 
 def density_cdf(n: int, k: int, x) -> np.ndarray | float:
-    """CDF of density_f: the binomial tail sum_{l>k} C(n,l) x^l (1-x)^(n-l)."""
+    """CDF of density_f: the binomial tail sum_{l>k} C(n,l) x^l (1-x)^(n-l);
+    raises DomainError, as density_f does, for any x outside [0, 1] or NaN."""
     _check_nk(n, k)
     x = np.asarray(x, dtype=float)
+    outside = ~((x >= 0.0) & (x <= 1.0))
+    if outside.any():
+        raise DomainError(f"x must lie in [0, 1], got {x[outside].flat[0]}")
     # x^(k+1) sum_j C(n, k+1+j) x^j y^(m-j), y = 1 - x, m = n-k-1, nested in y
     y = 1.0 - x
     xp = np.ones_like(x)

@@ -51,7 +51,7 @@ def chain_matrix(P: Poset) -> np.ndarray:
 def _check_order_point(P: Poset, y: np.ndarray) -> None:
     if y.shape != (P.n,):
         raise NotConsistentError(f"point has shape {y.shape}, expected ({P.n},)")
-    if (y < -FEAS_TOL).any() or (y > 1.0 + FEAS_TOL).any():
+    if not ((y >= -FEAS_TOL) & (y <= 1.0 + FEAS_TOL)).all():  # NaN fails too
         raise NotConsistentError("point leaves the unit cube")
     rows, cols = np.nonzero(P.rel)
     if (y[rows] > y[cols] + FEAS_TOL).any():
@@ -85,10 +85,10 @@ def transfer_inverse(P: Poset, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (P.n,):
         raise NotInChainPolytopeError(f"point has shape {z.shape}, expected ({P.n},)")
-    if (z < -FEAS_TOL).any():
+    if not (z >= -FEAS_TOL).all():  # NaN fails too
         raise NotInChainPolytopeError("point has a negative coordinate")
     y = transfer_inverse_batch(P, z[None, :])[0]
-    if y.max() > 1.0 + FEAS_TOL:
+    if not y.max() <= 1.0 + FEAS_TOL:
         raise NotInChainPolytopeError("a chain sum exceeds 1")
     return y
 

@@ -47,7 +47,7 @@ from .linext import (
 from .orderstats import harmonic, harmonic_table
 from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
 from .poset import Poset
-from .spexpr import Block, NBlock, Parallel, Series, SPExpr, node_sizes, nodes, sp_decomposition
+from .spexpr import Block, NBlock, Parallel, Series, SPExpr, nodes, sp_decomposition
 
 DEFAULT_MATRIX_CAP = 4000
 
@@ -151,13 +151,13 @@ def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fracti
     Block and NBlock leaf adds the ideal DP of `qlb_fraction`, which refuses
     a leaf of more than max_extensions extensions.
     """
-    total, size = Fraction(0), node_sizes(e)
+    total = Fraction(0)
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
             total += qlb_fraction(node.poset, max_extensions=max_extensions)
         elif isinstance(node, Parallel):
-            sizes = [size[id(c)] for c in node.children]
-            total += sum(sizes) * harmonic(sum(sizes)) - sum(k * harmonic(k) for k in sizes)
+            total += node.size * harmonic(node.size)
+            total -= sum(c.size * harmonic(c.size) for c in node.children)
     return total
 
 
@@ -187,14 +187,13 @@ def entropy_sp(e: SPExpr) -> EntropyFold:
     LB = 0.0 exactly.  The fold also returns top and the solved leaves, from
     which `certify_sandwich` decides the sandwich.
     """
-    R, leaves, size = Fraction(1), [], node_sizes(e)
+    R, leaves = Fraction(1), []
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
             leaves.append(entropy(node.poset))
         elif isinstance(node, Series):
-            sizes = [size[id(c)] for c in node.children]
-            R *= Fraction(sum(sizes) ** sum(sizes), math.prod(k**k for k in sizes))
-    n = size[id(e)]
+            R *= Fraction(node.size**node.size, math.prod(c.size**c.size for c in node.children))
+    n = e.size
     spent = sum(len(sol.z_star) * sol.H for sol in leaves)
     top = n**n / R
     return EntropyFold(H=(_ln(R) + spent) / n, lb=max(0.0, _ln(top) - spent),
@@ -316,7 +315,9 @@ class AdversaryMatrix:
 
     Rows/columns follow the lexicographic enumeration order of extensions.
     Both orientations of every nonzero are stored, each as its integer step
-    d (weight 1/d), so a single scatter pass realizes the symmetric matvec.
+    d (weight 1/d), so `to_csr` and `to_dense` each build the whole symmetric
+    matrix in one pass over the entries, and `uniform_rayleigh` sums 1'Gamma 1
+    straight off `steps`.
     """
 
     rows: np.ndarray
@@ -433,8 +434,12 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
     batched dense eigh per component size up to DENSE_MAX, and from ARPACK
     (eigsh, started from the all-ones vector so reruns agree) above it.
     """
-    A = (M.to_csr() if isinstance(M, AdversaryMatrix)  # a CSR M's own arrays stay as they were
-         else sparse.csr_matrix(M, dtype=float, copy=True))
+    if isinstance(M, AdversaryMatrix):
+        A = M.to_csr()
+    elif np.ndim(M) != 2 or np.iscomplexobj(M):
+        raise DomainError(f"matrix must be real and 2-D, got a {np.ndim(M)}-D {np.result_type(M)}")
+    else:  # a copy, so a CSR M's own arrays stay as they were
+        A = sparse.csr_matrix(M, dtype=float, copy=True)
     A.sum_duplicates()  # sorted and summed, so a symmetric A equals its transpose array by array
     A.eliminate_zeros()
     if not (np.isfinite(A.data).all() and (A.data > 0).all()):

@@ -17,12 +17,15 @@ a series places every element of an earlier block below every element of a
 later block, a parallel adds no cross relations.  ``sp_decomposition`` inverts it up to
 renumbering for any ``Poset`` (n >= 1), splitting on the poset's cached
 ``pred_masks`` and ``succ_masks``.  ``nodes`` walks an expression without
-recursion, and ``node_sizes`` and the folds over an expression sum along it.
+recursion, and the folds over an expression sum along it.  Every node carries
+its ``size``, the element count of its realized poset: 1 for a singleton, 4k
+for N(k), n for a Block, and for a series or parallel node the sum of its
+children's, set when the node is built; every builder makes children first.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Union
 
@@ -34,30 +37,32 @@ from .poset import Poset
 
 @dataclass(frozen=True)
 class Singleton:
+    size = 1
+
     def __str__(self) -> str:
         return "."
 
 
 @dataclass(frozen=True)
-class Series:
+class _Composition:
+    """A series or parallel node, with the sum of its children's sizes."""
     children: tuple["SPExpr", ...]
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.children) < 2:
-            raise ValueError("series node needs at least two children")
+            raise ValueError(f"{type(self).__name__.lower()} node needs at least two children")
+        object.__setattr__(self, "size", sum(c.size for c in self.children))
 
+
+@dataclass(frozen=True)
+class Series(_Composition):
     def __str__(self) -> str:
         return " * ".join(_paren(c, inside_series=True) for c in self.children)
 
 
 @dataclass(frozen=True)
-class Parallel:
-    children: tuple["SPExpr", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("parallel node needs at least two children")
-
+class Parallel(_Composition):
     def __str__(self) -> str:
         return " + ".join(str(c) for c in self.children)
 
@@ -73,6 +78,10 @@ class NBlock:
     def __str__(self) -> str:
         return f"N({self.k})"
 
+    @property
+    def size(self) -> int:
+        return 4 * self.k
+
     @cached_property
     def poset(self) -> Poset:
         """The realized N block, built once per node."""
@@ -85,6 +94,10 @@ class Block:
     incomparability graphs are both connected."""
 
     poset: Poset
+
+    @property
+    def size(self) -> int:
+        return self.poset.n
 
 
 SPExpr = Union[Singleton, Series, Parallel, NBlock, Block]
@@ -118,23 +131,6 @@ def nodes(e: SPExpr) -> Iterator[SPExpr]:
         node = stack.pop()
         yield node
         stack.extend(getattr(node, "children", ()))
-
-
-def node_sizes(e: SPExpr) -> dict[int, int]:
-    """Element count of every node of e by ``id(node)``, each counted once,
-    children first: the reversed `nodes` order puts them before their parent."""
-    size: dict[int, int] = {}
-    for node in reversed(list(nodes(e))):
-        size[id(node)] = (1 if isinstance(node, Singleton)
-                          else 4 * node.k if isinstance(node, NBlock)
-                          else node.poset.n if isinstance(node, Block)
-                          else sum(size[id(c)] for c in node.children))
-    return size
-
-
-def expr_size(e: SPExpr) -> int:
-    """Number of elements of the realized poset: the size of the root."""
-    return node_sizes(e)[id(e)]
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +264,8 @@ def parse_sp(text: str) -> SPExpr:
 
 def realize(e: SPExpr) -> Poset:
     """Build the poset of an expression on elements 0..n-1 in leaf order,
-    placing each node at its offset by the `node_sizes` of its elder siblings."""
-    size = node_sizes(e)
-    n = size[id(e)]
-    rel = np.zeros((n, n), dtype=bool)
+    placing each node at its offset by the sizes of its elder siblings."""
+    rel = np.zeros((e.size, e.size), dtype=bool)
     stack = [(e, 0)]
     while stack:
         node, offset = stack.pop()
@@ -283,15 +277,15 @@ def realize(e: SPExpr) -> Poset:
             for lo_block, hi_block in ((a, b), (c, b), (c, d)):
                 rel[lo_block, hi_block] = True
         elif isinstance(node, Block):
-            block = slice(offset, offset + node.poset.n)
+            block = slice(offset, offset + node.size)
             rel[block, block] = node.poset.rel
         elif not isinstance(node, Singleton):
             start = offset
             for child in node.children:
                 if isinstance(node, Series):  # every earlier child lies below this one
-                    rel[offset:start, start:start + size[id(child)]] = True
+                    rel[offset:start, start:start + child.size] = True
                 stack.append((child, start))
-                start += size[id(child)]
+                start += child.size
     return Poset(rel)
 
 

@@ -16,7 +16,7 @@ from . import families, linext, orderstats, polytopes, quantum
 from .errors import NonConvergenceError
 from .orderstats import harmonic
 from .poset import count_induced_N, extends
-from .spexpr import (Block, expr_size, nodes, parallel, parse_sp, realize, recognize_sp, series,
+from .spexpr import (Block, nodes, parallel, parse_sp, realize, recognize_sp, series,
                      sp_decomposition)
 
 MAX_SAMPLES = 10**6  # the samplers hold (samples, n) arrays: `verify` refuses more
@@ -112,7 +112,7 @@ def suite_lemmas(seed: int, samples: int) -> list[CheckResult]:
 
     par_bad = qh_bad = sp_bad = 0
     for (e1, e2), (q1, q2, ser, merged) in zip(pairs, qlbs):
-        n1, n2 = expr_size(e1), expr_size(e2)
+        n1, n2 = e1.size, e2.size
         n = n1 + n2
         if merged != q1 + q2 + n * harmonic(n) - n1 * harmonic(n1) - n2 * harmonic(n2):
             par_bad += 1

@@ -44,7 +44,6 @@ from sortbounds.polytopes import (
     transfer_batch,
     transfer_inverse_batch,
 )
-from sortbounds.spexpr import expr_size
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -83,7 +82,7 @@ def test_c03_composition_identities():
     pairs = sp_pair_family(100, rng, max_total_n=10, max_extensions=20_000)
     for e1, e2 in pairs:
         q1, q2 = qlb_fraction(realize(e1)), qlb_fraction(realize(e2))
-        n1, n2 = expr_size(e1), expr_size(e2)
+        n1, n2 = e1.size, e2.size
         n = n1 + n2
         ser = qlb_fraction(realize(series(e1, e2)))
         par = qlb_fraction(realize(parallel(e1, e2)))

@@ -99,6 +99,16 @@ def test_density_cdf_matches_binomial_tail():
     assert type(scalar) is np.ndarray and scalar.shape == () and scalar.dtype == np.float64
 
 
+def test_density_cdf_refuses_points_outside_the_unit_interval():
+    # as density_f does, NaN included
+    for x in (-0.5, 1.5, np.nan, [-0.5, 1.5, 2.0], [0.2, np.nan]):
+        with pytest.raises(DomainError):
+            density_cdf(5, 2, x)
+    with pytest.raises(DomainError):
+        density_f(5, 2, np.nan)
+    assert density_cdf(5, 2, [0.0, 1.0]).tolist() == [0.0, 1.0]
+
+
 def test_closed_form_examples():
     r = closed_form_checks(5, 3, 0.25)
     assert r.i_residual <= 1e-8

@@ -75,6 +75,16 @@ def test_transfer_inverse_rejects_outside(wedge):
         transfer_inverse(wedge, [-0.1, 0.2, 0.5])
 
 
+def test_transfer_and_inverse_reject_nan(wedge):
+    # every feasibility check is written so that NaN fails it
+    for y in ([np.nan, 0.5, 0.5], [0.5, np.nan, 0.5], [0.5, 0.2, np.nan]):
+        with pytest.raises(NotConsistentError):
+            transfer(wedge, y)
+    for z in ([np.nan, 0.1, 0.1], [0.1, np.nan, 0.1], [0.1, 0.1, np.nan]):
+        with pytest.raises(NotInChainPolytopeError):
+            transfer_inverse(wedge, z)
+
+
 def test_roundtrip_random_points(family8):
     rng = np.random.default_rng(99)
     for name, P in family8:

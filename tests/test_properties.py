@@ -23,7 +23,6 @@ from sortbounds import (
     d_vector,
     entropy,
     entropy_sp,
-    expr_size,
     extension_orders,
     fence_poset,
     norm_bracket,
@@ -86,7 +85,7 @@ sp_exprs = st.recursive(
         st.booleans(),
     ),
     max_leaves=7,
-).filter(lambda e: expr_size(e) <= 7)
+).filter(lambda e: e.size <= 7)
 
 
 def _suffix_counts(n, orders):
@@ -243,6 +242,29 @@ def test_decomposition_folds_match_brute_force(case):
     assert count_extensions_sp(e) == len(brute_force_extensions(P.n, pairs))
     assert qlb_sp_fraction(e) == brute_force_qlb(P.n, pairs)
     assert (not recognize_sp(P)) == (count_induced_N(P) > 0)
+
+
+@given(sp_exprs)
+@example(parse_sp("N(2) * (. + chain(3))"))
+def test_every_node_carries_its_size(e):
+    # a node's size is fixed when it is built; it is its realized poset's n
+    for node in nodes(e):
+        assert node.size == realize(node).n
+    # and it stays out of equality, hashing and repr
+    back = parse_sp(str(e))
+    assert back == e and hash(back) == hash(e) and back.size == e.size
+    assert "size" not in repr(e)
+
+
+@given(posets(max_n=8))
+def test_decomposition_nodes_carry_their_sizes(case):
+    P, _ = case
+    e = sp_decomposition(P)[0]
+    assert e.size == P.n
+    for node in nodes(e):
+        assert node.size == realize(node).n
+        if isinstance(node, Block):
+            assert node.size == node.poset.n
 
 
 @given(posets(max_n=9))

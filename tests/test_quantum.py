@@ -444,6 +444,14 @@ def test_norm_bracket_rejects_non_perron_input():
     assert norm_bracket(np.zeros((3, 3))) == (0.0, 0.0)
 
 
+def test_norm_bracket_rejects_complex_and_non_2d_input():
+    # the Hermitian [[1, i], [-i, 1]] has norm 2; cast to float it would read 1
+    hermitian = np.array([[1.0, 1j], [-1j, 1.0]])
+    for bad in (hermitian, sparse.csr_matrix(hermitian), np.ones((2, 2, 2)), np.array([5.0])):
+        with pytest.raises(DomainError):
+            norm_bracket(bad)
+
+
 def test_norm_bracket_reads_a_canonical_form():
     # symmetry is decided on the arrays of A and its transpose, which agree
     # only once both are canonical: sorted in each row, duplicates summed

@@ -15,7 +15,6 @@ from sortbounds import (
     count_extensions_sp,
     count_induced_N,
     entropy,
-    expr_size,
     harmonic,
     itlb,
     n_poset,
@@ -41,7 +40,7 @@ def test_parse_seven_element_example():
         Parallel((Singleton(), Singleton(), Singleton())),
         Parallel((Singleton(), Series((Singleton(), Singleton())))),
     ))
-    assert expr_size(e) == 7
+    assert e.size == 7
 
 
 def test_parse_sugar():
@@ -133,16 +132,22 @@ def test_decompose_deepest_parsed_expression():
     expr2, leaves = sp_decomposition(P)
     perm = np.asarray(leaves)
     assert (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all()
-    depth, node = 0, expr2
-    while not isinstance(node, Singleton):
-        depth += 1
-        node = max(node.children, key=expr_size)
-    assert depth == MAX_DEPTH
-    folds = (expr_size, count_extensions_sp, qlb_sp_fraction)
+
+    def spine_sizes(node):
+        # the size of every node on the path down the largest children
+        sizes = [node.size]
+        while not isinstance(node, Singleton):
+            node = max(node.children, key=lambda c: c.size)
+            sizes.append(node.size)
+        return sizes
+
+    folds = (spine_sizes, count_extensions_sp, qlb_sp_fraction)
     want = [fold(expr2) for fold in folds]
-    assert want[0] == P.n and want[1] > 0 and want[2] > 0
-    # the folds sum over `nodes`: a recursion limit a few frames above the
-    # caller, far below MAX_DEPTH, leaves them the same values
+    assert len(want[0]) == MAX_DEPTH + 1 and want[0][0] == P.n
+    assert want[1] > 0 and want[2] > 0
+    # sizes are read off the nodes and the folds sum over `nodes`: a recursion
+    # limit a few frames above the caller, far below MAX_DEPTH, leaves them
+    # the same values
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 25)
     try:
