@@ -5,6 +5,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+from .linext import count_extensions_sp
 from .poset import Poset, build_poset
 from .spexpr import NBlock, Singleton, SPExpr, parallel, realize, series
 
@@ -47,7 +49,9 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
     """Transitive closure of a random DAG: pairs oriented along a hidden
-    random topological order, each kept with probability p."""
+    random topological order, each kept with probability 0 <= p <= 1."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"edge probability must lie in [0, 1], got {p}")
     order = rng.permutation(n)
     a, b = _upper_pairs(n)
     rel = np.zeros((n, n), dtype=bool)
@@ -100,8 +104,6 @@ def sp_pair_family(
     count: int, rng: np.random.Generator, max_total_n: int = 10, max_extensions: int = 20_000
 ) -> list[tuple[SPExpr, SPExpr]]:
     """Random SP expression pairs whose compositions stay enumerable."""
-    from .linext import count_extensions_sp
-
     pairs = []
     while len(pairs) < count:
         total = int(rng.integers(2, max_total_n + 1))

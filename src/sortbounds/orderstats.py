@@ -4,13 +4,19 @@ Provides exact harmonic numbers, the gap density
 
     f_{n,k}(s) = n * C(n-1, k) * s**k * (1-s)**(n-k-1),    0 <= k < n,
 
-its closed-form integrals, and Monte-Carlo checks that the gap z_{i+d} - z_i
-of sorted uniforms is f_{n,d-1}-distributed regardless of i.
+its closed-form integrals, and two Monte-Carlo checks of the gap law for
+the gap z_{i+d} - z_i of n sorted uniforms: `gap_distribution_check` (it is
+f_{n,d-1}-distributed regardless of i) and `exp_ln_gap_check` (the harmonic
+law E[ln(z_{i+d} - z_i)] = H_{d-1} - H_n behind QLB).  Both read the one
+seeded gap draw `_gaps`.
 
 Each quantity has its one implementation here: `harmonic_table` holds every
 harmonic number over one common denominator (`harmonic`,
 `quantum.qlb_fraction` and `quantum.tech_constant` all read it), `quad` is
-the one quadrature and `density_cdf` the one binomial tail.
+the one quadrature and `density_cdf` the one binomial tail.  The module
+depends on no poset layer: it imports nothing from the package but its
+errors, and a caller reads an element's gap off an extension with
+`quantum.d_vector`.
 """
 from __future__ import annotations
 
@@ -24,9 +30,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, QuadratureFailureError
-from .linext import LinearExtension, is_extension
-from .polytopes import transfer_batch
-from .poset import Poset
 
 
 @lru_cache(maxsize=64)
@@ -175,48 +178,43 @@ def ks_statistic(data: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> f
 
 
 def ks_critical(samples: int, alpha: float = 0.001) -> float:
-    """Asymptotic one-sample KS critical value at significance alpha."""
+    """Asymptotic one-sample KS critical value at significance 0 < alpha < 1."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"significance level must lie in (0, 1), got {alpha}")
     if samples < 10**4:
         raise DomainError(f"asymptotic critical value needs >= 1e4 samples, got {samples}")
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(samples)
 
 
-def gap_distribution_check(n: int, i: int, d: int, samples: int, seed: int) -> float:
-    """KS distance of the sorted-uniform gap z_{i+d} - z_i against f_{n,d-1}.
+def _gaps(n: int, i: int, d: int, samples: int, seed: int) -> np.ndarray:
+    """The gap z_{i+d} - z_i in each of `samples` rows of n sorted uniforms
+    drawn from default_rng(seed).
 
-    i and d are 1-based with 1 <= i < i + d <= n; i = 0 is also accepted and
-    measures from the fixed lower boundary (z_0 = 0), where the gap is the
-    d-th order statistic itself, with the same law.  The reference CDF is
-    the binomial tail of density_cdf.
+    i and d are 1-based with 0 <= i < i + d <= n; at i = 0 the gap is
+    measured from the fixed lower boundary z_0 = 0, so it is z_d itself.
     """
-    if not (0 <= i and 1 <= d and i + d <= n):
+    if not 0 <= i < i + d <= n:
         raise DomainError(f"need 0 <= i < i+d <= n, got n={n}, i={i}, d={d}")
-    rng = np.random.default_rng(seed)
-    z = sorted_uniforms(n, samples, rng)
-    lower = z[:, i - 1] if i >= 1 else 0.0
-    gaps = z[:, i + d - 1] - lower
-    return ks_statistic(gaps, lambda x: density_cdf(n, d - 1, x))
+    z = sorted_uniforms(n, samples, np.random.default_rng(seed))
+    return z[:, i + d - 1] - (z[:, i - 1] if i >= 1 else 0.0)
 
 
-def exp_ln_gap_check(
-    P: Poset, ext: LinearExtension, i: int, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo check of E[ln d_i(y)] = H_{d_i - 1} - H_n over one simplex.
+def gap_distribution_check(n: int, i: int, d: int, samples: int, seed: int) -> float:
+    """KS distance of the sorted-uniform gap z_{i+d} - z_i (see `_gaps`)
+    against f_{n,d-1}, whose CDF is the binomial tail density_cdf."""
+    return ks_statistic(_gaps(n, i, d, samples, seed), lambda x: density_cdf(n, d - 1, x))
 
-    y ranges uniformly over the order simplex of the total order ext; the
-    predecessor gap d_i(y) is then a sorted-uniform gap with lag d_i(ext).
-    Returns (|MC mean - target|, standard error of the MC mean).
+
+def exp_ln_gap_check(n: int, i: int, d: int, samples: int, seed: int) -> tuple[float, float]:
+    """Monte-Carlo check of the harmonic gap law E[ln(z_{i+d} - z_i)] =
+    H_{d-1} - H_n, with i and d as in `_gaps`: (|MC mean - target|, standard
+    error of the MC mean) from at least 2 samples.  An element of rank r and
+    predecessor gap d (`quantum.d_vector`) in an extension is the case i = r - d.
     """
-    if not is_extension(P, ext):
-        raise DomainError("ext is not a linear extension of P")
-    n = P.n
-    r = ext.rank[i]
-    r_prev = r - int(transfer_batch(P, np.array([ext.rank]))[0, i])
-    rng = np.random.default_rng(seed)
-    z = sorted_uniforms(n, samples, rng)
-    lower = z[:, r_prev - 1] if r_prev >= 1 else 0.0
-    vals = np.log(z[:, r - 1] - lower)
-    target = float(harmonic(r - r_prev - 1) - harmonic(n))
+    if samples < 2:
+        raise DomainError(f"need at least 2 samples for a standard error, got {samples}")
+    vals = np.log(_gaps(n, i, d, samples, seed))
+    target = float(harmonic(d - 1) - harmonic(n))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return abs(mean - target), stderr

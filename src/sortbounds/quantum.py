@@ -20,6 +20,7 @@ the outcome of a single comparison can never push the spectral norm past
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -487,6 +488,10 @@ def spectral_norm(M: AdversaryMatrix | np.ndarray) -> float:
 def hilbert_norm(m: int) -> float:
     """Spectral norm of the m-by-m Hilbert matrix 1/(k+l-1); approaches pi
     from below as m grows."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise DomainError(f"matrix size must be an integer, got {m!r}") from None
     if m < 1:
         raise DomainError(f"matrix size must be >= 1, got {m}")
     return spectral_norm(1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0))

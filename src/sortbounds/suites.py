@@ -279,9 +279,9 @@ def suite_orderstats(seed: int, samples: int) -> list[CheckResult]:
         (families.chain_poset(2), (1, 2), 1),
     ]
     for P, rank, i in cases:
-        res, se = orderstats.exp_ln_gap_check(
-            P, linext.LinearExtension(rank), i, nsamp, int(rng.integers(2**31))
-        )
+        d = quantum.d_vector(P, linext.LinearExtension(rank))[i]
+        res, se = orderstats.exp_ln_gap_check(P.n, rank[i] - d, d, nsamp,
+                                              int(rng.integers(2**31)))
         if res > 4 * se:
             expln_bad += 1
     out.append(_result("orderstats", "exp_ln_gap", expln_bad == 0,

@@ -26,12 +26,14 @@ from sortbounds import (
     chain_matrix,
     extension_orders,
     harmonic,
+    is_extension,
     norm_bracket,
     parallel,
     series,
     standard_family,
     tech_constant,
 )
+from sortbounds.orderstats import sorted_uniforms
 from sortbounds.polytopes import transfer_batch
 from sortbounds.quantum import DENSE_MAX, AdversaryMatrix, _bracket, _window_matrix, _window_types
 from sortbounds.spexpr import MAX_DEPTH
@@ -64,6 +66,26 @@ def tech500():
 @pytest.fixture(scope="session")
 def family8():
     return standard_family(max_n=8, seed=12345)
+
+
+def seed_exp_ln_gap_check(P, ext, i, samples, seed):
+    """Oracle: `exp_ln_gap_check` in its per-extension form, which re-checked
+    ext and re-ran the one-row gap map to find element i's gap.
+    `exp_ln_gap_check(P.n, r - d, d, ...)` at d = `d_vector(P, ext)[i]` must
+    give the same pair bit for bit."""
+    if not is_extension(P, ext):
+        raise DomainError("ext is not a linear extension of P")
+    n = P.n
+    r = ext.rank[i]
+    r_prev = r - int(transfer_batch(P, np.array([ext.rank]))[0, i])
+    rng = np.random.default_rng(seed)
+    z = sorted_uniforms(n, samples, rng)
+    lower = z[:, r_prev - 1] if r_prev >= 1 else 0.0
+    vals = np.log(z[:, r - 1] - lower)
+    target = float(harmonic(r - r_prev - 1) - harmonic(n))
+    mean = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
+    return abs(mean - target), stderr
 
 
 def brute_force_extensions(n, pairs01):

@@ -12,6 +12,7 @@ from sortbounds import (
     antichain_poset,
     chain_poset,
     closed_form_checks,
+    d_vector,
     density_cdf,
     density_f,
     exp_ln_gap_check,
@@ -22,6 +23,8 @@ from sortbounds import (
     ks_statistic,
 )
 from sortbounds.orderstats import sorted_uniforms
+
+from conftest import seed_exp_ln_gap_check
 
 
 def test_harmonic_values():
@@ -190,14 +193,14 @@ def test_gap_distribution_independent_of_position():
 
 
 def test_exp_ln_gap_examples():
-    # chain(3), identity: any non-bottom element has gap 1, target H_0 - H_3
-    res, se = exp_ln_gap_check(chain_poset(3), LinearExtension((1, 2, 3)), 2, 10**5, 5)
+    # chain(3), identity: element 3 has gap 1 above z_2, target H_0 - H_3
+    res, se = exp_ln_gap_check(3, 2, 1, 10**5, 5)
     assert res <= 4 * se
-    # antichain(4), identity, top element: target H_3 - H_4 = -1/4
-    res, se = exp_ln_gap_check(antichain_poset(4), LinearExtension((1, 2, 3, 4)), 3, 10**5, 6)
+    # antichain(4), identity, top element: gap 4 from 0, target H_3 - H_4 = -1/4
+    res, se = exp_ln_gap_check(4, 0, 4, 10**5, 6)
     assert res <= 4 * se
     # 2-chain, top element: exact integral 2 int int ln(y2 - y1) = -3/2
-    res, se = exp_ln_gap_check(chain_poset(2), LinearExtension((1, 2)), 1, 10**5, 7)
+    res, se = exp_ln_gap_check(2, 1, 1, 10**5, 7)
     assert res <= 4 * se
     exact = 2 * integrate.dblquad(
         lambda y2, y1: math.log(y2 - y1), 0, 1, lambda y1: y1, lambda y1: 1
@@ -206,6 +209,37 @@ def test_exp_ln_gap_examples():
     assert float(harmonic(0) - harmonic(2)) == -1.5
 
 
-def test_exp_ln_gap_rejects_bad_extension():
+@pytest.mark.parametrize("P, rank, i", [
+    (chain_poset(3), (1, 2, 3), 2),
+    (antichain_poset(4), (1, 2, 3, 4), 3),
+    (chain_poset(2), (1, 2), 1),
+])
+def test_exp_ln_gap_matches_seed_on_suite_cases(P, rank, i):
+    ext = LinearExtension(rank)
+    d = d_vector(P, ext)[i]
+    for seed in (0, 5, 2**31 - 1):
+        assert (exp_ln_gap_check(P.n, rank[i] - d, d, 10**4, seed)
+                == seed_exp_ln_gap_check(P, ext, i, 10**4, seed))
+
+
+@pytest.mark.parametrize("n, i, d", [(3, -1, 1), (3, 0, 0), (3, 2, 2), (3, 3, 1)])
+def test_exp_ln_gap_rejects_bad_gap(n, i, d):
     with pytest.raises(DomainError):
-        exp_ln_gap_check(chain_poset(2), LinearExtension((2, 1)), 0, 10**4, 0)
+        exp_ln_gap_check(n, i, d, 10**4, 0)
+    with pytest.raises(DomainError):
+        gap_distribution_check(n, i, d, 10**4, 0)
+
+
+def test_exp_ln_gap_needs_two_samples():
+    with pytest.raises(DomainError):
+        exp_ln_gap_check(3, 0, 1, 1, 0)
+    res, se = exp_ln_gap_check(3, 0, 1, 2, 0)
+    assert math.isfinite(res) and math.isfinite(se)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.5, float("nan"), float("inf")])
+def test_ks_critical_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(DomainError):
+        ks_critical(10**4, alpha)
+    with pytest.raises(DomainError):
+        ks_critical(10**4, alpha=alpha)

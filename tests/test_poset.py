@@ -5,6 +5,7 @@ import pytest
 
 from sortbounds import (
     CycleError,
+    DomainError,
     LimitExceededError,
     Poset,
     SizeMismatchError,
@@ -98,6 +99,17 @@ def test_bitmasks_match_relation(n, p):
     for e in range(n):
         assert P.pred_masks[e] == sum(1 << i for i in range(n) if P.rel[i, e])
         assert P.succ_masks[e] == sum(1 << j for j in range(n) if P.rel[e, j])
+
+
+@pytest.mark.parametrize("p", [-1.0, -1e-9, 1.5, float("nan"), float("inf")])
+def test_random_poset_rejects_p_outside_unit_interval(p):
+    with pytest.raises(DomainError):
+        random_poset(4, np.random.default_rng(0), p=p)
+
+
+def test_random_poset_takes_p_at_the_ends():
+    assert random_poset(5, np.random.default_rng(0), p=0.0).rel.sum() == 0
+    assert random_poset(5, np.random.default_rng(0), p=1.0).rel.sum() == 10
 
 
 def test_closure_idempotent(wedge):

@@ -23,6 +23,7 @@ from sortbounds import (
     d_vector,
     entropy,
     entropy_sp,
+    exp_ln_gap_check,
     extension_orders,
     fence_poset,
     norm_bracket,
@@ -62,6 +63,7 @@ from conftest import (
     per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
     seed_entropy,
+    seed_exp_ln_gap_check,
     seed_norm_bracket,
     warshall_closure,
 )
@@ -221,6 +223,18 @@ def test_d_vector_is_transfer_at_ranks(case, seed):
     ext = sample_extension(P, seed)
     scaled = transfer(P, np.asarray(ext.rank) / P.n) * P.n
     assert tuple(np.rint(scaled).astype(int).tolist()) == d_vector(P, ext)
+
+
+@given(posets(), st.integers(0, 2**32), st.integers(0, 6), st.integers(2, 200))
+def test_exp_ln_gap_check_matches_seed(case, seed, i, samples):
+    # the (n, i, d) form at element i's gap d read off d_vector takes the same
+    # draws and arithmetic as the per-extension form it replaced
+    P, _ = case
+    i %= P.n
+    ext = sample_extension(P, seed)
+    d = d_vector(P, ext)[i]
+    assert (exp_ln_gap_check(P.n, ext.rank[i] - d, d, samples, seed)
+            == seed_exp_ln_gap_check(P, ext, i, samples, seed))
 
 
 @settings(max_examples=40)

@@ -615,6 +615,17 @@ def test_hilbert_norm_matches_dense_eigensolve():
     assert hilbert_norm(200) == pytest.approx(2.2742669874, abs=1e-8)
 
 
+@pytest.mark.parametrize("m", [1.5, 2.0, "3", None, 0, -1])
+def test_hilbert_norm_rejects_non_integer_or_small_size(m):
+    with pytest.raises(DomainError):
+        hilbert_norm(m)
+
+
+def test_hilbert_norm_takes_numpy_ints():
+    assert hilbert_norm(np.int64(10)) == hilbert_norm(10)
+    assert hilbert_norm(np.int32(1)) == hilbert_norm(1)
+
+
 def test_analyze_adversary_examples(wedge):
     rep = analyze(antichain_poset(2))
     assert rep.gamma_norm == pytest.approx(1.0, abs=1e-8)
