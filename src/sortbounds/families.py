@@ -61,6 +61,8 @@ def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
 
 def random_sp_expr(rng: np.random.Generator, n: int) -> SPExpr:
     """Random series-parallel expression on exactly n elements, no N blocks."""
+    if n < 1:
+        raise DomainError(f"an expression needs n >= 1 elements, got {n}")
     if n == 1:
         return Singleton()
     parts = int(rng.integers(2, min(n, 4) + 1))
@@ -72,7 +74,9 @@ def random_sp_expr(rng: np.random.Generator, n: int) -> SPExpr:
 
 def standard_family(max_n: int = 8, seed: int = 12345) -> list[tuple[str, Poset]]:
     """Named posets exercising every code path: chains, antichains, blowups
-    of N, small classics and seeded random DAGs up to max_n elements."""
+    of N, small classics and seeded random DAGs of 4 to max_n elements."""
+    if max_n < 4:
+        raise DomainError(f"the random members need max_n >= 4, got {max_n}")
     rng = np.random.default_rng(seed)
     family: list[tuple[str, Poset]] = []
     for n in range(1, min(max_n, 6) + 1):

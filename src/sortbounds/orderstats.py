@@ -172,6 +172,8 @@ def ks_statistic(data: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> f
     """One-sample Kolmogorov-Smirnov distance of data against a CDF."""
     x = np.sort(np.asarray(data, dtype=float))
     m = len(x)
+    if m == 0:
+        raise DomainError("KS distance needs at least one data point")
     f = np.asarray(cdf(x), dtype=float)
     grid = np.arange(1, m + 1) / m
     return float(max(np.max(grid - f), np.max(f - (grid - 1.0 / m))))
@@ -195,6 +197,8 @@ def _gaps(n: int, i: int, d: int, samples: int, seed: int) -> np.ndarray:
     """
     if not 0 <= i < i + d <= n:
         raise DomainError(f"need 0 <= i < i+d <= n, got n={n}, i={i}, d={d}")
+    if samples < 1:
+        raise DomainError(f"need at least 1 sample, got {samples}")
     z = sorted_uniforms(n, samples, np.random.default_rng(seed))
     return z[:, i + d - 1] - (z[:, i - 1] if i >= 1 else 0.0)
 

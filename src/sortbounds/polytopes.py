@@ -17,7 +17,8 @@ The entropy program
 is solved by a feasible-start primal-dual interior-point method (Mehrotra
 predictor-corrector) over the maximal-chain inequalities; the objective
 itself bars z > 0.  The reported kkt_residual is a certified duality gap,
-obtained by evaluating the Lagrange dual at explicit multipliers.  The
+obtained by evaluating the Lagrange dual at explicit multipliers, and the
+solver stops at the first iterate where it is at most the tolerance.  The
 reported H(P) and LB fold the SP decomposition (`quantum.entropy_sp`).
 """
 from __future__ import annotations
@@ -200,17 +201,18 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     M = diag(w/z) + A^T diag(lam/s) A, w = A^T lam from the last dual value,
     twice: for the affine step, whose right-hand side is exactly 1/(n z), and
     for the corrector with centering (mu_aff/mu)^3.  M's diagonal linearizes
-    n z w = 1, the primal-dual form of the stationarity condition.  A final
-    step divides each z_i by the largest chain sum through i when that stays
-    feasible in floats and lowers the gap.
+    n z w = 1, the primal-dual form of the stationarity condition.  The loop
+    stops at the first iterate whose duality gap, certified by explicit
+    multipliers, is at most tol; a final step divides each z_i by the
+    largest chain sum through i when that stays feasible in floats and
+    lowers the gap.
 
-    The returned kkt_residual is the duality gap certified by explicit
-    multipliers; newton_steps counts primal-dual iterations.
-    NonConvergence is raised if the gap cannot be brought below tol within
-    MAX_NEWTON iterations.
+    The returned kkt_residual is that certified gap, anywhere in [0, tol];
+    newton_steps counts primal-dual iterations.  NonConvergence is raised
+    if the gap cannot be brought to tol within MAX_NEWTON iterations.
     """
-    if not tol > 0:  # also rejects NaN, which would pass every gap test
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # NaN would pass every gap test, inf would take no step
+        raise ValueError("tol must be positive and finite")
     A = chain_matrix(P)
     m, n = A.shape
     # Strictly feasible start: every chain sum is at most longest/(longest+1).
@@ -218,11 +220,9 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     x = np.full(n + m, 1.0 / (A.sum(axis=1).max() + 1.0))
     x[n:] = 1.0 - A @ x[:n]
     lam = np.full(m, 1.0 / m)
-    best = (_objective(x[:n]) - _dual_value(w := A.T @ lam, lam), x[:n], lam)
-    steps = stalled = 0
-    # Stop at the float64 noise floor, or once the certified gap is below
-    # tol and has not improved for three iterations.
-    while steps < MAX_NEWTON and best[0] > 1e-14 and (best[0] > tol or stalled < 3):
+    gap = _objective(x[:n]) - _dual_value(w := A.T @ lam, lam)
+    steps = 0
+    while gap > tol and steps < MAX_NEWTON:
         steps += 1
         z, s = x[:n], x[n:]
         M = (A.T * (lam / s)) @ A
@@ -252,13 +252,8 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
             break
         x, lam = xn, lam + 0.99 * _max_step(lam, dlam) * dlam
         gap = _objective(x[:n]) - _dual_value(w := A.T @ lam, lam)
-        if gap < best[0]:
-            best = (gap, x[:n], lam)
-            stalled = 0
-        else:
-            stalled += 1
 
-    gap, z, lam = best
+    z = x[:n]
     scaled = z / (A * (A @ z)[:, None]).max(axis=0)
     if ((A @ scaled) <= 1.0).all():
         scaled_gap = _objective(scaled) - _dual_value(A.T @ lam, lam)

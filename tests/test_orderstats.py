@@ -157,6 +157,21 @@ def test_ks_statistic_against_known():
     assert ks_statistic(data, lambda x: x**2) > 0.1
 
 
+def test_ks_statistic_refuses_empty_data():
+    with pytest.raises(DomainError, match="at least one"):
+        ks_statistic(np.array([]), lambda x: x)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_gap_checks_refuse_sample_counts_below_one(samples):
+    with pytest.raises(DomainError, match="at least 1 sample"):
+        gap_distribution_check(4, 1, 1, samples, 0)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        exp_ln_gap_check(4, 1, 1, samples, 0)
+    # one sample is enough for a KS distance
+    assert 0.0 < gap_distribution_check(4, 1, 1, 1, 0) <= 1.0
+
+
 def test_ks_critical_formula():
     assert ks_critical(10**5, 0.001) * math.sqrt(10**5) == pytest.approx(1.9495, abs=1e-3)
     with pytest.raises(DomainError):

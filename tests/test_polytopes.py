@@ -130,6 +130,13 @@ def test_entropy_rejects_bad_tol(wedge):
         entropy(fence_poset(6), tol=float("nan"))
 
 
+def test_entropy_rejects_an_infinite_tol(wedge):
+    # every gap is at most inf, so the starting point would be returned
+    # with no step taken
+    with pytest.raises(ValueError, match="finite"):
+        entropy(wedge, tol=math.inf)
+
+
 def test_ratio_test_without_a_decreasing_component_takes_the_full_step():
     x = np.array([1.0, 2.0, 3.0])
     # no component decreases: a zero, a negative zero and a positive one
@@ -218,31 +225,39 @@ def test_entropy_larger_random_posets():
 
 
 def test_entropy_step_budget(family8):
-    # a few primal-dual iterations per solve, also on the 1458 maximal
-    # chains of the widest layered poset at n = 20
+    # a few primal-dual iterations per solve to a certified gap of 1e-12,
+    # also on the 1458 maximal chains of the widest layered poset at n = 20;
+    # the default tol of 1e-8 stops no later
     layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
     assert chain_matrix(layered).shape == (1458, 20)
     for name, P in [*family8, ("layered", layered)]:
-        sol = entropy(P)
+        sol = entropy(P, tol=1e-12)
         assert sol.newton_steps <= 30, name
         assert sol.kkt_residual <= 1e-12, name
+        default = entropy(P)
+        assert default.kkt_residual <= 1e-8, name
+        assert default.newton_steps <= sol.newton_steps, name
 
 
-def test_entropy_result_does_not_depend_on_tol(family8):
-    # the solver runs to its certified-gap floor or a stall at any tol that
-    # it meets, which is why `analyze` offers no tolerance
+def test_entropy_stops_at_its_certificate(family8):
+    # the one stopping rule: the first iterate whose certified gap is at
+    # most tol, so a smaller tol never takes fewer steps, and any two
+    # results are within the sum of their gaps of each other (and 1e-14 of
+    # rounding: a gap that rounds below 0 is reported as 0)
     from sortbounds import random_poset
 
     rng = np.random.default_rng(8128)
     randoms = [(f"random{k}", random_poset(20, rng, p=float(rng.uniform(0.1, 0.3))))
                for k in range(4)]
     for name, P in [*family8, *randoms]:
-        ref = entropy(P)
-        for tol in (1e-4, 1e-13):
-            sol = entropy(P, tol=tol)
-            assert sol.H == ref.H, (name, tol)
-            assert (sol.z_star == ref.z_star).all(), (name, tol)
-            assert sol.newton_steps == ref.newton_steps, (name, tol)
+        tols = (1e-4, 1e-8, 1e-13)
+        sols = [entropy(P, tol=tol) for tol in tols]
+        ref = sols[-1]
+        for tol, sol in zip(tols, sols):
+            assert sol.kkt_residual <= tol, (name, tol)
+            assert abs(sol.H - ref.H) <= sol.kkt_residual + ref.kkt_residual + 1e-14, (name, tol)
+        steps = [sol.newton_steps for sol in sols]
+        assert steps == sorted(steps), name
 
 
 def test_entropy_finishing_step_is_exact_on_antichains():

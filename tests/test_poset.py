@@ -22,8 +22,10 @@ from sortbounds import (
     poset_from_text,
     poset_to_text,
     random_poset,
+    random_sp_expr,
     relabel,
     sample_extension,
+    standard_family,
 )
 from sortbounds.polytopes import order_point_batch
 from sortbounds.poset import count_maximal_chains
@@ -105,6 +107,20 @@ def test_bitmasks_match_relation(n, p):
 def test_random_poset_rejects_p_outside_unit_interval(p):
     with pytest.raises(DomainError):
         random_poset(4, np.random.default_rng(0), p=p)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_sp_expr_refuses_an_empty_expression(n):
+    with pytest.raises(DomainError, match="n >= 1"):
+        random_sp_expr(np.random.default_rng(0), n)
+
+
+@pytest.mark.parametrize("max_n", [3, 1, 0])
+def test_standard_family_refuses_a_size_below_its_random_members(max_n):
+    with pytest.raises(DomainError, match="max_n >= 4"):
+        standard_family(max_n=max_n)
+    # the smallest accepted size still builds, with its four random members
+    assert sum(name.startswith("random") for name, _ in standard_family(max_n=4)) == 4
 
 
 def test_random_poset_takes_p_at_the_ends():

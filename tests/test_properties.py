@@ -446,13 +446,19 @@ def test_build_adversary_matches_loop_at_n20(text):
 @given(posets(max_n=10))
 def test_entropy_matches_barrier_oracle(case):
     P, _ = case
-    sol = entropy(P)
-    assert abs(sol.H - barrier_entropy(P).H) <= 1e-12
+    sol, want = entropy(P, tol=1e-12), barrier_entropy(P).H
+    assert abs(sol.H - want) <= 1e-12
     assert sol.kkt_residual <= 1e-12
+    # the default tol stops no later, within its own certified gap
+    default = entropy(P)
+    assert default.kkt_residual <= 1e-8
+    assert default.newton_steps <= sol.newton_steps
+    assert abs(default.H - want) <= default.kkt_residual + 1e-12
     # strictly inside the orthant, and on the feasible side of every chain
     # constraint with no tolerance
-    assert (sol.z_star > 0).all()
-    assert ((chain_matrix(P) @ sol.z_star) <= 1.0).all()
+    for z in (sol.z_star, default.z_star):
+        assert (z > 0).all()
+        assert ((chain_matrix(P) @ z) <= 1.0).all()
 
 
 def _reference_reports():
@@ -465,8 +471,13 @@ def _reference_reports():
             for name, entry in inputs.items() if "report" in entry]
 
 
-def _assert_seed_iterates(P, name=None):
-    got, want = entropy(P), seed_entropy(P)
+def _assert_seed_iterates(P, name=None, tol=1e-8):
+    # the iterates are a prefix of the seed loop's, bit for bit: cut at the
+    # same step count, the seed loop's best is its last iterate, the first
+    # whose gap is at most tol
+    got = entropy(P, tol=tol)
+    want = seed_entropy(P, tol, max_newton=got.newton_steps)
+    assert got.kkt_residual <= tol, name
     assert (got.H, got.kkt_residual, got.newton_steps) == (want.H, want.kkt_residual,
                                                            want.newton_steps), name
     assert got.z_star.tobytes() == want.z_star.tobytes(), name
@@ -480,13 +491,14 @@ def test_entropy_takes_the_seed_loops_iterates(case):
 def test_entropy_takes_the_seed_loops_iterates_on_the_corpus(family8):
     # every Block and N(k) leaf that `analyze` solves on the reference
     # inputs, the standard family, and the 1458 chains of the widest layered
-    # poset at n = 20
+    # poset at n = 20, from a loose tol to a tight one
     leaves = [(name, node.poset) for name, _, P in _reference_reports()
               for node in nodes(sp_decomposition(P)[0]) if isinstance(node, (Block, NBlock))]
     assert len(leaves) == 94
     layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
     for name, P in [*family8, ("layered", layered), *leaves]:
-        _assert_seed_iterates(P, name)
+        for tol in (1e-4, 1e-8, 1e-9, 1e-12):
+            _assert_seed_iterates(P, name, tol)
 
 
 def _assert_fold_matches_solve(P, e):
