@@ -162,9 +162,10 @@ def closed_form_checks(n: int, k: int, s: float) -> ClosedFormResiduals:
 # ---------------------------------------------------------------------------
 
 def sorted_uniforms(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """(samples, n) array of ascending uniforms per row."""
+    """(samples, n) array of ascending uniforms per row, sorted as int64 bits: the
+    draws lie in [0, 1), with no NaN or -0.0, and there a double orders as its bits."""
     u = rng.random((samples, n))
-    u.sort(axis=1)
+    u.view(np.int64).sort(axis=1)
     return u
 
 

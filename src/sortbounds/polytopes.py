@@ -29,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     NonConvergenceError,
     NotConsistentError,
     NotInChainPolytopeError,
 )
 from .linext import count_extensions, orders_by_rank
+from .orderstats import sorted_uniforms
 from .poset import Poset, maximal_chains
 
 FEAS_TOL = 1e-12
@@ -110,10 +112,9 @@ def transfer_inverse_batch(P: Poset, Z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _order_points(orders: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A uniform point of the order simplex of each row of element sequences:
-    the k-th element of a row receives that row's k-th smallest uniform."""
-    u = rng.random(orders.shape)
-    u.sort(axis=1)
+    """A uniform point of the order simplex of each row of element sequences: the
+    k-th element of a row receives the k-th of one row of `sorted_uniforms`."""
+    u = sorted_uniforms(orders.shape[1], orders.shape[0], rng)
     y = np.empty_like(u)
     np.put_along_axis(y, orders, u, axis=1)
     return y
@@ -147,18 +148,17 @@ def chain_point_batch(P: Poset, samples: int, rng: np.random.Generator) -> np.nd
 
 
 def chain_polytope_volume_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
-    """Hit-or-miss volume of C(P) in the unit cube: (estimate, stderr)."""
+    """Hit-or-miss volume of C(P) in the unit cube: (estimate, stderr).  The rows
+    come from one stream in chunks of at most 100,000 rows and 2**20 chain sums."""
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise DomainError(f"need at least 1 sample, got {samples}")
     A = chain_matrix(P)
     rng = np.random.default_rng(seed)
+    rows = min(100_000, 2**20 // len(A))  # >= 10: at most MAX_CHAINS chains
     hits = 0
-    left = samples
-    while left > 0:
-        chunk = min(left, 100_000)
-        u = rng.random((chunk, P.n))
-        hits += int(((u @ A.T) <= 1.0).all(axis=1).sum())
-        left -= chunk
+    for start in range(0, samples, rows):
+        u = rng.random((min(rows, samples - start), P.n))
+        hits += int(np.asfortranarray(u @ A.T <= 1.0).all(axis=1).sum())
     p = hits / samples
     return p, math.sqrt(p * (1.0 - p) / samples)
 

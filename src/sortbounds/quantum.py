@@ -125,14 +125,14 @@ def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
     points; returns (estimate, stderr).  Rows with a zero coordinate (a
     measure-zero tie) are redrawn."""
     if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
+        raise DomainError(f"need at least 2 samples for a standard error, got {samples}")
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     filled = 0
     while filled < samples:
         want = samples - filled
         Z = chain_point_batch(P, want, rng)
-        good = (Z > 0.0).all(axis=1)
+        good = np.asfortranarray(Z > 0.0).all(axis=1)  # by column: a row-wise reduce pays a call a row
         got = int(good.sum())
         vals[filled : filled + got] = -np.log(Z[good]).mean(axis=1)
         filled += got

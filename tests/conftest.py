@@ -34,7 +34,7 @@ from sortbounds import (
     tech_constant,
 )
 from sortbounds.orderstats import sorted_uniforms
-from sortbounds.polytopes import transfer_batch
+from sortbounds.polytopes import chain_point_batch, transfer_batch
 from sortbounds.quantum import DENSE_MAX, AdversaryMatrix, _bracket, _window_matrix, _window_types
 from sortbounds.spexpr import MAX_DEPTH
 
@@ -86,6 +86,43 @@ def seed_exp_ln_gap_check(P, ext, i, samples, seed):
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
     return abs(mean - target), stderr
+
+
+def seed_chain_polytope_volume_mc(P, samples, seed):
+    """Oracle: `chain_polytope_volume_mc` as it was, testing each row of
+    chain sums with a row-wise ``.all(axis=1)`` in chunks of 100,000 rows.
+    The bulk test must give the same pair bit for bit."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    A = chain_matrix(P)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    left = samples
+    while left > 0:
+        chunk = min(left, 100_000)
+        u = rng.random((chunk, P.n))
+        hits += int(((u @ A.T) <= 1.0).all(axis=1).sum())
+        left -= chunk
+    p = hits / samples
+    return p, math.sqrt(p * (1.0 - p) / samples)
+
+
+def seed_qh_mc(P, samples, seed):
+    """Oracle: `qh_mc` as it was, keeping the rows with a row-wise
+    ``.all(axis=1)``.  The bulk test must give the same pair bit for bit."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
+    rng = np.random.default_rng(seed)
+    vals = np.empty(samples)
+    filled = 0
+    while filled < samples:
+        want = samples - filled
+        Z = chain_point_batch(P, want, rng)
+        good = (Z > 0.0).all(axis=1)
+        got = int(good.sum())
+        vals[filled : filled + got] = -np.log(Z[good]).mean(axis=1)
+        filled += got
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
 def brute_force_extensions(n, pairs01):

@@ -54,3 +54,21 @@ def test_import_graph_has_no_cycle():
     graph = {module: _top_level_imports(tree) for module, tree in MODULES.items()}
     assert all(deps <= MODULES.keys() for deps in graph.values())
     list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
+
+
+def _row_sorts(tree):
+    """The `.sort(..., axis=1)` calls (np.sort or a method) under one node."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sort"
+            and any(k.arg == "axis" and isinstance(k.value, ast.Constant) and k.value.value in (1, -1)
+                    for k in node.keywords)]
+
+
+def test_sample_rows_are_sorted_only_by_sorted_uniforms():
+    # one home for sorted uniform rows: every sampler draws them through it
+    home = next(fn for fn in MODULES["orderstats"].body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "sorted_uniforms")
+    assert len(_row_sorts(home)) == 1
+    found = {(module, node.lineno) for module, tree in MODULES.items() for node in _row_sorts(tree)}
+    assert found == {("orderstats", node.lineno) for node in _row_sorts(home)}

@@ -258,3 +258,52 @@ def test_ks_critical_rejects_alpha_outside_unit_interval(alpha):
         ks_critical(10**4, alpha)
     with pytest.raises(DomainError):
         ks_critical(10**4, alpha=alpha)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 10**4])
+def test_sorted_uniforms_match_the_float_sort(samples):
+    # the int64 sort of the bits gives np.sort's array bit for bit
+    for n in range(1, 21):
+        z = sorted_uniforms(n, samples, np.random.default_rng(n))
+        want = np.sort(np.random.default_rng(n).random((samples, n)), axis=1)
+        np.testing.assert_array_equal(z.view(np.int64), want.view(np.int64))
+
+
+class _StubGenerator:
+    """Stands in for a Generator: `random(shape)` returns rows drawn from a
+    few values in [0, 1), with exact zeros, subnormals and repeats."""
+
+    VALUES = np.array([0.0, 5e-324, 2.0**-1022, 0.25, 0.5, 0.5, 1.0 - 2.0**-53])
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.choice(self.VALUES, size=shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 20])
+def test_sorted_uniforms_sort_zeros_and_ties_as_floats(n):
+    z = sorted_uniforms(n, 500, _StubGenerator(n))
+    want = np.sort(_StubGenerator(n).random((500, n)), axis=1)
+    assert (want == 0.0).any() and (np.diff(want, axis=1) == 0.0).any()
+    np.testing.assert_array_equal(z.view(np.int64), want.view(np.int64))
+
+
+# each gap check's values at a few (n, i, d, seed) with 10^4 samples, so that
+# any change to the sorted-uniform draws shows
+GAP_PINS = {
+    (2, 0, 2, 0): (0.010764863420025084, (0.009721047583280795, 0.004937110771930485)),
+    (3, 1, 1, 7): (0.008037701941005282, (0.011559703835197777, 0.011580923798374389)),
+    (5, 2, 3, 2024): (0.008656781357862076, (0.002587734014624865, 0.004572426923130457)),
+    (6, 0, 1, 11): (0.009979015654788814, (0.004112358837365271, 0.012325405828903064)),
+    (6, 4, 2, 3): (0.011715121540155193, (0.009123493917791992, 0.007092581264821587)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GAP_PINS))
+def test_seeded_gap_checks_are_pinned(key):
+    ks, expln = GAP_PINS[key]
+    assert gap_distribution_check(*key[:3], 10**4, key[3]) == ks
+    # exp_ln_gap_check averages np.log, whose last bit may differ between SIMD builds
+    assert exp_ln_gap_check(*key[:3], 10**4, key[3]) == pytest.approx(expln, rel=1e-13)

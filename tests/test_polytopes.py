@@ -1,11 +1,13 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sortbounds import (
+    DomainError,
     LimitExceededError,
     NonConvergenceError,
     NotConsistentError,
@@ -13,6 +15,7 @@ from sortbounds import (
     Poset,
     antichain_poset,
     build_poset,
+    chain2_plus_point,
     chain_matrix,
     chain_polytope_volume_mc,
     chain_poset,
@@ -30,6 +33,7 @@ from sortbounds import (
     sample_chain_point,
     sample_extension,
     sample_order_point,
+    standard_family,
     transfer,
     transfer_inverse,
 )
@@ -42,6 +46,8 @@ from sortbounds.polytopes import (
     transfer_batch,
     transfer_inverse_batch,
 )
+
+from conftest import seed_chain_polytope_volume_mc, seed_qh_mc
 
 
 def test_transfer_examples(wedge):
@@ -414,3 +420,54 @@ def test_seeded_samplers_are_pinned(key):
     assert digest(order_point_batch(P, 64, np.random.default_rng(seed))) == batch
     # qh_mc averages np.log, whose last bit may differ between SIMD builds
     assert qh_mc(P, 64, seed) == pytest.approx(mc, rel=1e-13)
+
+
+# chain_polytope_volume_mc's estimates, pinned exactly: the hits are counted in
+# integers, and every case but fence8 spans more than one chunk of rows
+VOLUME_PINS = {
+    ("fence8", 10_000, 0): (0.0328, 0.0017811277326458088),
+    ("chain2+point", 250_000, 3): (0.500064, 0.000999999991808),
+    ("diamond", 250_000, 4): (0.082428, 0.0005500313620731094),
+    ("antichain(4)*antichain(4)", 100_000, 5): (0.01435, 0.0003760861271038856),
+}
+
+
+@pytest.mark.parametrize("key", sorted(VOLUME_PINS))
+def test_seeded_volumes_are_pinned(key):
+    name, samples, seed = key
+    P = {"fence8": fence_poset(8), "chain2+point": chain2_plus_point(),
+         "diamond": diamond_poset()}.get(name) or realize(parse_sp(name))
+    assert chain_polytope_volume_mc(P, samples, seed) == VOLUME_PINS[key]
+
+
+def test_volume_chunks_cap_the_chain_sums():
+    # antichain(3)^6: 729 chains on 18 elements; 10^5 rows of chain sums at
+    # once would take 583 MB
+    P = realize(parse_sp("*".join(["antichain(3)"] * 6)))
+    assert len(chain_matrix(P)) == 729
+    tracemalloc.start()
+    try:
+        est, se = chain_polytope_volume_mc(P, 100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert (est, se) == (0.0, 0.0)  # the volume (3!)^6/18! is about 7e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mc_row_tests_match_the_row_wise_oracles(seed):
+    for name, P in standard_family(max_n=8, seed=seed):
+        assert chain_polytope_volume_mc(P, 5_000, seed) == seed_chain_polytope_volume_mc(
+            P, 5_000, seed), name
+        assert qh_mc(P, 2_000, seed) == seed_qh_mc(P, 2_000, seed), name
+
+
+def test_mc_refuses_too_few_samples(wedge):
+    for samples in (0, -1):
+        with pytest.raises(DomainError, match="at least 1 sample"):
+            chain_polytope_volume_mc(wedge, samples, 0)
+    for samples in (1, 0):
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            qh_mc(wedge, samples, 0)
+    assert chain_polytope_volume_mc(wedge, 1, 0)[1] == 0.0
