@@ -93,7 +93,6 @@ from .quantum import (
     qh_mc,
     qlb_fraction,
     qlb_sp_fraction,
-    spectral_norm,
     tech_constant,
     uniform_rayleigh,
 )

@@ -117,11 +117,10 @@ def cmd_tech_constant(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload))
         return 0
-    # one write: the table has about max_n**2 / 2 rows
+    # one write: the table has about max_n**2 / 2 rows; csv is the table alone
     rows = "".join(f"{int(a)},{int(b)},{format(r, '.17g')}\n" for a, b, r in tc.table.tolist())
-    sys.stdout.write(f"c_min = {format(tc.c_min, '.17g')}\n"
-                     f"argmin = {tc.argmin[0]},{tc.argmin[1]}\n"
-                     f"n1,n2,ratio\n{rows}")
+    head = f"c_min = {format(tc.c_min, '.17g')}\nargmin = {tc.argmin[0]},{tc.argmin[1]}\n"
+    sys.stdout.write(f"{'' if args.format == 'csv' else head}n1,n2,ratio\n{rows}")
     return 0
 
 

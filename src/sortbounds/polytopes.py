@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -169,10 +170,12 @@ def chain_polytope_volume_mc(P: Poset, samples: int, seed: int) -> tuple[float, 
 
 @dataclass(frozen=True)
 class EntropySolution:
+    """One `entropy` solve; bracket is the exact lo <= e^(-n H*) <= hi of `entropy_bracket`."""
     H: float
     z_star: np.ndarray
     kkt_residual: float
     newton_steps: int
+    bracket: tuple[Fraction, Fraction]
 
 
 def _objective(z: np.ndarray) -> float:
@@ -183,6 +186,21 @@ def _dual_value(w: np.ndarray, lam: np.ndarray) -> float:
     """Lagrange dual g(lam) = (1/n) sum ln(n w_i) + 1 - sum lam of the entropy
     program at lam >= 0, w = A^T lam: the inner minimum is z_i = 1 / (n w_i)."""
     return float(np.log(len(w) * w).sum() / len(w) + 1.0 - lam.sum()) if w.min() > 0 else -math.inf
+
+
+def entropy_bracket(A: np.ndarray, z: np.ndarray, lam: np.ndarray) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= e^(-n H*) <= hi over the chain matrix A, from z > 0 and
+    lam >= 0 floored to multiples of 2^-40 as int64: z / mx (mx its largest
+    chain sum) lies in the chain polytope, so lo = prod z_i / mx^n, and lam / T
+    sums to 1 (T = sum lam), so the Lagrange dual gives hi = T^n / prod n w_i,
+    w = A^T lam, or hi = 1 (H* >= 0) when some w_i is 0.  The int64 sums stay
+    below 2^57 (T <= MAX_CHAINS 2^40); the products are Python ints."""
+    n = A.shape[1]
+    A = A.astype(np.int64)
+    z, lam = (np.floor(v * 2.0**40).astype(np.int64) for v in (z, lam))
+    w = (lam @ A).tolist()
+    hi = Fraction(int(lam.sum()) ** n, math.prod(n * v for v in w)) if min(w) > 0 else Fraction(1)
+    return Fraction(math.prod(z.tolist()), int((A @ z).max()) ** n), hi
 
 
 def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -208,8 +226,9 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     lowers the gap.
 
     The returned kkt_residual is that certified gap, anywhere in [0, tol];
-    newton_steps counts primal-dual iterations.  NonConvergence is raised
-    if the gap cannot be brought to tol within MAX_NEWTON iterations.
+    newton_steps counts primal-dual iterations; bracket is `entropy_bracket`
+    at the returned point and the final multipliers.  NonConvergence is
+    raised if the gap cannot be brought to tol within MAX_NEWTON iterations.
     """
     if not 0 < tol < math.inf:  # NaN would pass every gap test, inf would take no step
         raise ValueError("tol must be positive and finite")
@@ -265,4 +284,5 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
         raise NonConvergenceError("optimal point degenerate: some z*[i] < 1e-9")
     z = z.copy()
     z.setflags(write=False)
-    return EntropySolution(H=_objective(z), z_star=z, kkt_residual=max(gap, 0.0), newton_steps=steps)
+    return EntropySolution(H=_objective(z), z_star=z, kkt_residual=max(gap, 0.0), newton_steps=steps,
+                           bracket=entropy_bracket(A, z, lam))

@@ -209,26 +209,13 @@ def lb(P: Poset) -> float:
 
 def certify_sandwich(num: int, top: Fraction, leaves: Sequence[EntropySolution]) -> bool:
     """ITLB <= LB <= 2 ITLB, for ITLB = ln num and LB = ln(top) - sum_b n_b H_b
-    over the solved leaves (n_b = len(z_star)), decided with no tolerance.
-
-    With no leaf it is the exact comparison num <= top <= num**2.  Otherwise
-    each leaf's true entropy lies between its dual value H_b - kkt_residual_b
-    and its primal value H_b, so LB lies in the certified bracket
-    [ln(top) - sum_b n_b H_b, that + sum_b n_b kkt_residual_b].  The bracket
-    is widened outward by a relative (n + 8) eps of its terms, n the leaves'
-    total size, and ITLB by the same relative slack, as `_bracket` widens
-    its values; a bracket that straddles either side decides it false.
+    over the solved leaves, decided exactly: each leaf's `bracket`
+    lo_b <= e^(-n_b H_b) <= hi_b makes the sides num <= top prod lo_b and
+    top prod hi_b <= num**2, so with no leaf it is num <= top <= num**2.
     """
-    if not leaves:
-        return num <= top <= num * num
-    ln_top = _ln(top)
-    spent = sum(len(sol.z_star) * sol.H for sol in leaves)
-    gap = sum(len(sol.z_star) * sol.kkt_residual for sol in leaves)
-    slack = (sum(len(sol.z_star) for sol in leaves) + 8) * math.ulp(1.0)
-    width = slack * (ln_top + spent + gap)
-    itlb_val = ln_count(num)
-    return (itlb_val * (1.0 + slack) <= ln_top - spent - width
-            and ln_top - spent + gap + width <= 2.0 * itlb_val * (1.0 - slack))
+    lo = math.prod(sol.bracket[0] for sol in leaves)
+    hi = math.prod(sol.bracket[1] for sol in leaves)
+    return num <= top * lo and top * hi <= num * num
 
 
 @dataclass(frozen=True)
@@ -480,11 +467,6 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
     return tuple(map(max, zip(*brackets)))
 
 
-def spectral_norm(M: AdversaryMatrix | np.ndarray) -> float:
-    """Lower side of `norm_bracket`: the safe side for ||Gamma|| in lemma 3."""
-    return norm_bracket(M)[0]
-
-
 def hilbert_norm(m: int) -> float:
     """Spectral norm of the m-by-m Hilbert matrix 1/(k+l-1); approaches pi
     from below as m grows."""
@@ -494,7 +476,7 @@ def hilbert_norm(m: int) -> float:
         raise DomainError(f"matrix size must be an integer, got {m!r}") from None
     if m < 1:
         raise DomainError(f"matrix size must be >= 1, got {m}")
-    return spectral_norm(1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0))
+    return norm_bracket(1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0))[0]
 
 
 def uniform_rayleigh(gamma: AdversaryMatrix) -> Fraction:
@@ -665,8 +647,7 @@ def analyze(
     (c) ||Gamma|| / max ||Gamma^{ij}|| >= QLB / (2 pi), multiplied out;
     (b) and (c) against the double TWO_PI, which lies below 2 pi; and the
     sandwich ITLB <= LB <= 2 ITLB, decided with no tolerance by
-    `certify_sandwich`: exactly when P has no block, else on the certified
-    bracket of LB.
+    `certify_sandwich` on the exact brackets of the leaves.
 
     Failures are reported as False flags, never raised.
     """
@@ -686,7 +667,7 @@ def analyze(
     lemma1 = lemma2 = lemma3 = None
     if num <= matrix_cap and qlb is not None and P.n <= DEFAULT_N_CAP:
         gamma = build_adversary(P, matrix_cap=matrix_cap)
-        gnorm = spectral_norm(gamma)
+        gnorm = norm_bracket(gamma)[0]
         mnorm = max_gamma_ij_norm(gamma, P)
         lemma1 = uniform_rayleigh(gamma) >= qlb
         lemma2 = bool(mnorm <= TWO_PI)

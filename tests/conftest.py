@@ -34,7 +34,7 @@ from sortbounds import (
     tech_constant,
 )
 from sortbounds.orderstats import sorted_uniforms
-from sortbounds.polytopes import chain_point_batch, transfer_batch
+from sortbounds.polytopes import chain_point_batch, entropy_bracket, transfer_batch
 from sortbounds.quantum import DENSE_MAX, AdversaryMatrix, _bracket, _window_matrix, _window_types
 from sortbounds.spexpr import MAX_DEPTH
 
@@ -547,7 +547,7 @@ def barrier_entropy(P, tol=1e-8, max_newton=1000):
     if gap > tol:
         raise NonConvergenceError(f"certified duality gap {gap:.3e} above tol {tol:.3e}")
     return EntropySolution(H=_barrier_objective(z), z_star=z, kkt_residual=max(gap, 0.0),
-                           newton_steps=steps)
+                           newton_steps=steps, bracket=entropy_bracket(A, z, lam))
 
 
 def _barrier_polish(A, gap, z, lam_barrier):
@@ -658,4 +658,4 @@ def seed_entropy(P, tol=1e-8, max_newton=1000):
     z = z.copy()
     z.setflags(write=False)
     return EntropySolution(H=_barrier_objective(z), z_star=z, kkt_residual=max(gap, 0.0),
-                           newton_steps=steps)
+                           newton_steps=steps, bracket=entropy_bracket(A, z, lam))

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -299,6 +300,18 @@ def test_tech_constant_json(capsys):
     tc = tech_constant(3)
     assert payload == {"c_min": tc.c_min, "argmin": list(tc.argmin),
                        "ratios": [[int(a), int(b), r] for a, b, r in tc.table.tolist()]}
+
+
+def test_tech_constant_csv_is_the_table_alone(capsys):
+    # csv prints only the header and the rows; text keeps c_min and argmin
+    code, out, _ = run_cli(capsys, "tech-constant", "--max-n", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["n1", "n2", "ratio"]
+    assert [(int(a), int(b), float(r)) for a, b, r in rows[1:]] == [
+        (int(a), int(b), r) for a, b, r in tech_constant(3).table.tolist()]
+    _, text, _ = run_cli(capsys, "tech-constant", "--max-n", "3", "--format", "text")
+    assert text.splitlines()[2:] == out.splitlines()
 
 
 def test_tech_constant_usage_error(monkeypatch):

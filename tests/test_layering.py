@@ -72,3 +72,13 @@ def test_sample_rows_are_sorted_only_by_sorted_uniforms():
     assert len(_row_sorts(home)) == 1
     found = {(module, node.lineno) for module, tree in MODULES.items() for node in _row_sorts(tree)}
     assert found == {("orderstats", node.lineno) for node in _row_sorts(home)}
+
+
+def test_certify_sandwich_calls_no_float_function():
+    # the sandwich is decided on exact rationals; no log, ulp or float may return
+    fn = next(node for node in MODULES["quantum"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "certify_sandwich")
+    called = {call.func.attr if isinstance(call.func, ast.Attribute) else call.func.id
+              for call in ast.walk(fn) if isinstance(call, ast.Call)}
+    assert called  # the walk found the comparison's calls
+    assert not called & {"log", "log1p", "log2", "exp", "ulp", "ln_count", "_ln", "float"}

@@ -1,5 +1,6 @@
 """Property tests: the fast paths against the brute-force oracles."""
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -43,7 +44,7 @@ from sortbounds import (
     transfer,
 )
 from sortbounds import polytopes, quantum
-from sortbounds.polytopes import _order_points, order_point_batch
+from sortbounds.polytopes import _order_points, entropy_bracket, order_point_batch
 from sortbounds.poset import parse_poset_text, transitive_closure
 from sortbounds.quantum import DENSE_MAX, _window_types, max_gamma_ij_norm
 from sortbounds.spexpr import Block, NBlock, nodes
@@ -459,6 +460,33 @@ def test_entropy_matches_barrier_oracle(case):
     for z in (sol.z_star, default.z_star):
         assert (z > 0).all()
         assert ((chain_matrix(P) @ z) <= 1.0).all()
+
+
+def _ln(q):
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+@given(posets(max_n=10), st.floats(0.25, 4.0), st.integers(0, 2**32))
+def test_entropy_bracket_encloses_the_entropy(case, scale, seed):
+    # a tight solve puts -n H* in [-n H, -n H + n kkt]; lo <= e^(-n H*) <= hi
+    # must hold for the solve's own bracket and for perturbed inputs: z
+    # scaled (out of the polytope when scale > 1), lam of any sum, lam with
+    # zeros (1e-11 of float rounding in the logs)
+    P, _ = case
+    sol, A = entropy(P, tol=1e-12), chain_matrix(P)
+    rng = np.random.default_rng(seed)
+    lam = scale * rng.random(len(A))
+    low, high = -P.n * sol.H, -P.n * sol.H + P.n * sol.kkt_residual
+    brackets = [sol.bracket,
+                entropy_bracket(A, scale * sol.z_star, lam),
+                entropy_bracket(A, sol.z_star, np.where(rng.random(len(A)) < 0.5, 0.0, lam)),
+                entropy_bracket(A, rng.random(P.n) + 1e-3, np.zeros(len(A)))]
+    for lo, hi in brackets:
+        assert 0 < lo <= hi
+        assert _ln(lo) <= high + 1e-11 and _ln(hi) >= low - 1e-11
+    # the solve's own bracket is tight, so it decides what the float LB does
+    assert _ln(sol.bracket[0]) >= low - 1e-6 and _ln(sol.bracket[1]) <= high + 1e-6
+    assert entropy_bracket(A, sol.z_star, np.zeros(len(A)))[1] == 1  # H* >= 0
 
 
 def _reference_reports():

@@ -11,6 +11,7 @@ from scipy import sparse
 from sortbounds import (
     Block,
     DomainError,
+    EntropySolution,
     LimitExceededError,
     LinearExtension,
     NotAnExtensionError,
@@ -18,6 +19,7 @@ from sortbounds import (
     antichain_poset,
     build_adversary,
     build_poset,
+    certify_sandwich,
     chain_poset,
     count_extensions,
     d_vector,
@@ -41,7 +43,6 @@ from sortbounds import (
     realize,
     series,
     sp_decomposition,
-    spectral_norm,
     standard_family,
     tech_constant,
     uniform_rayleigh,
@@ -322,13 +323,13 @@ def test_tech_constant_500(tech500):
 def test_adversary_chain_is_zero():
     g = build_adversary(chain_poset(5))
     assert g.dim == 1 and len(g.vals) == 0
-    assert spectral_norm(g) == 0.0
+    assert norm_bracket(g)[0] == 0.0
 
 
 def test_adversary_antichain2():
     g = build_adversary(antichain_poset(2))
     assert g.to_dense().tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert spectral_norm(g) == pytest.approx(1.0, abs=1e-9)
+    assert norm_bracket(g)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_adversary_wedge_entries(wedge):
@@ -416,17 +417,17 @@ def test_spectral_norm_oracle_dense(family8):
         if g.dim < 2:
             continue
         exact = float(np.abs(np.linalg.eigvalsh(g.to_dense())).max())
-        assert spectral_norm(g) == pytest.approx(exact, rel=1e-7, abs=1e-9), name
+        assert norm_bracket(g)[0] == pytest.approx(exact, rel=1e-7, abs=1e-9), name
         for (i, j) in [(0, 1), (0, P.n - 1)]:
             if i == j:
                 continue
             m = gamma_ij(g, P, i, j)
             exact = float(np.abs(np.linalg.eigvalsh(m.to_dense())).max()) if len(m.vals) else 0.0
-            assert spectral_norm(m) == pytest.approx(exact, rel=1e-7, abs=1e-9), name
+            assert norm_bracket(m)[0] == pytest.approx(exact, rel=1e-7, abs=1e-9), name
 
 
 def test_spectral_norm_zero_matrix():
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
+    assert norm_bracket(np.zeros((3, 3)))[0] == 0.0
 
 
 def test_norm_bracket_rejects_non_perron_input():
@@ -774,3 +775,31 @@ def test_masks_are_window_type_blocks():
                 covered[np.ix_(rows, rows)] = True
             assert not dense[~covered].any(), (P, i, j)
         assert windows == set(map(tuple, _window_types(gamma, P).tolist())), P
+
+
+def _leaf(lo, hi, n=2):
+    # certify_sandwich reads a leaf's bracket only
+    return EntropySolution(H=0.0, z_star=np.full(n, 0.5), kkt_residual=0.0, newton_steps=0,
+                           bracket=(Fraction(lo), Fraction(hi)))
+
+
+def test_certify_sandwich_without_a_leaf_is_the_exact_comparison():
+    tiny = Fraction(1, 10**40)
+    for num in (1, 2, 7, 5040, 10**12, 2432902008176640000):
+        for top in (Fraction(num), Fraction(num**2), (num + num**2) / Fraction(2),
+                    num - tiny, num**2 + tiny, Fraction(1, 3), Fraction(num**3 + 1)):
+            assert certify_sandwich(num, top, []) is (num <= top <= num * num), (num, top)
+    assert certify_sandwich(10, Fraction(10), []) and certify_sandwich(10, Fraction(100), [])
+
+
+def test_certify_sandwich_decides_false_just_past_either_side():
+    # num = 10 and top = 1000: the sides are 10 <= 1000 lo and 1000 hi <= 100
+    tiny = Fraction(1, 10**40)
+    edge = [_leaf(Fraction(1, 20), Fraction(1, 5)), _leaf(Fraction(1, 5), Fraction(1, 2))]
+    assert certify_sandwich(10, Fraction(1000), edge)
+    assert certify_sandwich(10, Fraction(1000), [_leaf(Fraction(1, 100), Fraction(1, 10))])
+    # hi puts LB just past 2 ITLB, lo puts it just below ITLB
+    assert not certify_sandwich(10, Fraction(1000), [_leaf(Fraction(1, 100), Fraction(1, 10) + tiny)])
+    assert not certify_sandwich(10, Fraction(1000), [_leaf(Fraction(1, 100) - tiny, Fraction(1, 10))])
+    assert not certify_sandwich(10, Fraction(1000), [edge[0], _leaf(Fraction(1, 5), Fraction(1, 2) + tiny)])
+    assert not certify_sandwich(10, Fraction(1000), [_leaf(Fraction(1, 20) - tiny, Fraction(1, 5)), edge[1]])
