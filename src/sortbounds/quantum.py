@@ -340,25 +340,17 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     when d <= d_i - 1: the passed elements rank above every predecessor of i
     and below i itself, hence are incomparable to i.  Both (sigma, tau) and
     (tau, sigma) are set to 1/d.  The moves are listed row-major over
-    (extension, element), then by d, and their targets found by Lehmer key;
-    an adjacent swap (d = 1), the one move that arises twice (once from each
+    (extension, element), then by d, and their targets found by key; an
+    adjacent swap (d = 1), the one move that arises twice (once from each
     endpoint), is kept from the endpoint listed first.
 
-    The target's key is read off the source row's Lehmer digits, with no
-    moved order built.  Let dsigma[k] count the later elements of sigma
-    below sigma_k, so key(sigma) = sum_k dsigma[k] f[k] with
-    f[k] = (n - 1 - k)!, and let i = sigma_pos move to lo = pos - d.  tau's
-    digits equal sigma's outside lo..pos; at lo it is dsigma[pos] + L, for
-    the L of sigma_lo..sigma_{pos-1} below i, and at k in lo+1..pos it is
-    dsigma[k - 1] - [i < sigma_{k-1}].  So
-
-        key(tau) = key(sigma) + (dsigma[pos] + L) f[lo] - dsigma[pos] f[pos] + S,
-
-    where S sums (dsigma[j] - 1 + [sigma_j < i]) f[j + 1] - dsigma[j] f[j]
-    over j in lo..pos-1.  Each larger d adds one j to the window, so L and
-    S are running sums over the moves of one (sigma, i).  They are taken in
-    int64, whose wraparound is exact modulo 2**64, so the key, below
-    n! <= 20! < 2**63, comes out exact.
+    An extension's key is its inversion table by label in the factorial
+    number system, key(sigma) = sum_e c_e e!, where c_e <= e counts the
+    smaller labels that sigma places after e: a bijection onto 0..n!-1.
+    Moving i down past f flips only the pair (i, f), adding i! if f < i and
+    subtracting f! if f > i, so a target's key is its source's plus a
+    running sum over the moves of one (sigma, i).  The sums wrap in int64,
+    exactly modulo 2**64, so each key, below n! <= 20! < 2**63, is exact.
     """
     try:
         orders = extension_orders(P, max_extensions=matrix_cap)
@@ -372,23 +364,15 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     first = np.repeat(np.cumsum(steps) - steps, steps)  # the first move of each move's (s, i)
     dd = np.arange(len(move)) - first + 1
     src, elem = np.divmod(move, n)
-    row = src * n
-    pos = ranks.ravel()[move] - 1
-    lo = pos - dd
-    f = np.array([math.factorial(n - 1 - k) for k in range(n)], dtype=np.int64)
-    digits = np.stack([(orders[:, k + 1:] < orders[:, k, None]).sum(axis=1) for k in range(n)],
-                      axis=1).ravel()
-    keys = digits.reshape(-1, n) @ f  # sorted, since orders are in lex order
-    below = orders.ravel()[row + lo] < elem
-    d_lo, d_pos = digits[row + lo], digits[row + pos]
-
-    def window(v):
-        total = np.cumsum(v)
-        return total - (total - v)[first]
-
-    shift = (d_pos + window(below)) * f[lo] - d_pos * f[pos]
-    shift += window((d_lo - 1 + below) * f[lo + 1] - d_lo * f[lo])
-    tgt = np.searchsorted(keys, keys[src] + shift)
+    f = np.array([math.factorial(e) for e in range(n)], dtype=np.int64)
+    r = ranks.astype(np.int16)  # ranks <= 20; narrow compares run faster
+    keys = np.stack([(r[:, :e] > r[:, e, None]).sum(axis=1) for e in range(n)], axis=1) @ f
+    passed = orders.ravel()[src * n + ranks.ravel()[move] - 1 - dd]
+    flip = np.where(passed < elem, f[elem], -f[passed])
+    shift = np.cumsum(flip)
+    shift -= (shift - flip)[first]  # restart the running sum at each (s, i)
+    order = keys.argsort()
+    tgt = order[np.searchsorted(keys[order], keys[src] + shift)]
     keep = (dd > 1) | (src < tgt)
     src, tgt, dd = src[keep], tgt[keep], dd[keep]
     return AdversaryMatrix(
@@ -633,7 +617,7 @@ def analyze(
     QLB and QH are None when a block has more than enum_cap extensions or
     DEFAULT_N_CAP elements.  Only the adversary matrix enumerates the
     extensions, and it is built only when the count is within matrix_cap,
-    QLB is known and n <= DEFAULT_N_CAP (its Lehmer keys need n! < 2**63),
+    QLB is known and n <= DEFAULT_N_CAP (its keys need n! < 2**63),
     else its fields are None.  Each norm is a side of its `norm_bracket`:
     `gamma_norm` is the lower side of ||Gamma||, `max_gamma_ij_norm` the
     upper side over the masks.  H(P) and LB fold the same decomposition

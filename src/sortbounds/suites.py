@@ -337,7 +337,7 @@ def suite_adversary(seed: int, samples: int) -> list[CheckResult]:
         if not lo - slack <= exact <= hi + slack:
             dense_bad += 1
     out.append(_result("adversary", "power_iteration_vs_dense", dense_bad == 0,
-                       "power iteration matches dense eigensolve"))
+                       "certified bracket contains the dense eigensolve"))
     return out
 
 

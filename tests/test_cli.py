@@ -258,7 +258,7 @@ def test_analyze_adversary_fields_null_over_cap(capsys):
 
 def test_analyze_adversary_fields_null_past_n_cap(capsys):
     # 1771 extensions are within the matrix cap, but n = 23 is past the
-    # range of the adversary matrix's Lehmer keys
+    # range of the adversary matrix's keys, which need n! < 2**63
     code, out, _ = run_cli(capsys, "analyze", "--expr", "chain(3)+chain(20)", "--max-n", "23")
     assert code == 0
     rep = json.loads(out)

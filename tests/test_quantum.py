@@ -717,11 +717,11 @@ def test_dropped_window_types_are_principal_submatrices(P):
 
 
 def test_adversary_peak_memory():
-    # the move targets come from the source rows' Lehmer digits, with no
-    # (moves, n) array: the traced peak of the build stays within 5x its
-    # returned arrays (8.4x when the moved orders were gathered), and the
-    # masked norms of the maximal window types stay under 15.9 MB (16-18 MB
-    # when every type was bracketed)
+    # the move targets come from the source rows' keys plus one flipped-pair
+    # term per passed element, with no (moves, n) array: the traced peak of
+    # the build stays within 5x its returned arrays, and the masked norms of
+    # the maximal window types stay under 15.9 MB (16-18 MB when every type
+    # was bracketed)
     P = realize(parse_sp("chain(3)+chain(17)"))
     max_gamma_ij_norm(build_adversary(P), P)  # builds the lattice and imports csgraph
     tracemalloc.start()
