@@ -240,27 +240,24 @@ def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
     return [path for s in sources for path in up[s]]
 
 
-_QUAD_PAIRS = [(p, q) for p in range(4) for q in range(4) if p != q]
+_QUAD_PAIRS = list(itertools.combinations(range(4), 2))  # bit t of a code: pair t
+_CODE_BITS = 1 << np.arange(6, dtype=np.intp)
 
-
-def _pattern_codes() -> frozenset[int]:
-    # 12-bit codes (bit t for the ordered pair _QUAD_PAIRS[t] among 4
-    # elements) of every labeling of the 4-element poset {a<b, c<b, c<d}.
-    base = {(0, 1), (2, 1), (2, 3)}
-    return frozenset(sum(1 << _QUAD_PAIRS.index((perm[p], perm[q])) for p, q in base)
-                     for perm in itertools.permutations(range(4)))
-
-
-_N_CODES = _pattern_codes()
-_IS_N_CODE = np.zeros(1 << 12, dtype=bool)  # indexed by a 12-bit code
-_IS_N_CODE[sorted(_N_CODES)] = True
-_CODE_BITS = 1 << np.arange(12, dtype=np.intp)
+# A 4-subset induces N iff its comparability graph is the path w-x-y-z: on
+# that path transitivity forbids two edges in a row pointing the same way
+# (w < x < y would make w, y comparable), so the order is w < x > y < z or
+# its reverse, which is {a<b, c<b, c<d} up to labels; the converse is
+# immediate.  The 12 path codes are the 3-edge graphs of degrees 1, 1, 2, 2;
+# a degree is the code's bits in the star of pairs at one element.
+_STARS = [sum(1 << t for t, pair in enumerate(_QUAD_PAIRS) if v in pair) for v in range(4)]
+_IS_PATH = np.array([sorted((code & star).bit_count() for star in _STARS) == [1, 1, 2, 2]
+                     for code in range(64)])
 
 
 @lru_cache(maxsize=16)
 def _quad_index(n: int) -> np.ndarray:
-    """(C(n,4), 12) flat indices into an n x n relation: row t holds the
-    ordered pairs of the t-th 4-subset in the bit order of `_N_CODES`."""
+    """(C(n,4), 6) flat indices into an n x n relation: row t holds the
+    unordered pairs of the t-th 4-subset in the bit order of `_QUAD_PAIRS`."""
     quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
     p, q = np.array(_QUAD_PAIRS).T
     index = quads[:, p] * n + quads[:, q]
@@ -277,8 +274,8 @@ def count_induced_N(P: Poset) -> int:
     n = P.n
     if n < 4:
         return 0
-    codes = P.rel.ravel()[_quad_index(n)] @ _CODE_BITS
-    return int(np.count_nonzero(_IS_N_CODE[codes]))
+    codes = (P.rel | P.rel.T).ravel()[_quad_index(n)] @ _CODE_BITS
+    return int(np.count_nonzero(_IS_PATH[codes]))
 
 
 def poset_to_text(P: Poset) -> str:

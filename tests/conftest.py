@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import shutil
@@ -154,6 +155,39 @@ def brute_force_induced_N(P):
         if any(induced == {(a, b), (c, b), (c, d)} for a, b, c, d in itertools.permutations(quad)):
             count += 1
     return count
+
+
+@functools.lru_cache(maxsize=None)
+def census(max_n):
+    """Every poset with 1 <= n <= max_n elements, one per isomorphism class,
+    by n and then by canonical form (A000112: 1, 2, 5, 16, 63, 318 classes).
+
+    Removing a maximal element leaves a poset on n - 1 elements with the
+    element's predecessors an ideal of it, so each poset on n - 1 grows a
+    new maximal element n - 1 above each of its ideals, read from
+    ``Q.lattice`` (Brinkmann and McKay, "Posets on up to 16 points", grow
+    them the same way).  A class keeps its least relation over all n!
+    relabellings, the relation read as a row-major bit string.
+    """
+    layer = [Poset(np.zeros((1, 1), dtype=bool))]
+    found = list(layer)
+    for n in range(2, max_n + 1):
+        perms = np.array(list(itertools.permutations(range(n))))
+        weights = 1 << np.arange(n * n - 1, -1, -1, dtype=np.int64)  # first entry highest
+        classes = {}
+        for Q in layer:
+            masks = np.concatenate([ideals.masks for ideals in Q.lattice])
+            rels = np.zeros((len(masks), n, n), dtype=bool)
+            rels[:, :-1, :-1] = Q.rel
+            rels[:, :-1, -1] = (masks[:, None] >> np.arange(n - 1)) & 1
+            for rel in rels:
+                relabelled = rel[perms[:, :, None], perms[:, None, :]].reshape(len(perms), -1)
+                keys = relabelled @ weights
+                least = int(keys.argmin())
+                classes.setdefault(int(keys[least]), relabelled[least].reshape(n, n))
+        layer = [Poset(classes[key]) for key in sorted(classes)]
+        found += layer
+    return tuple(found)
 
 
 def dict_upset_counts(P):

@@ -1,3 +1,4 @@
+import itertools
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +29,7 @@ from sortbounds import (
     standard_family,
 )
 from sortbounds.polytopes import order_point_batch
-from sortbounds.poset import count_maximal_chains
+from sortbounds.poset import _IS_PATH, _QUAD_PAIRS, _quad_index, count_maximal_chains
 from sortbounds.spexpr import parse_sp, realize
 
 from conftest import recursive_maximal_chains, warshall_closure
@@ -221,9 +222,22 @@ def test_count_induced_N():
     assert count_induced_N(n_poset(1)) == 1
     assert count_induced_N(n_poset(2)) == 16
     assert count_induced_N(n_poset(3)) == 81
+    assert count_induced_N(n_poset(4)) == 4**4
+    assert count_induced_N(n_poset(5)) == 5**4
     assert count_induced_N(chain_poset(6)) == 0
     assert count_induced_N(antichain_poset(6)) == 0
     assert count_induced_N(realize(parse_sp(". * (.+.+.) * (. + (. * .))"))) == 0
+
+
+def test_path_codes_are_the_labellings_of_N():
+    # the 12 codes of comparability-graph paths are those of the 24
+    # labellings of {a<b, c<b, c<d}, a path and its reverse sharing one
+    labelled = {sum(1 << t for t, (p, q) in enumerate(_QUAD_PAIRS)
+                    if {(perm[p], perm[q]), (perm[q], perm[p])} & {(0, 1), (2, 1), (2, 3)})
+                for perm in itertools.permutations(range(4))}
+    assert set(np.flatnonzero(_IS_PATH).tolist()) == labelled
+    assert len(labelled) == 12
+    assert _quad_index(7).shape == (35, 6)
 
 
 def test_relabel_roundtrip():
