@@ -2,27 +2,23 @@
 
 Three commands, each with only the flags it reads:
 
-    sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text]
-                       [--max-n N] [--enum-cap C] [--matrix-cap M]
+    sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text] [--max-n N]
     sortbounds verify {lemmas,polytopes,orderstats,sp,adversary,all}
                       [--seed S] [--samples K]
     sortbounds tech-constant --max-n N [--format json|csv|text]
 
 `analyze` prints one report with every bound for the input poset; qlb and qh
 are null when a block of its series-parallel decomposition has more than
---enum-cap extensions (or more than 20 elements), and adversary fields are
-null then too, or when the extension count exceeds the matrix cap or n
-exceeds the default counting cap 20.  It is deterministic and takes no seed
-or tolerance, and a cap below 0 is a usage error.  `verify` takes S >= 0 and
+10**6 extensions (or more than 20 elements), and adversary fields are null
+then too, or when the extension count exceeds 4000 or n exceeds the default
+counting cap 20.  It is deterministic and takes no seed or tolerance, and a
+--max-n below 0 is a usage error.  `verify` takes S >= 0 and
 1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
 Exit codes: 1 on parse or size failures or when `analyze` runs out of memory,
 2 on a usage error or when a certified property is false.  Floats are
 written with 17 significant digits (by `json.dumps`, the shortest repr, in
 `tech-constant --format json`), so identical configurations produce
 byte-identical output.
-
---enum-cap bounds the extension count of each block whose QLB the ideal DP
-computes; no extension is enumerated for QLB.
 """
 from __future__ import annotations
 
@@ -34,9 +30,9 @@ import sys
 from functools import cache
 
 from .errors import LimitExceededError, SortboundsError
-from .linext import DEFAULT_ENUM_CAP, DEFAULT_N_CAP
+from .linext import DEFAULT_N_CAP
 from .poset import Poset, build_poset, parse_poset_text
-from .quantum import DEFAULT_MATRIX_CAP, TECH_MAX_N, BoundsReport, analyze, tech_constant
+from .quantum import TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import parse_sp, realize
 from .suites import MAX_SAMPLES, SUITES, run_suites
 
@@ -88,8 +84,7 @@ def exit_code_for_report(report: BoundsReport) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        report = analyze(load_input(args), max_n=args.max_n, enum_cap=args.enum_cap,
-                         matrix_cap=args.matrix_cap)
+        report = analyze(load_input(args), max_n=args.max_n)
     except (SortboundsError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
@@ -140,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("input", nargs="?", help="poset file (.poset format)")
     p_an.add_argument("--expr", help="inline series-parallel expression")
     p_an.add_argument("--max-n", type=int, default=DEFAULT_N_CAP)
-    p_an.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
-    p_an.add_argument("--matrix-cap", type=int, default=DEFAULT_MATRIX_CAP)
     p_an.add_argument("--format", choices=formats, default="json")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -167,20 +160,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--samples must be in 1..{MAX_SAMPLES}")
     if args.command == "verify" and args.seed < 0:
         parser.error("--seed must be nonnegative")
-    if args.command == "analyze":
-        for flag, value, default in (
-            ("--max-n", args.max_n, DEFAULT_N_CAP),
-            ("--enum-cap", args.enum_cap, DEFAULT_ENUM_CAP),
-            ("--matrix-cap", args.matrix_cap, DEFAULT_MATRIX_CAP),
-        ):
-            if value < 0:
-                parser.error(f"{flag} must be nonnegative")
-            if value > default:
-                print(
-                    f"warning: {flag} {value} exceeds the default cap {default}; "
-                    "runtime and memory grow quickly beyond it",
-                    file=sys.stderr,
-                )
+    if args.command == "analyze" and args.max_n < 0:
+        parser.error("--max-n must be nonnegative")
+    if args.command == "analyze" and args.max_n > DEFAULT_N_CAP:
+        print(f"warning: --max-n {args.max_n} exceeds the default cap {DEFAULT_N_CAP}; "
+              "runtime and memory grow quickly beyond it", file=sys.stderr)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -170,7 +170,9 @@ def chain_polytope_volume_mc(P: Poset, samples: int, seed: int) -> tuple[float, 
 
 @dataclass(frozen=True)
 class EntropySolution:
-    """One `entropy` solve; bracket is the exact lo <= e^(-n H*) <= hi of `entropy_bracket`."""
+    """One `entropy` solve.  kkt_residual is the certified duality gap in
+    floats, clamped at 0, so it carries rounding of about 1e-14; bracket is
+    the exact certificate, lo <= e^(-n H*) <= hi of `entropy_bracket`."""
     H: float
     z_star: np.ndarray
     kkt_residual: float
@@ -225,9 +227,12 @@ def entropy(P: Poset, tol: float = 1e-8) -> EntropySolution:
     largest chain sum through i when that stays feasible in floats and
     lowers the gap.
 
-    The returned kkt_residual is that certified gap, anywhere in [0, tol];
-    newton_steps counts primal-dual iterations; bracket is `entropy_bracket`
-    at the returned point and the final multipliers.  NonConvergence is
+    The returned kkt_residual is that certified gap, a float clamped at 0,
+    anywhere in [0, tol].  A tol below its rounding, about 1e-14, is met by
+    rounding: `entropy(P, tol=1e-300)` returns kkt_residual 0.0, and only
+    bracket certifies exactly.  newton_steps counts primal-dual iterations;
+    bracket is `entropy_bracket` at the returned point and the final
+    multipliers.  NonConvergence is
     raised if the gap cannot be brought to tol within MAX_NEWTON iterations.
     """
     if not 0 < tol < math.inf:  # NaN would pass every gap test, inf would take no step

@@ -50,7 +50,7 @@ from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_bat
 from .poset import Poset
 from .spexpr import Block, NBlock, Parallel, Series, SPExpr, nodes, sp_decomposition
 
-DEFAULT_MATRIX_CAP = 4000
+MATRIX_CAP = 4000
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,9 +66,9 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
     return tuple(transfer_batch(P, np.array([ext.rank]))[0].tolist())
 
 
-def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
+def qlb_fraction(P: Poset) -> Fraction:
     """Exact rational QLB from a gap DP over the lattice of ideals of P;
-    raises LimitExceededError when P has more than max_extensions
+    raises LimitExceededError when P has more than DEFAULT_ENUM_CAP
     extensions.
 
     The prefixes of the extensions are the paths up `Poset.lattice`, one
@@ -88,8 +88,8 @@ def qlb_fraction(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
     Python ints.
     """
     num = count_extensions(P)  # caps n at 20, so every count fits in int64
-    if num > max_extensions:
-        raise LimitExceededError(f"{num} extensions exceed the enumeration cap {max_extensions}")
+    if num > DEFAULT_ENUM_CAP:
+        raise LimitExceededError(f"{num} extensions exceed the enumeration cap {DEFAULT_ENUM_CAP}")
     n, lattice = P.n, P.lattice
     # sum_k C[k] H_k over the common denominator L = lcm(1..n-1)
     L, LH = harmonic_table(n - 1)
@@ -143,19 +143,19 @@ def qh_mc(P: Poset, samples: int, seed: int) -> tuple[float, float]:
 # Series-parallel recurrences
 # ---------------------------------------------------------------------------
 
-def qlb_sp_fraction(e: SPExpr, max_extensions: int = DEFAULT_ENUM_CAP) -> Fraction:
+def qlb_sp_fraction(e: SPExpr) -> Fraction:
     """Exact QLB of an SP expression, summed over its `nodes`.
 
     Series adds the parts, so a Series node adds nothing; a Parallel node
     adds the harmonic merge cost n H_n - sum_c n_c H_{n_c} of its children
     (the binary n H_n - n1 H_{n1} - n2 H_{n2} summed over a left fold).  Each
     Block and NBlock leaf adds the ideal DP of `qlb_fraction`, which refuses
-    a leaf of more than max_extensions extensions.
+    a leaf of more than DEFAULT_ENUM_CAP extensions.
     """
     total = Fraction(0)
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
-            total += qlb_fraction(node.poset, max_extensions=max_extensions)
+            total += qlb_fraction(node.poset)
         elif isinstance(node, Parallel):
             total += node.size * harmonic(node.size)
             total -= sum(c.size * harmonic(c.size) for c in node.children)
@@ -332,7 +332,7 @@ class AdversaryMatrix:
         ).tocsr()
 
 
-def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> AdversaryMatrix:
+def build_adversary(P: Poset) -> AdversaryMatrix:
     """Adversary matrix: weight 1/d between an extension and the one obtained
     by moving an element d ranks down.
 
@@ -352,11 +352,10 @@ def build_adversary(P: Poset, matrix_cap: int = DEFAULT_MATRIX_CAP) -> Adversary
     running sum over the moves of one (sigma, i).  The sums wrap in int64,
     exactly modulo 2**64, so each key, below n! <= 20! < 2**63, is exact.
     """
-    try:
-        orders = extension_orders(P, max_extensions=matrix_cap)
-    except LimitExceededError:  # the count is cached: say which cap it exceeds
-        raise LimitExceededError(
-            f"{count_extensions(P)} extensions exceed the matrix cap {matrix_cap}") from None
+    num = count_extensions(P)
+    if num > MATRIX_CAP:
+        raise LimitExceededError(f"{num} extensions exceed the matrix cap {MATRIX_CAP}")
+    orders = extension_orders(P)
     n = P.n
     ranks = orders.argsort(axis=1) + 1  # ranks[s, i]: 1-based rank of element i in row s
     steps = transfer_batch(P, ranks).ravel() - 1  # the moves of each (s, i)
@@ -480,8 +479,8 @@ class BoundsReport:
     """Flat summary of every bound and certificate for one poset.
 
     QLB and QH are None when a block of the decomposition has more than
-    `analyze`'s enum_cap extensions or DEFAULT_N_CAP elements; the adversary
-    fields are None then, and when the count exceeds matrix_cap or n exceeds
+    DEFAULT_ENUM_CAP extensions or DEFAULT_N_CAP elements; the adversary
+    fields are None then, and when the count exceeds MATRIX_CAP or n exceeds
     DEFAULT_N_CAP.
     """
 
@@ -603,24 +602,18 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     return norm_bracket(sparse.block_diag([W[np.ix_(row, row)] for row in inside]))[1]
 
 
-def analyze(
-    P: Poset,
-    *,
-    max_n: int = DEFAULT_N_CAP,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> BoundsReport:
+def analyze(P: Poset, *, max_n: int = DEFAULT_N_CAP) -> BoundsReport:
     """Every bound and certificate for one poset.
 
     The count and QLB fold the series-parallel decomposition of P, whose
     Block leaves take the up-set count and the gap DP over their ideals;
-    QLB and QH are None when a block has more than enum_cap extensions or
-    DEFAULT_N_CAP elements.  Only the adversary matrix enumerates the
-    extensions, and it is built only when the count is within matrix_cap,
-    QLB is known and n <= DEFAULT_N_CAP (its keys need n! < 2**63),
-    else its fields are None.  Each norm is a side of its `norm_bracket`:
-    `gamma_norm` is the lower side of ||Gamma||, `max_gamma_ij_norm` the
-    upper side over the masks.  H(P) and LB fold the same decomposition
+    QLB and QH are None when a block has more than DEFAULT_ENUM_CAP
+    extensions or DEFAULT_N_CAP elements.  Only the adversary matrix
+    enumerates the extensions, and it is built only when the count is within
+    MATRIX_CAP, QLB is known and n <= DEFAULT_N_CAP (its keys need
+    n! < 2**63), else its fields are None.  Each norm is a side of its
+    `norm_bracket`: `gamma_norm` is the lower side of ||Gamma||,
+    `max_gamma_ij_norm` the upper side over the masks.  H(P) and LB fold the same decomposition
     (`entropy_sp`), so only its Block leaves list maximal chains and run the
     interior-point method.  QLB is the exact `Fraction` of `qlb_sp_fraction`
     and QH the exact H_n - QLB / n, each rounded once to a float.  The
@@ -640,7 +633,7 @@ def analyze(
     expr = sp_decomposition(P)[0]
     num = count_extensions_sp(expr, max_n=max_n)
     try:
-        qlb = qlb_sp_fraction(expr, max_extensions=enum_cap)
+        qlb = qlb_sp_fraction(expr)
     except LimitExceededError:
         qlb = None
     qlb_val = float(qlb) if qlb is not None else None
@@ -649,8 +642,8 @@ def analyze(
 
     gnorm = mnorm = None
     lemma1 = lemma2 = lemma3 = None
-    if num <= matrix_cap and qlb is not None and P.n <= DEFAULT_N_CAP:
-        gamma = build_adversary(P, matrix_cap=matrix_cap)
+    if num <= MATRIX_CAP and qlb is not None and P.n <= DEFAULT_N_CAP:
+        gamma = build_adversary(P)
         gnorm = norm_bracket(gamma)[0]
         mnorm = max_gamma_ij_norm(gamma, P)
         lemma1 = uniform_rayleigh(gamma) >= qlb

@@ -6,14 +6,17 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sortbounds
-from sortbounds import Parallel, Series, Singleton, realize, write_poset
+from sortbounds import Parallel, Series, Singleton, build_poset, fence_poset, realize, write_poset
+from sortbounds import quantum
 from sortbounds.cli import exit_code_for_report, main
+from sortbounds.orderstats import harmonic
 from sortbounds.quantum import TECH_MAX_N, BoundsReport, tech_constant
 from sortbounds.suites import MAX_SAMPLES
 
@@ -102,7 +105,7 @@ def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path, monke
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 48.0 GiB for an array"),
                                  MemoryError()])
 def test_analyze_memory_error_exits_1(capsys, monkeypatch, exc):
-    # a raised --enum-cap or --matrix-cap can end in numpy's _ArrayMemoryError
+    # a raised --max-n can end in numpy's _ArrayMemoryError
     import sortbounds.cli as cli
 
     def exhausted(*_, **__):
@@ -160,25 +163,25 @@ def test_analyze_exponential_chain_set_exits_1(capsys, tmp_path):
     assert "121393 maximal chains exceed the chain cap" in err
 
 
-def test_analyze_non_sp_over_enum_cap(capsys):
-    # N(1)+. has 25 extensions, past the cap of 10, but only its N block is
-    # enumerated, and that has 5: QLB = 11/5 + merge cost 5 H_5 - 4 H_4 - 1
-    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)+.", "--enum-cap", "10")
+def test_analyze_non_sp_over_enum_cap(capsys, tmp_path):
+    # N(1)+antichain(12) has C(16, 4) 5 12! extensions, far past the
+    # enumeration cap 10^6, but the cap applies to blocks only, and its one
+    # block, N(1), has 5: QLB = 11/5 + the merge cost 16 H_16 - 4 H_4 - 12
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)+antichain(12)")
     assert code == 0
     rep = json.loads(out)
-    assert rep["num_extensions"] == 25
-    assert rep["qlb"] == float(Fraction(257, 60))
-    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)+.")
-    uncapped = json.loads(out)
-    for key in ("qlb", "qh", "gamma_norm", "max_gamma_ij_norm",
-                "lemma1_ok", "lemma2_ok", "lemma3_ok", "sandwich_ok"):
-        assert rep[key] == uncapped[key], key
-    assert rep["lemma1_ok"] and rep["lemma2_ok"] and rep["lemma3_ok"]
-    # the N block of N(2)+. has 53 extensions, past the cap: QLB and
-    # everything that needs it is null
-    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(2)+.", "--enum-cap", "10")
+    qlb = Fraction(11, 5) + 16 * harmonic(16) - 4 * harmonic(4) - 12
+    assert rep["num_extensions"] == math.comb(16, 4) * 5 * math.factorial(12)
+    assert (rep["qlb"], rep["qh"]) == (float(qlb), float(harmonic(16) - qlb / 16))
+    assert rep["sandwich_ok"] is True
+    # fence(20) is one block of 370,371,188,237,525 extensions, past the cap:
+    # QLB and everything that needs it is null
+    fence = tmp_path / "fence20.poset"
+    write_poset(fence_poset(20), fence)
+    code, out, _ = run_cli(capsys, "analyze", str(fence))
     assert code == 0
     rep = json.loads(out)
+    assert rep["num_extensions"] == 370_371_188_237_525
     for key in ("qlb", "qh", "gamma_norm", "max_gamma_ij_norm",
                 "lemma1_ok", "lemma2_ok", "lemma3_ok"):
         assert rep[key] is None, key
@@ -245,9 +248,8 @@ def test_analyze_formats(capsys):
 
 
 def test_analyze_adversary_fields_null_over_cap(capsys):
-    code, out, _ = run_cli(
-        capsys, "analyze", "--expr", "antichain(6)", "--matrix-cap", "100"
-    )
+    # antichain(7) has 5,040 extensions, past the matrix cap 4,000
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "antichain(7)")
     assert code == 0
     rep = json.loads(out)
     assert rep["gamma_norm"] is None
@@ -364,10 +366,12 @@ def test_config_invariants_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     *(["verify", "orderstats", "--samples", k] for k in ("0", str(MAX_SAMPLES + 1), "1000000000")),
     *(["analyze", "--expr", ".", flag, "-1"] for flag in ("--enum-cap", "--matrix-cap")),
+    ["analyze", "--expr", ".", "--max-n", "-1"],
 ])
 def test_range_usage_errors(argv, capsys, monkeypatch):
     # --samples sizes (samples, n) arrays, so a huge value must exit before any
-    # suite runs; a negative cap would silently null every capped field
+    # suite runs; a negative --max-n would refuse every input; the extension
+    # caps are constants, so their old flags are unknown to the parser
     import sortbounds.cli as cli
 
     monkeypatch.setattr(cli, "run_suites", lambda *a, **k: pytest.fail("suite started"))
@@ -375,7 +379,14 @@ def test_range_usage_errors(argv, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert argv[-2] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if argv[-2] in ("--enum-cap", "--matrix-cap"):
+        # "-1" is taken as the FILE argument, so only the flag is unknown
+        assert f"error: unrecognized arguments: {argv[-2]}\n" in err
+    elif argv[-2] == "--max-n":
+        assert "error: --max-n must be nonnegative" in err
+    else:
+        assert f"error: --samples must be in 1..{MAX_SAMPLES}" in err
 
 
 def test_caps_at_their_bounds_run(capsys, monkeypatch):
@@ -386,10 +397,41 @@ def test_caps_at_their_bounds_run(capsys, monkeypatch):
                         lambda names, seed, samples: seen.append(samples) or [])
     assert run_cli(capsys, "verify", "sp", "--samples", str(MAX_SAMPLES))[0] == 0
     assert seen == [MAX_SAMPLES]
-    code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)", "--enum-cap", "0", "--matrix-cap", "0")
-    rep = json.loads(out)
-    assert code == 0 and rep["num_extensions"] == 5
-    assert rep["qlb"] is None and rep["gamma_norm"] is None
+    # the extension caps are constants read where each refusal happens;
+    # N(1) has 5 extensions: at caps of 5 both run, below them neither does
+    for cap, runs in ((5, True), (4, False), (0, False)):
+        monkeypatch.setattr(quantum, "DEFAULT_ENUM_CAP", cap)
+        monkeypatch.setattr(quantum, "MATRIX_CAP", cap)
+        code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)")
+        rep = json.loads(out)
+        assert code == 0 and rep["num_extensions"] == 5
+        assert rep["qlb"] == (float(Fraction(11, 5)) if runs else None)
+        assert (rep["gamma_norm"] is not None) is runs
+
+
+def test_stress_block_is_refused_by_the_fixed_cap(capsys, monkeypatch, tmp_path):
+    # one indecomposable block: 20 elements, 393,218 ideals and 6.7e16
+    # extensions.  The count runs; the QLB DP, which peaked at 2 GB traced
+    # with the extension cap raised, is refused before it allocates
+    pairs = [(1, 2), (3, 2), (3, 4)] + [(3, k) for k in range(5, 21)]
+    tracemalloc.start()
+    try:
+        rep = quantum.analyze(build_poset(20, pairs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.num_extensions == 67_224_923_910_144_000 and rep.qlb is None
+    assert peak < 100 * 10**6
+    # and no flag raises the cap
+    import sortbounds.cli as cli
+
+    stress = tmp_path / "stress.poset"
+    stress.write_text("20\n" + "".join(f"{i} {j}\n" for i, j in pairs), encoding="ascii")
+    monkeypatch.setattr(cli, "analyze", lambda *a, **k: pytest.fail("analysis started"))
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(stress), "--enum-cap", "100000000000000000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --enum-cap 100000000000000000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

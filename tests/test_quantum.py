@@ -129,12 +129,13 @@ def test_qlb_matches_enumeration_at_n20():
     "chain(4)+chain(4)+chain(4)+chain(4)+chain(4)",  # 3,125 ideals
     "N(1)+N(1)+chain(5)+chain(5)",                   # 2,304 ideals
 ])
-def test_qlb_exact_at_large_counts(text):
+def test_qlb_exact_at_large_counts(text, monkeypatch):
     # the DP's int64 sums stay exact far past the enumeration cap
+    monkeypatch.setattr(quantum, "DEFAULT_ENUM_CAP", math.factorial(20))
     e = parse_sp(text)
     P = realize(e)
     assert count_extensions(P) > 10**10
-    assert qlb_fraction(P, max_extensions=math.factorial(20)) == qlb_sp_fraction(e)
+    assert qlb_fraction(P) == qlb_sp_fraction(e)
 
 
 def test_only_the_adversary_enumerates(monkeypatch):
@@ -389,8 +390,8 @@ def test_adversary_entries_are_inverse_integers(family8):
 
 
 def test_adversary_cap():
-    with pytest.raises(LimitExceededError, match="40320 extensions exceed the matrix cap 2000"):
-        build_adversary(antichain_poset(8), matrix_cap=2000)
+    with pytest.raises(LimitExceededError, match="5040 extensions exceed the matrix cap 4000"):
+        build_adversary(antichain_poset(7))
 
 
 def test_gamma_ij_masks(wedge):
@@ -642,7 +643,7 @@ def test_analyze_adversary_examples(wedge):
     assert rep.lemma1_ok and rep.lemma2_ok and rep.lemma3_ok and rep.sandwich_ok
     assert rep.num_extensions == 3
 
-    rep = analyze(antichain_poset(4), matrix_cap=10)
+    rep = analyze(antichain_poset(7))  # 5,040 extensions, past the matrix cap
     assert rep.qlb is not None and rep.gamma_norm is None and rep.lemma1_ok is None
 
 

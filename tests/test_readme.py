@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import pathlib
@@ -28,6 +29,22 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_readme_flag_lists_match_the_parser():
+    # each "takes only the flags it reads" bullet names exactly the options
+    # of its command's subparser, so the section cannot name a removed flag
+    from sortbounds.cli import build_parser
+
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("Each command takes only the flags it reads:", 1)[1].split("\n\n")[1]
+    named = {re.match(r"`([\w-]+)", b).group(1): set(re.findall(r"--[a-z][a-z-]*", b))
+             for b in re.split(r"^- ", section, flags=re.M)[1:]}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert named.keys() == sub.choices.keys()
+    for command, flags in named.items():
+        options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert flags == options - {"-h", "--help"}, command
+
+
 def _module_constants():
     """Each top-level name assigned in a package module, with the modules
     that assign it (an import is not an assignment)."""
@@ -48,7 +65,9 @@ def test_readme_constants_match_the_code():
     # 10^k and thousands commas, equals the value in the module assigning it
     quoted = re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]*)`\s+=\s+(\d+(?:,\d{3})*(?:\^\d+)?)",
                         README.read_text(encoding="utf-8"))
-    assert {name for _, name, _ in quoted} == {"MAX_SAMPLES", "DENSE_MAX", "MAX_DEPTH", "MAX_CHAINS"}
+    assert {name for _, name, _ in quoted} == {
+        "MAX_SAMPLES", "DENSE_MAX", "MAX_DEPTH", "MAX_CHAINS",
+        "DEFAULT_N_CAP", "DEFAULT_ENUM_CAP", "MATRIX_CAP"}
     owners = _module_constants()
     for module, name, text in quoted:
         assert len(owners[name]) == 1, f"{name} is assigned in {owners[name]}"
