@@ -2,18 +2,17 @@
 
 Three commands, each with only the flags it reads:
 
-    sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text] [--max-n N]
+    sortbounds analyze (FILE | --expr EXPR) [--format json|csv|text]
     sortbounds verify {lemmas,polytopes,orderstats,sp,adversary,all}
                       [--seed S] [--samples K]
     sortbounds tech-constant --max-n N [--format json|csv|text]
 
-`analyze` prints one report with every bound for the input poset; qlb and qh
-are null when a block of its series-parallel decomposition has more than
-10**6 extensions (or more than 20 elements), and adversary fields are null
-then too, or when the extension count exceeds 4000 or n exceeds the default
-counting cap 20.  It is deterministic and takes no seed or tolerance, and a
---max-n below 0 is a usage error.  `verify` takes S >= 0 and
-1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
+`analyze` prints one report with every bound for an input of at most 20
+elements (a fixed cap); qlb and qh are null when a block of its
+series-parallel decomposition has more than 10**6 extensions, and adversary
+fields are null then too, or when the extension count exceeds 4000.  It is
+deterministic and takes no seed, tolerance or cap.  `verify` takes S >= 0
+and 1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
 Exit codes: 1 on parse or size failures or when `analyze` runs out of memory,
 2 on a usage error or when a certified property is false.  Floats are
 written with 17 significant digits (by `json.dumps`, the shortest repr, in
@@ -30,8 +29,7 @@ import sys
 from functools import cache
 
 from .errors import LimitExceededError, SortboundsError
-from .linext import DEFAULT_N_CAP
-from .poset import Poset, build_poset, parse_poset_text
+from .poset import MAX_N, Poset, build_poset, parse_poset_text
 from .quantum import TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import parse_sp, realize
 from .suites import MAX_SAMPLES, SUITES, run_suites
@@ -58,23 +56,23 @@ def _emit_report(report: BoundsReport, fmt: str) -> str:
     return "\n".join(f"{k} = {v}" for k, v in zip(REPORT_KEYS, vals))
 
 
-def _check_size(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise LimitExceededError(f"n={n} exceeds --max-n {max_n}")
+def _check_size(n: int) -> None:
+    if n > MAX_N:
+        raise LimitExceededError(f"n={n} exceeds the size cap {MAX_N}")
 
 
 def load_input(args: argparse.Namespace) -> Poset:
-    """The input poset, with its size checked against --max-n before any
-    relation is allocated."""
+    """The input poset, with its size checked against the cap MAX_N before
+    any relation is allocated."""
     if (args.expr is None) == (args.input is None):
         raise SortboundsError("provide exactly one input: a poset file or --expr")
     if args.expr is not None:
         expr = parse_sp(args.expr)
-        _check_size(expr.size, args.max_n)
+        _check_size(expr.size)
         return realize(expr)
     with open(args.input, "r", encoding="ascii") as fh:
         n, pairs = parse_poset_text(fh.read())
-    _check_size(n, args.max_n)
+    _check_size(n)
     return build_poset(n, pairs)
 
 
@@ -84,7 +82,7 @@ def exit_code_for_report(report: BoundsReport) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        report = analyze(load_input(args), max_n=args.max_n)
+        report = analyze(load_input(args))
     except (SortboundsError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
@@ -134,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="report every bound for one poset")
     p_an.add_argument("input", nargs="?", help="poset file (.poset format)")
     p_an.add_argument("--expr", help="inline series-parallel expression")
-    p_an.add_argument("--max-n", type=int, default=DEFAULT_N_CAP)
     p_an.add_argument("--format", choices=formats, default="json")
     p_an.set_defaults(func=cmd_analyze)
 
@@ -160,11 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--samples must be in 1..{MAX_SAMPLES}")
     if args.command == "verify" and args.seed < 0:
         parser.error("--seed must be nonnegative")
-    if args.command == "analyze" and args.max_n < 0:
-        parser.error("--max-n must be nonnegative")
-    if args.command == "analyze" and args.max_n > DEFAULT_N_CAP:
-        print(f"warning: --max-n {args.max_n} exceeds the default cap {DEFAULT_N_CAP}; "
-              "runtime and memory grow quickly beyond it", file=sys.stderr)
     try:
         return args.func(args)
     except BrokenPipeError:

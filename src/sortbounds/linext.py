@@ -4,8 +4,8 @@ Each extension is a path up the lattice of ideals, one element placed per
 edge, and all three read its table ``Poset.lattice``: counting takes the
 completions of the empty ideal, and `orders_by_rank` follows the path of
 each lex rank, for enumeration (every rank) and for sampling (uniform ranks
-drawn with numpy's ``Generator``).  Counts are exact integers; n is capped
-(default 20) so the table stays at most 2**20 ideals.
+drawn with numpy's ``Generator``).  Counts are exact integers; the table
+refuses n > `poset.MAX_N` = 20, so it holds at most 2**20 ideals.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from .errors import DomainError, LimitExceededError
 from .poset import Poset
 from .spexpr import Block, NBlock, Parallel, SPExpr, nodes
 
-DEFAULT_N_CAP = 20
-DEFAULT_ENUM_CAP = 10**6
+ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,8 @@ def is_extension(P: Poset, ext: LinearExtension) -> bool:
     return bool(np.all(rank[rows] < rank[cols]))
 
 
-def count_extensions(P: Poset, max_n: int = DEFAULT_N_CAP) -> int:
-    """Exact number of linear extensions (arbitrary precision)."""
-    if P.n > max_n:
-        raise LimitExceededError(f"n={P.n} exceeds the counting cap {max_n}")
+def count_extensions(P: Poset) -> int:
+    """Exact number of linear extensions, from `Poset.lattice` (n <= 20)."""
     return int(P.lattice[0].counts[0])
 
 
@@ -72,11 +69,12 @@ def itlb(P: Poset) -> float:
     return ln_count(count_extensions(P))
 
 
-def extension_orders(P: Poset, max_extensions: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """All N extensions in lex order: `orders_by_rank` of 0..N-1."""
-    total = count_extensions(P)  # caps n at 20
-    if total > max_extensions:
-        raise LimitExceededError(f"{total} extensions exceed the enumeration cap {max_extensions}")
+def extension_orders(P: Poset) -> np.ndarray:
+    """All N extensions in lex order: `orders_by_rank` of 0..N-1; more than
+    ENUM_CAP raises LimitExceededError."""
+    total = count_extensions(P)
+    if total > ENUM_CAP:
+        raise LimitExceededError(f"{total} extensions exceed the enumeration cap {ENUM_CAP}")
     return orders_by_rank(P, np.arange(total))
 
 
@@ -84,8 +82,8 @@ def orders_by_rank(P: Poset, ranks) -> np.ndarray:
     """The extensions of lex ranks 0 <= r < N as (len(ranks), n) int16 element
     sequences.  From the empty ideal each layer takes the edge whose prefix sum
     of completions ``before`` holds the rank and keeps the remainder, 2**16
-    ranks at a time.  Caps n at 20 before the lattice is built; DomainError
-    unless ranks is a 1-d integer array in 0..N-1."""
+    ranks at a time.  DomainError unless ranks is a 1-d integer array in
+    0..N-1."""
     total = count_extensions(P)
     ranks = np.asarray(ranks)
     if ranks.ndim != 1 or ranks.dtype.kind not in "iu" or (
@@ -113,18 +111,18 @@ def sample_extension(P: Poset, seed: int) -> LinearExtension:
     return LinearExtension.from_order(orders_by_rank(P, [rank])[0].tolist())
 
 
-def count_extensions_sp(e: SPExpr, max_n: int = DEFAULT_N_CAP) -> int:
+def count_extensions_sp(e: SPExpr) -> int:
     """Exact extension count from the structure of an SP expression.
 
     Series multiplies counts; parallel multiplies counts and the multinomial
     of the block sizes, so the count is the product of the multinomials of
     the parallel nodes and of the counts of the Block and NBlock leaves,
-    which `Poset.lattice` gives under max_n.
+    which `Poset.lattice` gives for leaves of at most 20 elements.
     """
     total = 1
     for node in nodes(e):
         if isinstance(node, (Block, NBlock)):
-            total *= count_extensions(node.poset, max_n=max_n)
+            total *= count_extensions(node.poset)
         if isinstance(node, Parallel):
             total *= math.factorial(node.size) // math.prod(math.factorial(c.size)
                                                             for c in node.children)

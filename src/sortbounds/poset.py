@@ -22,8 +22,10 @@ import numpy as np
 
 from .errors import CycleError, LimitExceededError, SizeMismatchError
 
-# Past this many maximal chains the chain walk and the chain matrix are
-# refused; at n <= 20 there are at most 3**6 * 2 = 1458.
+# Past MAX_N elements the ideal table (up to 2**n ideals) is refused, and
+# past MAX_CHAINS maximal chains the chain walk and the chain matrix are;
+# at n <= 20 there are at most 3**6 * 2 = 1458.
+MAX_N = 20
 MAX_CHAINS = 100_000
 
 
@@ -113,28 +115,26 @@ class Poset:
         Filled from the full set down: D ^ e is an ideal iff e is maximal in
         ideal D, D & (succ(e) | e) == e.  The pairs (e, D) are listed by
         element, so sorting D ^ e stably groups them into edges D ^ e -> D
-        by increasing element; c(D ^ e) sums c(D) over them.  Masks are
-        int64 below 63 elements and counts up to 20 (N <= 20! < 2**63), else
-        Python ints.  There can be 2**n ideals: callers cap n first.
+        by increasing element; c(D ^ e) sums c(D) over them.  n > MAX_N
+        raises LimitExceededError first; below it masks and counts are int64
+        (N <= 20! < 2**63) and edge indices int32 (n * C(20, 10) < 2**31).
         """
         n = self.n
-        mask_type = np.int64 if n < 63 else object
-        bits = np.array([1 << e for e in range(n)], dtype=mask_type)
-        need = (np.array(self.succ_masks, dtype=mask_type) | bits)[:, None]
-        elem_type = np.min_scalar_type(n)
-        masks = np.array([(1 << n) - 1], dtype=mask_type)
-        counts = np.ones(1, dtype=np.int64 if n <= 20 else object)
-        layers = [IdealLayer(masks, counts, np.zeros(1, np.int32), np.zeros(0, elem_type),
+        if n > MAX_N:
+            raise LimitExceededError(f"n={n} exceeds the counting cap {MAX_N}")
+        bits = np.array([1 << e for e in range(n)], dtype=np.int64)
+        need = (np.array(self.succ_masks, dtype=np.int64) | bits)[:, None]
+        masks, counts = np.array([(1 << n) - 1], dtype=np.int64), np.ones(1, dtype=np.int64)
+        layers = [IdealLayer(masks, counts, np.zeros(1, np.int32), np.zeros(0, np.uint8),
                              np.zeros(0, np.int32))]
         for _ in range(n):
-            index = np.int32 if n * len(masks) < 2**31 else np.int64
             # (element, ideal) pairs by element; blocks keep temporaries near 2**20 masks
             step = max(1, (1 << 20) // len(masks))
             elems, dsts = [], []
             for lo in range(0, n, step):
                 e, d = ((masks & need[lo : lo + step]) == bits[lo : lo + step, None]).nonzero()
-                elems.append(np.add(e, lo, dtype=elem_type, casting="unsafe"))
-                dsts.append(d.astype(index))
+                elems.append(np.add(e, lo, dtype=np.uint8, casting="unsafe"))
+                dsts.append(d.astype(np.int32))
             elem, dst = np.concatenate(elems), np.concatenate(dsts)
             del elems, dsts
             lower = masks[dst]
@@ -145,7 +145,7 @@ class Poset:
             del order
             start = np.concatenate(([True], lower[1:] != lower[:-1], [True])).nonzero()[0]
             masks, counts = lower[start[:-1]], np.add.reduceat(counts[dst], start[:-1])
-            layers.append(IdealLayer(masks, counts, start.astype(index), elem, dst))
+            layers.append(IdealLayer(masks, counts, start.astype(np.int32), elem, dst))
         for a in itertools.chain.from_iterable(layers):
             a.setflags(write=False)
         return tuple(reversed(layers))
@@ -241,7 +241,7 @@ def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
 
 
 _QUAD_PAIRS = list(itertools.combinations(range(4), 2))  # bit t of a code: pair t
-_CODE_BITS = 1 << np.arange(6, dtype=np.intp)
+_CODE_BITS = np.array([1 << t for t in range(6)], dtype=np.uint8)  # wider would cast the gather
 
 # A 4-subset induces N iff its comparability graph is the path w-x-y-z: on
 # that path transitivity forbids two edges in a row pointing the same way
@@ -257,10 +257,20 @@ _IS_PATH = np.array([sorted((code & star).bit_count() for star in _STARS) == [1,
 @lru_cache(maxsize=16)
 def _quad_index(n: int) -> np.ndarray:
     """(C(n,4), 6) flat indices into an n x n relation: row t holds the
-    unordered pairs of the t-th 4-subset in the bit order of `_QUAD_PAIRS`."""
-    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
-    p, q = np.array(_QUAD_PAIRS).T
-    index = quads[:, p] * n + quads[:, q]
+    unordered pairs of the t-th 4-subset (lex order) in the bit order of
+    `_QUAD_PAIRS`.  The rows are written in place one first element a at a
+    time, a then each triple above a, a suffix of the triples' lex order."""
+    b, c = np.triu_indices(n, 1)
+    tri = np.concatenate([np.column_stack((np.full(len(b) - s, a), b[s:], c[s:]))
+                          for a, s in enumerate(b.searchsorted(np.arange(n - 2), "right"))])
+    tri_pairs = tri[:, [0, 0, 1]] * n + tri[:, [1, 2, 2]]
+    index = np.empty((len(tri) * (n - 3) // 4, 6), dtype=np.intp)  # C(n,4) rows
+    row = 0
+    for a, s in enumerate(tri[:, 0].searchsorted(np.arange(n - 3), "right")):
+        rows = index[row : row + len(tri) - s]
+        rows[:, :3] = a * n + tri[s:]
+        rows[:, 3:] = tri_pairs[s:]
+        row += len(rows)
     index.setflags(write=False)
     return index
 
@@ -274,7 +284,7 @@ def count_induced_N(P: Poset) -> int:
     n = P.n
     if n < 4:
         return 0
-    codes = (P.rel | P.rel.T).ravel()[_quad_index(n)] @ _CODE_BITS
+    codes = (P.rel | P.rel.T).ravel()[_quad_index(n)].view(np.uint8) @ _CODE_BITS
     return int(np.count_nonzero(_IS_PATH[codes]))
 
 

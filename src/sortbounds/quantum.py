@@ -36,8 +36,7 @@ from scipy.sparse.linalg import eigsh
 
 from .errors import DomainError, LimitExceededError, NotAnExtensionError
 from .linext import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_N_CAP,
+    ENUM_CAP,
     LinearExtension,
     count_extensions,
     count_extensions_sp,
@@ -47,7 +46,7 @@ from .linext import (
 )
 from .orderstats import harmonic, harmonic_table
 from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
-from .poset import Poset
+from .poset import MAX_N, Poset
 from .spexpr import Block, NBlock, Parallel, Series, SPExpr, nodes, sp_decomposition
 
 MATRIX_CAP = 4000
@@ -68,8 +67,7 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
 
 def qlb_fraction(P: Poset) -> Fraction:
     """Exact rational QLB from a gap DP over the lattice of ideals of P;
-    raises LimitExceededError when P has more than DEFAULT_ENUM_CAP
-    extensions.
+    raises LimitExceededError when P has more than ENUM_CAP extensions.
 
     The prefixes of the extensions are the paths up `Poset.lattice`, one
     element placed per edge D -> D | e; the table holds c(D), the
@@ -87,9 +85,9 @@ def qlb_fraction(P: Poset) -> Fraction:
     extensions, at most N <= 20! < 2**63, and the layers are added in
     Python ints.
     """
-    num = count_extensions(P)  # caps n at 20, so every count fits in int64
-    if num > DEFAULT_ENUM_CAP:
-        raise LimitExceededError(f"{num} extensions exceed the enumeration cap {DEFAULT_ENUM_CAP}")
+    num = count_extensions(P)  # the table caps n at 20, so every count fits in int64
+    if num > ENUM_CAP:
+        raise LimitExceededError(f"{num} extensions exceed the enumeration cap {ENUM_CAP}")
     n, lattice = P.n, P.lattice
     # sum_k C[k] H_k over the common denominator L = lcm(1..n-1)
     L, LH = harmonic_table(n - 1)
@@ -150,7 +148,7 @@ def qlb_sp_fraction(e: SPExpr) -> Fraction:
     adds the harmonic merge cost n H_n - sum_c n_c H_{n_c} of its children
     (the binary n H_n - n1 H_{n1} - n2 H_{n2} summed over a left fold).  Each
     Block and NBlock leaf adds the ideal DP of `qlb_fraction`, which refuses
-    a leaf of more than DEFAULT_ENUM_CAP extensions.
+    a leaf of more than ENUM_CAP extensions.
     """
     total = Fraction(0)
     for node in nodes(e):
@@ -350,7 +348,8 @@ def build_adversary(P: Poset) -> AdversaryMatrix:
     Moving i down past f flips only the pair (i, f), adding i! if f < i and
     subtracting f! if f > i, so a target's key is its source's plus a
     running sum over the moves of one (sigma, i).  The sums wrap in int64,
-    exactly modulo 2**64, so each key, below n! <= 20! < 2**63, is exact.
+    exactly modulo 2**64, so each key, below n! <= 20! < 2**63 (the count's
+    ideal table refuses n > 20), is exact.
     """
     num = count_extensions(P)
     if num > MATRIX_CAP:
@@ -479,9 +478,8 @@ class BoundsReport:
     """Flat summary of every bound and certificate for one poset.
 
     QLB and QH are None when a block of the decomposition has more than
-    DEFAULT_ENUM_CAP extensions or DEFAULT_N_CAP elements; the adversary
-    fields are None then, and when the count exceeds MATRIX_CAP or n exceeds
-    DEFAULT_N_CAP.
+    ENUM_CAP extensions; the adversary fields are None then, and when the
+    count exceeds MATRIX_CAP.
     """
 
     n: int
@@ -503,7 +501,7 @@ class BoundsReport:
                                          self.sandwich_ok))
 
 
-@lru_cache(maxsize=DEFAULT_N_CAP - 1)  # m = n - 2 <= 18: 5.2 MB for all 19
+@lru_cache(maxsize=MAX_N - 1)  # m = n - 2 <= 18: 5.2 MB for all 19
 def _window_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
     """W_m and its states (x, y, o), both cached and read-only: the masked
     adversary block of two incomparable elements i and j that may each take
@@ -549,7 +547,7 @@ def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
     a_i, a_j = low[:, I] - (low[:, I] > r[:, J]), low[:, J] - (low[:, J] > r[:, I])
     b_i, b_j = high[:, I] - 2 - (high[:, I] > r[:, J]), high[:, J] - 2 - (high[:, J] > r[:, I])
     shift = np.minimum(a_i, a_j)
-    # 5 bits a slot: Gamma is built only for n <= DEFAULT_N_CAP, so every slot
+    # 5 bits a slot: Gamma is built only for n <= MAX_N = 20, so every slot
     # is <= 18 and every key < 2**20 indexes one table of the keys seen
     seen = np.zeros(1 << 20, dtype=bool)
     seen[((a_i - shift) << 15) | ((b_i - shift) << 10)
@@ -602,22 +600,22 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     return norm_bracket(sparse.block_diag([W[np.ix_(row, row)] for row in inside]))[1]
 
 
-def analyze(P: Poset, *, max_n: int = DEFAULT_N_CAP) -> BoundsReport:
+def analyze(P: Poset) -> BoundsReport:
     """Every bound and certificate for one poset.
 
     The count and QLB fold the series-parallel decomposition of P, whose
     Block leaves take the up-set count and the gap DP over their ideals;
-    QLB and QH are None when a block has more than DEFAULT_ENUM_CAP
-    extensions or DEFAULT_N_CAP elements.  Only the adversary matrix
-    enumerates the extensions, and it is built only when the count is within
-    MATRIX_CAP, QLB is known and n <= DEFAULT_N_CAP (its keys need
-    n! < 2**63), else its fields are None.  Each norm is a side of its
-    `norm_bracket`: `gamma_norm` is the lower side of ||Gamma||,
-    `max_gamma_ij_norm` the upper side over the masks.  H(P) and LB fold the same decomposition
-    (`entropy_sp`), so only its Block leaves list maximal chains and run the
-    interior-point method.  QLB is the exact `Fraction` of `qlb_sp_fraction`
-    and QH the exact H_n - QLB / n, each rounded once to a float.  The
-    certificates, each an exact comparison of exact values, are
+    n > MAX_N raises LimitExceededError before any of it, and QLB and QH
+    are None when a block has more than ENUM_CAP extensions.  Only the
+    adversary matrix enumerates the extensions, and it is built only when
+    the count is within MATRIX_CAP and QLB is known, else its fields are
+    None.  Each norm is a side of its `norm_bracket`: `gamma_norm` is the
+    lower side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
+    masks.  H(P) and LB fold the same decomposition (`entropy_sp`), so only
+    its Block leaves list maximal chains and run the interior-point method.
+    QLB is the exact `Fraction` of `qlb_sp_fraction` and QH the exact
+    H_n - QLB / n, each rounded once to a float.  The certificates, each an
+    exact comparison of exact values, are
 
     (a) ||Gamma|| >= QLB, as `uniform_rayleigh(gamma)` >= QLB;
     (b) every masked norm ||Gamma^{ij}|| <= 2 pi;
@@ -628,10 +626,10 @@ def analyze(P: Poset, *, max_n: int = DEFAULT_N_CAP) -> BoundsReport:
 
     Failures are reported as False flags, never raised.
     """
-    if P.n > max_n:
-        raise LimitExceededError(f"n={P.n} exceeds the cap max_n={max_n}")
+    if P.n > MAX_N:
+        raise LimitExceededError(f"n={P.n} exceeds the size cap {MAX_N}")
     expr = sp_decomposition(P)[0]
-    num = count_extensions_sp(expr, max_n=max_n)
+    num = count_extensions_sp(expr)
     try:
         qlb = qlb_sp_fraction(expr)
     except LimitExceededError:
@@ -642,7 +640,7 @@ def analyze(P: Poset, *, max_n: int = DEFAULT_N_CAP) -> BoundsReport:
 
     gnorm = mnorm = None
     lemma1 = lemma2 = lemma3 = None
-    if num <= MATRIX_CAP and qlb is not None and P.n <= DEFAULT_N_CAP:
+    if num <= MATRIX_CAP and qlb is not None:
         gamma = build_adversary(P)
         gnorm = norm_bracket(gamma)[0]
         mnorm = max_gamma_ij_norm(gamma, P)

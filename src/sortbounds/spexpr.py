@@ -168,8 +168,8 @@ MAX_NESTING = 100
 MAX_DEPTH = 2 * MAX_NESTING + 3
 # Bound on the element count of a whole expression, counted before any leaf
 # tuple is built, so a short text cannot allocate millions of leaves.  It
-# sits far above the analysis caps (n <= 20 by default), which still report
-# their own error for every expression below it.
+# sits far above the size cap `poset.MAX_N` = 20 of `analyze`, which reports
+# its own error below it, and bounds the library folds that run past 20.
 MAX_SIZE = 10_000
 
 

@@ -358,7 +358,7 @@ def loop_adversary(P):
     """Oracle: the adversary matrix's (rows, cols, vals) triplets from one
     Python loop over (extension, element, step), each target looked up by
     its element order, and the first of each unordered pair kept."""
-    orders = extension_orders(P, max_extensions=10**6).tolist()
+    orders = extension_orders(P).tolist()
     index = {tuple(o): s for s, o in enumerate(orders)}
     seen = set()
     rows, cols, vals = [], [], []
@@ -382,10 +382,10 @@ def loop_adversary(P):
             np.asarray(vals, dtype=np.float64))
 
 
-def enumerate_extensions(P, max_extensions=10**6):
+def enumerate_extensions(P):
     """Every extension as a `LinearExtension`, in lexicographic order of
     element sequence: the rows of `extension_orders`, read lazily."""
-    for order in extension_orders(P, max_extensions).tolist():
+    for order in extension_orders(P).tolist():
         yield LinearExtension.from_order(order)
 
 

@@ -82,7 +82,7 @@ def test_analyze_parse_error_exits_1(capsys):
 def test_analyze_size_failure_exits_1(capsys):
     code, _, err = run_cli(capsys, "analyze", "--expr", "antichain(25)")
     assert code == 1
-    assert "max-n" in err
+    assert err == "error: n=25 exceeds the size cap 20\n"
 
 
 def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path, monkeypatch):
@@ -90,22 +90,25 @@ def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path, monke
     import sortbounds.poset as poset
 
     def built(*_):
-        pytest.fail("a relation was allocated before the --max-n check")
+        pytest.fail("a relation was allocated before the size check")
 
+    fence = tmp_path / "fence40.poset"
+    write_poset(fence_poset(40), fence)
     for mod, name in ((cli, "realize"), (cli, "build_poset"), (poset, "build_poset")):
         monkeypatch.setattr(mod, name, built, raising=False)
     big = tmp_path / "big.poset"
     big.write_text("800\n1 2\n")
-    for source in (("--expr", "chain(800)"), (str(big),)):
+    for n, source in ((25, ("--expr", "antichain(25)")), (800, ("--expr", "chain(800)")),
+                      (800, (str(big),)), (40, (str(fence),))):
         code, out, err = run_cli(capsys, "analyze", *source)
         assert code == 1 and out == ""
-        assert "max-n" in err
+        assert err == f"error: n={n} exceeds the size cap 20\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 48.0 GiB for an array"),
                                  MemoryError()])
 def test_analyze_memory_error_exits_1(capsys, monkeypatch, exc):
-    # a raised --max-n can end in numpy's _ArrayMemoryError
+    # an allocation numpy refuses ends in its _ArrayMemoryError, a MemoryError
     import sortbounds.cli as cli
 
     def exhausted(*_, **__):
@@ -126,41 +129,36 @@ def test_analyze_deep_nesting_exits_1(capsys):
 
 
 def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
-    # 200 alternating series/parallel levels, 401 elements: twice as deep as
-    # any expression the parser accepts, so the decomposition is refused
-    # before a structural recursion walks it
+    # 200 alternating series/parallel levels, 401 elements: refused by the
+    # size cap before the decomposition, which refuses it too
+    # (test_spexpr.py::test_decompose_refuses_past_max_depth)
     e = Singleton()
     for _ in range(200):
         e = Parallel((Series((e, Singleton())), Singleton()))
     deep = tmp_path / "deep.poset"
     write_poset(realize(e), deep)
-    code, out, err = run_cli(capsys, "analyze", str(deep), "--max-n", "1000")
+    code, out, err = run_cli(capsys, "analyze", str(deep))
     assert code == 1 and out == ""
-    assert "nested deeper" in err
+    assert err == "error: n=401 exceeds the size cap 20\n"
 
 
 def test_analyze_exponential_chain_set_exits_1(capsys, tmp_path):
-    # 12 antichain(3) factors in series have 3**12 maximal chains on 36
-    # elements, but no block: the fold lists none, and H = ln 12 (R = 12**36),
-    # LB = ln(36**36 / 12**36) = 36 ln 3, QLB = 12 (3 H_3 - 3) = 30
+    # 12 antichain(3) factors in series (3**12 maximal chains) and the
+    # layered block of 36 elements (121393) are past the size cap, which
+    # refuses both first; the library folds and the chain cap still take
+    # them (test_quantum.py::test_sp_folds_run_past_the_size_cap and
+    # test_polytopes.py::test_layered_block_refused_from_its_chain_count)
     expr = "*".join(["antichain(3)"] * 12)
-    code, out, err = run_cli(capsys, "analyze", "--expr", expr, "--max-n", "40")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["entropy"] == pytest.approx(math.log(12), abs=1e-12)
-    assert rep["lb"] == pytest.approx(36 * math.log(3), abs=1e-12)
-    assert rep["qlb"] == 30
-    assert rep["sandwich_ok"] is True
-    # 12 layers of 3, each element below every element of the next layer but
-    # the first below the last: one indecomposable block of 36 elements,
-    # refused from its chain count before the chains are listed
+    code, out, err = run_cli(capsys, "analyze", "--expr", expr)
+    assert code == 1 and out == ""
+    assert err == "error: n=36 exceeds the size cap 20\n"
     pairs = [(3 * k + a + 1, 3 * k + b + 4) for k in range(11)
              for a in range(3) for b in range(3) if (a, b) != (0, 2)]
     layered = tmp_path / "layered.poset"
     layered.write_text("36\n" + "".join(f"{i} {j}\n" for i, j in pairs), encoding="ascii")
-    code, out, err = run_cli(capsys, "analyze", str(layered), "--max-n", "40")
+    code, out, err = run_cli(capsys, "analyze", str(layered))
     assert code == 1 and out == ""
-    assert "121393 maximal chains exceed the chain cap" in err
+    assert err == "error: n=36 exceeds the size cap 20\n"
 
 
 def test_analyze_non_sp_over_enum_cap(capsys, tmp_path):
@@ -258,15 +256,19 @@ def test_analyze_adversary_fields_null_over_cap(capsys):
     assert rep["sandwich_ok"] is True
 
 
-def test_analyze_adversary_fields_null_past_n_cap(capsys):
-    # 1771 extensions are within the matrix cap, but n = 23 is past the
-    # range of the adversary matrix's keys, which need n! < 2**63
-    code, out, _ = run_cli(capsys, "analyze", "--expr", "chain(3)+chain(20)", "--max-n", "23")
+def test_analyze_adversary_runs_at_the_n_cap(capsys):
+    # the adversary matrix's keys need n! < 2**63, which the size cap 20
+    # guarantees: at n = 20 within the matrix cap its fields are filled, and
+    # n = 23 is refused before any of them
+    code, out, _ = run_cli(capsys, "analyze", "--expr", "chain(3)+chain(17)")
     assert code == 0
     rep = json.loads(out)
-    assert rep["num_extensions"] == 1771 and rep["qlb"] is not None
+    assert rep["n"] == 20 and rep["num_extensions"] == 1140
     for key in ("gamma_norm", "max_gamma_ij_norm", "lemma1_ok", "lemma2_ok", "lemma3_ok"):
-        assert rep[key] is None, key
+        assert rep[key] is not None, key
+    code, out, err = run_cli(capsys, "analyze", "--expr", "chain(3)+chain(20)")
+    assert code == 1 and out == ""
+    assert err == "error: n=23 exceeds the size cap 20\n"
 
 
 def test_verify_sp_suite(capsys):
@@ -342,12 +344,19 @@ def test_tech_constant_survives_closed_pipe(fmt):
     assert producer.wait() == 0
 
 
-def test_cap_override_warns(capsys):
-    code, _, err = run_cli(capsys, "analyze", "--expr", ".", "--max-n", "25")
-    assert code == 0
-    assert "warning" in err and "--max-n" in err
+def test_no_flag_raises_the_size_cap(capsys, monkeypatch):
+    # analyze has no --max-n: the size cap is the constant poset.MAX_N, and an
+    # input within it prints nothing on stderr
+    import sortbounds.cli as cli
+
     _, _, err = run_cli(capsys, "analyze", "--expr", ".")
     assert err == ""
+    monkeypatch.setattr(cli, "analyze", lambda *a, **k: pytest.fail("analysis started"))
+    for argv in (["--expr", "antichain(25)", "--max-n", "25"], ["--max-n=40", "--expr", "."]):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *argv])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --max-n" in capsys.readouterr().err
 
 
 def test_config_invariants_rejected(capsys):
@@ -366,12 +375,12 @@ def test_config_invariants_rejected(capsys):
 @pytest.mark.parametrize("argv", [
     *(["verify", "orderstats", "--samples", k] for k in ("0", str(MAX_SAMPLES + 1), "1000000000")),
     *(["analyze", "--expr", ".", flag, "-1"] for flag in ("--enum-cap", "--matrix-cap")),
-    ["analyze", "--expr", ".", "--max-n", "-1"],
+    ["analyze", "--expr", ".", "--max-n", "5"],
 ])
 def test_range_usage_errors(argv, capsys, monkeypatch):
     # --samples sizes (samples, n) arrays, so a huge value must exit before any
-    # suite runs; a negative --max-n would refuse every input; the extension
-    # caps are constants, so their old flags are unknown to the parser
+    # suite runs; the size and extension caps are constants, so their old
+    # flags are unknown to the parser
     import sortbounds.cli as cli
 
     monkeypatch.setattr(cli, "run_suites", lambda *a, **k: pytest.fail("suite started"))
@@ -380,11 +389,9 @@ def test_range_usage_errors(argv, capsys, monkeypatch):
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if argv[-2] in ("--enum-cap", "--matrix-cap"):
-        # "-1" is taken as the FILE argument, so only the flag is unknown
+    if argv[0] == "analyze":
+        # the value is taken as the FILE argument, so only the flag is unknown
         assert f"error: unrecognized arguments: {argv[-2]}\n" in err
-    elif argv[-2] == "--max-n":
-        assert "error: --max-n must be nonnegative" in err
     else:
         assert f"error: --samples must be in 1..{MAX_SAMPLES}" in err
 
@@ -400,7 +407,7 @@ def test_caps_at_their_bounds_run(capsys, monkeypatch):
     # the extension caps are constants read where each refusal happens;
     # N(1) has 5 extensions: at caps of 5 both run, below them neither does
     for cap, runs in ((5, True), (4, False), (0, False)):
-        monkeypatch.setattr(quantum, "DEFAULT_ENUM_CAP", cap)
+        monkeypatch.setattr(quantum, "ENUM_CAP", cap)
         monkeypatch.setattr(quantum, "MATRIX_CAP", cap)
         code, out, _ = run_cli(capsys, "analyze", "--expr", "N(1)")
         rep = json.loads(out)

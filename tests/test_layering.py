@@ -1,6 +1,7 @@
 """The package's import layering, read from the sources with `ast`."""
 import ast
 import graphlib
+import inspect
 import pathlib
 
 import pytest
@@ -82,3 +83,21 @@ def test_certify_sandwich_calls_no_float_function():
               for call in ast.walk(fn) if isinstance(call, ast.Call)}
     assert called  # the walk found the comparison's calls
     assert not called & {"log", "log1p", "log2", "exp", "ulp", "ln_count", "_ln", "float"}
+
+
+@pytest.mark.parametrize("fn", [
+    sortbounds.analyze, sortbounds.count_extensions, sortbounds.count_extensions_sp,
+    sortbounds.extension_orders, sortbounds.qlb_fraction, sortbounds.qlb_sp_fraction,
+    sortbounds.build_adversary,
+], ids=lambda fn: fn.__name__)
+def test_no_size_cap_can_be_set(fn):
+    # the caps are constants (poset.MAX_N, linext.ENUM_CAP, quantum.MATRIX_CAP)
+    # read where each refusal happens: every entry point takes only its input
+    assert len(inspect.signature(fn).parameters) == 1
+
+
+def test_no_module_reads_the_environment():
+    # so no variable can set a cap either
+    read = [(module, node.attr) for module, tree in MODULES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb")]
+    assert read == []

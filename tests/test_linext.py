@@ -27,6 +27,7 @@ from sortbounds import (
     realize,
     sample_extension,
 )
+from sortbounds import linext
 from sortbounds.polytopes import order_point_batch
 
 from conftest import brute_force_extensions, enumerate_extensions, recursive_extension_orders
@@ -100,30 +101,32 @@ def test_enumeration_matches_count(family8):
         assert all(is_extension(P, e) for e in exts), name
 
 
-def test_enumeration_cap():
-    gen = enumerate_extensions(antichain_poset(10), max_extensions=100)
-    with pytest.raises(LimitExceededError):
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(linext, "ENUM_CAP", 100)
+    gen = enumerate_extensions(antichain_poset(10))
+    with pytest.raises(LimitExceededError, match="exceed the enumeration cap 100"):
         next(gen)
 
 
-def test_enumeration_cap_enforced_after_caching():
+def test_enumeration_cap_enforced_after_caching(monkeypatch):
     P = antichain_poset(4)
     assert len(list(enumerate_extensions(P))) == 24
+    monkeypatch.setattr(linext, "ENUM_CAP", 5)
     with pytest.raises(LimitExceededError):
-        list(enumerate_extensions(P, max_extensions=5))
+        list(enumerate_extensions(P))
 
 
 def test_walks_run_under_a_lowered_recursion_limit():
     # counting, enumeration and the chain walk are loops: a recursion limit
     # a few frames above the caller leaves them the same results
-    want_count = count_extensions(n_poset(40), max_n=160)
+    want_count = count_extensions(n_poset(5))
     twenty = realize(parse_sp("N(1) * chain(16)"))
     want_orders = recursive_extension_orders(twenty)
     long_chain = chain_poset(1500)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 25)
     try:
-        got_count = count_extensions(n_poset(40), max_n=160)
+        got_count = count_extensions(n_poset(5))
         got_orders = extension_orders(twenty)
         chains = maximal_chains(long_chain)
     finally:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sortbounds import (
+    Block,
     DomainError,
     LimitExceededError,
     NonConvergenceError,
@@ -22,6 +23,7 @@ from sortbounds import (
     count_extensions,
     diamond_poset,
     entropy,
+    entropy_sp,
     fence_poset,
     lb,
     n_poset,
@@ -33,6 +35,7 @@ from sortbounds import (
     sample_chain_point,
     sample_extension,
     sample_order_point,
+    sp_decomposition,
     standard_family,
     transfer,
     transfer_inverse,
@@ -282,6 +285,20 @@ def test_exponential_chain_sets_refused():
             call()
 
 
+def test_layered_block_refused_from_its_chain_count():
+    # 12 layers of 3, each element below every element of the next layer but
+    # the first below the last: one indecomposable block of 36 elements,
+    # refused from its chain count before the chains are listed
+    pairs = [(3 * k + a + 1, 3 * k + b + 4) for k in range(11)
+             for a in range(3) for b in range(3) if (a, b) != (0, 2)]
+    P = build_poset(36, pairs)
+    expr = sp_decomposition(P)[0]
+    assert isinstance(expr, Block) and expr.size == 36
+    for call in (lambda: entropy(P), lambda: entropy_sp(expr)):
+        with pytest.raises(LimitExceededError, match="121393 maximal chains exceed the chain cap"):
+            call()
+
+
 def test_transfer_inverse_lists_no_chains():
     # antichain(3)^12: 3**12 = 531441 maximal chains, each summing to 12/13
     P = realize(parse_sp("*".join(["antichain(3)"] * 12)))
@@ -311,17 +328,18 @@ def test_sample_order_point_respects_order():
 
 
 def test_single_point_samplers_cap_n(monkeypatch):
-    # n = 21 is over the default cap; the lattice must not even start
+    # n = 21 is over the cap MAX_N = 20, which the ideal table checks before
+    # it reads anything of P
     P = antichain_poset(21)
 
     def reached(_):
         pytest.fail("the lattice was built before the n cap was checked")
 
-    monkeypatch.setattr(Poset, "lattice", property(reached))
+    monkeypatch.setattr(Poset, "succ_masks", property(reached))
     for sampler in (sample_order_point, sample_chain_point, sample_extension):
-        with pytest.raises(LimitExceededError):
+        with pytest.raises(LimitExceededError, match="n=21 exceeds the counting cap 20"):
             sampler(P, 0)
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError, match="n=21 exceeds the counting cap 20"):
         orders_by_rank(P, [0])
 
 

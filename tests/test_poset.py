@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import cached_property
 
 import numpy as np
@@ -238,6 +239,28 @@ def test_path_codes_are_the_labellings_of_N():
     assert set(np.flatnonzero(_IS_PATH).tolist()) == labelled
     assert len(labelled) == 12
     assert _quad_index(7).shape == (35, 6)
+
+
+def test_quad_index_is_every_4_subset_in_lex_order():
+    for n in range(4, 12):
+        quads = np.array(list(itertools.combinations(range(n), 4)))
+        p, q = np.array(_QUAD_PAIRS).T
+        np.testing.assert_array_equal(_quad_index(n), quads[:, p] * n + quads[:, q])
+
+
+def test_cold_count_induced_N_peaks_near_its_index():
+    # the 4-subsets are written in place and the pair bits packed in uint8,
+    # so a cold call holds little beyond the index it caches (48 bytes a
+    # 4-subset); a list of subset tuples peaked at 3x
+    P = random_poset(60, np.random.default_rng(0), 0.3)
+    _quad_index.cache_clear()
+    tracemalloc.start()
+    try:
+        count_induced_N(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * _quad_index(60).nbytes
 
 
 def test_relabel_roundtrip():

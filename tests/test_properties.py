@@ -13,6 +13,7 @@ from scipy.linalg import block_diag
 
 from sortbounds import (
     DomainError,
+    LimitExceededError,
     Singleton,
     SortboundsError,
     build_adversary,
@@ -56,6 +57,7 @@ from conftest import (
     brute_force_extensions,
     brute_force_induced_N,
     brute_force_qlb,
+    census,
     dict_upset_counts,
     gamma_ij,
     lattice_counts,
@@ -152,16 +154,21 @@ def test_lattice_matches_dict_oracle(case):
     assert P.lattice[0].masks.dtype == P.lattice[0].counts.dtype == np.int64
 
 
-@pytest.mark.parametrize("text,max_n,mask_type,count_type", [
-    ("N(6)", 24, np.int64, object),    # n = 24: int64 masks, Python-int counts
-    ("N(40)", 160, object, object),    # n = 160: Python-int masks
-])
-def test_lattice_past_int64(text, max_n, mask_type, count_type):
+@pytest.mark.parametrize("text", ["chain(21)", "N(6)"])
+def test_lattice_refuses_past_max_n(text):
+    # past MAX_N = 20 the table refuses before it builds a layer, and so
+    # does every count that reads it
     P = realize(parse_sp(text))
-    assert count_extensions(P, max_n=max_n) == dict_upset_counts(P)[(1 << P.n) - 1]
-    _assert_lattice(P)
-    assert all(layer.masks.dtype == mask_type and layer.counts.dtype == count_type
-               for layer in P.lattice)
+    for read in (lambda: P.lattice, lambda: count_extensions(P)):
+        with pytest.raises(LimitExceededError, match=f"n={P.n} exceeds the counting cap 20"):
+            read()
+
+
+def test_lattice_has_one_dtype_per_array():
+    # masks, counts, start, elem, dst: one dtype each at every n <= MAX_N
+    for P in [*census(6), fence_poset(20)]:
+        for layer in P.lattice:
+            assert [a.dtype for a in layer] == [np.int64, np.int64, np.int32, np.uint8, np.int32]
 
 
 def _assert_same_orders(P):

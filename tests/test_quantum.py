@@ -22,7 +22,9 @@ from sortbounds import (
     certify_sandwich,
     chain_poset,
     count_extensions,
+    count_extensions_sp,
     d_vector,
+    entropy_sp,
     extension_orders,
     fence_poset,
     harmonic,
@@ -131,11 +133,29 @@ def test_qlb_matches_enumeration_at_n20():
 ])
 def test_qlb_exact_at_large_counts(text, monkeypatch):
     # the DP's int64 sums stay exact far past the enumeration cap
-    monkeypatch.setattr(quantum, "DEFAULT_ENUM_CAP", math.factorial(20))
+    monkeypatch.setattr(quantum, "ENUM_CAP", math.factorial(20))
     e = parse_sp(text)
     P = realize(e)
     assert count_extensions(P) > 10**10
     assert qlb_fraction(P) == qlb_sp_fraction(e)
+
+
+def test_sp_folds_run_past_the_size_cap():
+    # 12 antichain(3) factors in series have 3**12 maximal chains on 36
+    # elements, past the size cap of `analyze`, but no block: the library
+    # folds list no chain, and H = ln 12 (R = 12**36),
+    # LB = ln(36**36 / 12**36) = 36 ln 3, QLB = 12 (3 H_3 - 3) = 30
+    expr = parse_sp("*".join(["antichain(3)"] * 12))
+    num = count_extensions_sp(expr)
+    assert num == 6**12
+    fold = entropy_sp(expr)
+    assert fold.H == pytest.approx(math.log(12), abs=1e-12)
+    assert fold.lb == pytest.approx(36 * math.log(3), abs=1e-12)
+    assert fold.leaves == []
+    assert qlb_sp_fraction(expr) == 30
+    assert certify_sandwich(num, fold.top, fold.leaves) is True
+    with pytest.raises(LimitExceededError, match="n=36 exceeds the size cap 20"):
+        analyze(realize(expr))
 
 
 def test_only_the_adversary_enumerates(monkeypatch):

@@ -67,7 +67,7 @@ def test_readme_constants_match_the_code():
                         README.read_text(encoding="utf-8"))
     assert {name for _, name, _ in quoted} == {
         "MAX_SAMPLES", "DENSE_MAX", "MAX_DEPTH", "MAX_CHAINS",
-        "DEFAULT_N_CAP", "DEFAULT_ENUM_CAP", "MATRIX_CAP"}
+        "MAX_N", "ENUM_CAP", "MATRIX_CAP"}
     owners = _module_constants()
     for module, name, text in quoted:
         assert len(owners[name]) == 1, f"{name} is assigned in {owners[name]}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sortbounds import (
+    LimitExceededError,
     NBlock,
     Parallel,
     ParseError,
@@ -155,6 +156,19 @@ def test_decompose_deepest_parsed_expression():
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
+
+
+def test_decompose_refuses_past_max_depth():
+    # 200 alternating series/parallel levels, 401 elements: twice as deep as
+    # any expression the parser accepts, so the decomposition is refused
+    # before a structural recursion walks it
+    e = Singleton()
+    for _ in range(200):
+        e = Parallel((Series((e, Singleton())), Singleton()))
+    P = realize(e)
+    assert P.n == 401
+    with pytest.raises(LimitExceededError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        sp_decomposition(P)
 
 
 def test_folds_share_one_n_leaf(monkeypatch):
