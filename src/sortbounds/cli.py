@@ -8,11 +8,12 @@ Three commands, each with only the flags it reads:
     sortbounds tech-constant --max-n N [--format json|csv|text]
 
 `analyze` prints one report with every bound for an input of at most 20
-elements (a fixed cap); qlb and qh are null when a block of its
-series-parallel decomposition has more than 10**6 extensions, and adversary
-fields are null then too, or when the extension count exceeds 4000.  It is
-deterministic and takes no seed, tolerance or cap.  `verify` takes S >= 0
-and 1 <= K <= 10**6 (no tolerance either), and `tech-constant` 2 <= N <= 1000.
+elements, the size cap of every `Poset`; qlb and qh are null when a block
+of its series-parallel decomposition has more than 10**6 extensions, and
+adversary fields are null then too, or when the extension count exceeds
+4000.  It is deterministic and takes no seed, tolerance or cap.  `verify`
+takes S >= 0 and 1 <= K <= 10**6 (no tolerance either), and
+`tech-constant` 2 <= N <= 1000.
 Exit codes: 1 on parse or size failures or when `analyze` runs out of memory,
 2 on a usage error or when a certified property is false.  Floats are
 written with 17 significant digits (by `json.dumps`, the shortest repr, in
@@ -28,8 +29,8 @@ import os
 import sys
 from functools import cache
 
-from .errors import LimitExceededError, SortboundsError
-from .poset import MAX_N, Poset, build_poset, parse_poset_text
+from .errors import SortboundsError
+from .poset import Poset, poset_from_text
 from .quantum import TECH_MAX_N, BoundsReport, analyze, tech_constant
 from .spexpr import parse_sp, realize
 from .suites import MAX_SAMPLES, SUITES, run_suites
@@ -56,24 +57,15 @@ def _emit_report(report: BoundsReport, fmt: str) -> str:
     return "\n".join(f"{k} = {v}" for k, v in zip(REPORT_KEYS, vals))
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_N:
-        raise LimitExceededError(f"n={n} exceeds the size cap {MAX_N}")
-
-
 def load_input(args: argparse.Namespace) -> Poset:
-    """The input poset, with its size checked against the cap MAX_N before
-    any relation is allocated."""
+    """The input poset; `realize` and `build_poset` refuse more than
+    `poset.MAX_N` elements before any relation is allocated."""
     if (args.expr is None) == (args.input is None):
         raise SortboundsError("provide exactly one input: a poset file or --expr")
     if args.expr is not None:
-        expr = parse_sp(args.expr)
-        _check_size(expr.size)
-        return realize(expr)
+        return realize(parse_sp(args.expr))
     with open(args.input, "r", encoding="ascii") as fh:
-        n, pairs = parse_poset_text(fh.read())
-    _check_size(n)
-    return build_poset(n, pairs)
+        return poset_from_text(fh.read())
 
 
 def exit_code_for_report(report: BoundsReport) -> int:

@@ -14,7 +14,7 @@ class SizeMismatchError(SortboundsError, ValueError):
 
 
 class LimitExceededError(SortboundsError, RuntimeError):
-    """A configured size cap (element count, extension count, ...) was exceeded."""
+    """A fixed size cap (element count, extension count, ...) was exceeded."""
 
 
 class ParseError(SortboundsError, ValueError):

@@ -12,7 +12,7 @@ from .spexpr import NBlock, Singleton, SPExpr, parallel, realize, series
 
 
 def chain_poset(n: int) -> Poset:
-    return build_poset(n, [(i, i + 1) for i in range(1, n)])
+    return build_poset(n, ((i, i + 1) for i in range(1, n)))
 
 
 def antichain_poset(n: int) -> Poset:
@@ -38,7 +38,7 @@ def diamond_poset() -> Poset:
 def fence_poset(n: int) -> Poset:
     """Zigzag 1 < 2 > 3 < 4 > ...; plenty of incomparability, never SP for
     n >= 4."""
-    return build_poset(n, [(i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, n)])
+    return build_poset(n, ((i, i + 1) if i % 2 == 1 else (i + 1, i) for i in range(1, n)))
 
 
 @lru_cache(maxsize=32)

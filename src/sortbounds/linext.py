@@ -4,8 +4,8 @@ Each extension is a path up the lattice of ideals, one element placed per
 edge, and all three read its table ``Poset.lattice``: counting takes the
 completions of the empty ideal, and `orders_by_rank` follows the path of
 each lex rank, for enumeration (every rank) and for sampling (uniform ranks
-drawn with numpy's ``Generator``).  Counts are exact integers; the table
-refuses n > `poset.MAX_N` = 20, so it holds at most 2**20 ideals.
+drawn with numpy's ``Generator``).  Counts are exact integers; every
+`Poset` has n <= `poset.MAX_N` = 20, so the table holds at most 2**20 ideals.
 """
 from __future__ import annotations
 

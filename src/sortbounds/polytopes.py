@@ -44,8 +44,8 @@ MAX_NEWTON = 1000  # primal-dual iterations `entropy` may take
 
 
 def chain_matrix(P: Poset) -> np.ndarray:
-    """0/1 incidence matrix of maximal chains (rows) versus elements;
-    `maximal_chains` refuses more than MAX_CHAINS rows."""
+    """0/1 incidence matrix of maximal chains (rows) versus elements: at
+    most 1458 rows, the Moon-Moser bound at n <= 20."""
     chains = maximal_chains(P)
     A = np.zeros((len(chains), P.n))
     A[np.repeat(np.arange(len(chains)), [len(c) for c in chains]), np.concatenate(chains)] = 1.0
@@ -155,7 +155,7 @@ def chain_polytope_volume_mc(P: Poset, samples: int, seed: int) -> tuple[float, 
         raise DomainError(f"need at least 1 sample, got {samples}")
     A = chain_matrix(P)
     rng = np.random.default_rng(seed)
-    rows = min(100_000, 2**20 // len(A))  # >= 10: at most MAX_CHAINS chains
+    rows = min(100_000, 2**20 // len(A))  # >= 719: at most 1458 chains (n <= 20)
     hits = 0
     for start in range(0, samples, rows):
         u = rng.random((min(rows, samples - start), P.n))
@@ -196,7 +196,8 @@ def entropy_bracket(A: np.ndarray, z: np.ndarray, lam: np.ndarray) -> tuple[Frac
     chain sum) lies in the chain polytope, so lo = prod z_i / mx^n, and lam / T
     sums to 1 (T = sum lam), so the Lagrange dual gives hi = T^n / prod n w_i,
     w = A^T lam, or hi = 1 (H* >= 0) when some w_i is 0.  The int64 sums stay
-    below 2^57 (T <= MAX_CHAINS 2^40); the products are Python ints."""
+    below 2^51 (T <= 1458 * 2^40, at most 1458 chains at n <= 20); the
+    products are Python ints."""
     n = A.shape[1]
     A = A.astype(np.int64)
     z, lam = (np.floor(v * 2.0**40).astype(np.int64) for v in (z, lam))

@@ -1,10 +1,10 @@
 """Finite strict partial orders on the ground set {0, ..., n-1}.
 
-``Poset(rel)`` takes any acyclic relation on n >= 1 elements and stores its
-transitive closure, strict; the reflexive pairs of the textbook convention
-are implicit.  Elements are 0-based throughout the Python API.  The text
-format and :func:`build_poset` accept 1-based labels, so conversion happens
-only at that boundary.
+``Poset(rel)`` takes any acyclic relation on 1 <= n <= `MAX_N` = 20
+elements and stores its transitive closure, strict; the reflexive pairs of
+the textbook convention are implicit.  Elements are 0-based throughout the
+Python API.  The text format and :func:`build_poset` accept 1-based labels,
+so conversion happens only at that boundary.
 
 A ``Poset`` is immutable after construction and safe to share across workers.
 Its only caches are the declared cached properties below: the cover
@@ -22,11 +22,18 @@ import numpy as np
 
 from .errors import CycleError, LimitExceededError, SizeMismatchError
 
-# Past MAX_N elements the ideal table (up to 2**n ideals) is refused, and
-# past MAX_CHAINS maximal chains the chain walk and the chain matrix are;
-# at n <= 20 there are at most 3**6 * 2 = 1458.
+# Every poset has at most MAX_N elements, so the ideal table holds at most
+# 2**20 ideals and, by Moon and Moser (1965), there are at most
+# 2 * 3**6 = 1458 maximal chains.
 MAX_N = 20
-MAX_CHAINS = 100_000
+
+
+def check_size(n: int) -> None:
+    """The one size check: n > MAX_N raises LimitExceededError.  `Poset`,
+    `build_poset` and `spexpr.realize` call it before they allocate an
+    n x n relation."""
+    if n > MAX_N:
+        raise LimitExceededError(f"n={n} exceeds the size cap {MAX_N}")
 
 
 def transitive_closure(rel: np.ndarray) -> np.ndarray:
@@ -43,9 +50,9 @@ def transitive_closure(rel: np.ndarray) -> np.ndarray:
 
 
 def _row_masks(rel: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as a bitmask, bit j for column j."""
-    packed = np.packbits(rel, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    """Each row of a boolean matrix as a bitmask, bit j for column j (int64:
+    n <= MAX_N)."""
+    return tuple((rel @ (1 << np.arange(len(rel), dtype=np.int64))).tolist())
 
 
 class IdealLayer(NamedTuple):
@@ -63,18 +70,20 @@ class IdealLayer(NamedTuple):
 
 
 class Poset:
-    """Immutable strict partial order: the closure of a relation, n >= 1.
+    """Immutable strict partial order: the closure of a relation, 1 <= n <= 20.
 
     ``rel[i, j]`` is true iff ``i < j`` in the order.  The constructor raises
-    ValueError when rel is not a non-empty square matrix, and CycleError
-    when rel has a cycle (a loop or a mutual pair included).
+    ValueError when rel is not a non-empty square matrix, LimitExceededError
+    when it has more than MAX_N rows (before it converts rel), and
+    CycleError when rel has a cycle (a loop or a mutual pair included).
     """
 
     def __init__(self, rel: np.ndarray):
-        rel = np.asarray(rel, dtype=bool)
-        if rel.ndim != 2 or rel.shape[0] != rel.shape[1] or rel.shape[0] == 0:
-            raise ValueError(f"relation must be a non-empty square matrix, got shape {rel.shape}")
-        closed = transitive_closure(rel)
+        shape = np.shape(rel)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] == 0:
+            raise ValueError(f"relation must be a non-empty square matrix, got shape {shape}")
+        check_size(shape[0])
+        closed = transitive_closure(np.asarray(rel, dtype=bool))
         if closed.diagonal().any():
             raise CycleError("relation contains a directed cycle")
         closed.setflags(write=False)
@@ -115,13 +124,11 @@ class Poset:
         Filled from the full set down: D ^ e is an ideal iff e is maximal in
         ideal D, D & (succ(e) | e) == e.  The pairs (e, D) are listed by
         element, so sorting D ^ e stably groups them into edges D ^ e -> D
-        by increasing element; c(D ^ e) sums c(D) over them.  n > MAX_N
-        raises LimitExceededError first; below it masks and counts are int64
-        (N <= 20! < 2**63) and edge indices int32 (n * C(20, 10) < 2**31).
+        by increasing element; c(D ^ e) sums c(D) over them.  As n <= MAX_N,
+        masks and counts are int64 (N <= 20! < 2**63) and edge indices int32
+        (n * C(20, 10) < 2**31).
         """
         n = self.n
-        if n > MAX_N:
-            raise LimitExceededError(f"n={n} exceeds the counting cap {MAX_N}")
         bits = np.array([1 << e for e in range(n)], dtype=np.int64)
         need = (np.array(self.succ_masks, dtype=np.int64) | bits)[:, None]
         masks, counts = np.array([(1 << n) - 1], dtype=np.int64), np.ones(1, dtype=np.int64)
@@ -171,11 +178,13 @@ class Poset:
 def build_poset(n: int, relations: Iterable[tuple[int, int]]) -> Poset:
     """The poset of 1-based pairs ``(i, j)`` meaning i < j, closed by `Poset`.
 
-    Raises IndexError for labels outside 1..n and, from `Poset`, CycleError
-    when the pairs contain a cycle (a pair (i, i) included).
+    Raises LimitExceededError for n > MAX_N, before the relation is
+    allocated, IndexError for labels outside 1..n and, from `Poset`,
+    CycleError when the pairs contain a cycle (a pair (i, i) included).
     """
     if n < 1:
         raise ValueError(f"element count must be positive, got {n}")
+    check_size(n)
     rel = np.zeros((n, n), dtype=bool)
     for i, j in relations:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -201,43 +210,22 @@ def extends(Q: Poset, P: Poset) -> bool:
     return not (P.rel & ~Q.rel).any()
 
 
-def count_maximal_chains(P: Poset) -> int:
-    """Number of maximal chains (source-to-sink paths of the cover
-    relation), counted in Python ints from the sinks down."""
-    return _cover_paths(P)[0]
-
-
-def _cover_paths(P: Poset) -> tuple[int, list[int], list[int], list[list[int]]]:
-    """`count_maximal_chains`, with the sources, the order from the sinks
-    down and the increasing cover list of each element that it walks."""
-    succ_lists = [row.nonzero()[0].tolist() for row in P.covers]
-    # An element has strictly more successors than any element above it.
-    order = np.argsort(P.rel.sum(axis=1), kind="stable").tolist()
-    paths = [0] * P.n
-    for i in order:
-        paths[i] = sum(paths[j] for j in succ_lists[i]) or 1  # a sink ends one path
-    sources = P.minimal_elements()
-    return sum(paths[i] for i in sources), sources, order, succ_lists
-
-
 def maximal_chains(P: Poset) -> list[tuple[int, ...]]:
     """All inclusion-maximal chains, as tuples of elements in increasing order.
 
     Every maximal chain is a source-to-sink path of the cover relation, so
-    the count's recurrence, run over the same cover lists, builds each one
+    walking the increasing cover lists from the sinks down builds each one
     once: the paths up from an element are that element followed by the
     paths up from each of its covers in turn, in depth-first order.
-    Isolated elements yield singleton chains.  The count is exponential in
-    the worst case, so it is taken first and more than MAX_CHAINS raises
-    LimitExceededError.
+    Isolated elements yield singleton chains.  At n <= MAX_N there are at
+    most 1458 of them (Moon and Moser).
     """
-    total, sources, order, succ_lists = _cover_paths(P)
-    if total > MAX_CHAINS:
-        raise LimitExceededError(f"{total} maximal chains exceed the chain cap {MAX_CHAINS}")
+    succ_lists = [row.nonzero()[0].tolist() for row in P.covers]
     up: list[list[tuple[int, ...]]] = [[] for _ in range(P.n)]
-    for i in order:
+    # An element has strictly more successors than any element above it.
+    for i in np.argsort(P.rel.sum(axis=1), kind="stable").tolist():
         up[i] = [(i, *path) for j in succ_lists[i] for path in up[j]] or [(i,)]
-    return [path for s in sources for path in up[s]]
+    return [path for s in P.minimal_elements() for path in up[s]]
 
 
 _QUAD_PAIRS = list(itertools.combinations(range(4), 2))  # bit t of a code: pair t
@@ -254,23 +242,14 @@ _IS_PATH = np.array([sorted((code & star).bit_count() for star in _STARS) == [1,
                      for code in range(64)])
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=MAX_N)
 def _quad_index(n: int) -> np.ndarray:
     """(C(n,4), 6) flat indices into an n x n relation: row t holds the
     unordered pairs of the t-th 4-subset (lex order) in the bit order of
-    `_QUAD_PAIRS`.  The rows are written in place one first element a at a
-    time, a then each triple above a, a suffix of the triples' lex order."""
-    b, c = np.triu_indices(n, 1)
-    tri = np.concatenate([np.column_stack((np.full(len(b) - s, a), b[s:], c[s:]))
-                          for a, s in enumerate(b.searchsorted(np.arange(n - 2), "right"))])
-    tri_pairs = tri[:, [0, 0, 1]] * n + tri[:, [1, 2, 2]]
-    index = np.empty((len(tri) * (n - 3) // 4, 6), dtype=np.intp)  # C(n,4) rows
-    row = 0
-    for a, s in enumerate(tri[:, 0].searchsorted(np.arange(n - 3), "right")):
-        rows = index[row : row + len(tri) - s]
-        rows[:, :3] = a * n + tri[s:]
-        rows[:, 3:] = tri_pairs[s:]
-        row += len(rows)
+    `_QUAD_PAIRS`; at n <= MAX_N, at most C(20, 4) = 4845 rows."""
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp).reshape(-1, 4)
+    p, q = np.array(_QUAD_PAIRS).T
+    index = quads[:, p] * n + quads[:, q]
     index.setflags(write=False)
     return index
 
@@ -281,10 +260,7 @@ def count_induced_N(P: Poset) -> int:
     Series-parallel posets are exactly the posets with none; the k-fold
     chain blowup of N has k**4 of them.
     """
-    n = P.n
-    if n < 4:
-        return 0
-    codes = (P.rel | P.rel.T).ravel()[_quad_index(n)].view(np.uint8) @ _CODE_BITS
+    codes = (P.rel | P.rel.T).ravel()[_quad_index(P.n)].view(np.uint8) @ _CODE_BITS
     return int(np.count_nonzero(_IS_PATH[codes]))
 
 

@@ -348,8 +348,8 @@ def build_adversary(P: Poset) -> AdversaryMatrix:
     Moving i down past f flips only the pair (i, f), adding i! if f < i and
     subtracting f! if f > i, so a target's key is its source's plus a
     running sum over the moves of one (sigma, i).  The sums wrap in int64,
-    exactly modulo 2**64, so each key, below n! <= 20! < 2**63 (the count's
-    ideal table refuses n > 20), is exact.
+    exactly modulo 2**64, so each key, below n! <= 20! < 2**63 (every
+    `Poset` has n <= MAX_N = 20), is exact.
     """
     num = count_extensions(P)
     if num > MATRIX_CAP:
@@ -604,10 +604,10 @@ def analyze(P: Poset) -> BoundsReport:
     """Every bound and certificate for one poset.
 
     The count and QLB fold the series-parallel decomposition of P, whose
-    Block leaves take the up-set count and the gap DP over their ideals;
-    n > MAX_N raises LimitExceededError before any of it, and QLB and QH
-    are None when a block has more than ENUM_CAP extensions.  Only the
-    adversary matrix enumerates the extensions, and it is built only when
+    Block leaves take the up-set count and the gap DP over their ideals
+    (P, a `Poset`, has at most MAX_N elements); QLB and QH are None when a
+    block has more than ENUM_CAP extensions.  Only the adversary matrix
+    enumerates the extensions, and it is built only when
     the count is within MATRIX_CAP and QLB is known, else its fields are
     None.  Each norm is a side of its `norm_bracket`: `gamma_norm` is the
     lower side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
@@ -626,8 +626,6 @@ def analyze(P: Poset) -> BoundsReport:
 
     Failures are reported as False flags, never raised.
     """
-    if P.n > MAX_N:
-        raise LimitExceededError(f"n={P.n} exceeds the size cap {MAX_N}")
     expr = sp_decomposition(P)[0]
     num = count_extensions_sp(expr)
     try:

@@ -31,8 +31,8 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import LimitExceededError, ParseError
-from .poset import Poset
+from .errors import ParseError
+from .poset import Poset, check_size
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # Each parenthesis level costs three parser frames and adds at most a
 # parallel and a series node (an antichain in the innermost series one more),
-# so a parsed tree is at most MAX_DEPTH nodes deep; both bounds keep the
-# parser, `_split` and the printers inside the recursion limit of 1000.
+# so a parsed tree is at most 2 * MAX_NESTING + 3 = 203 nodes deep, which
+# keeps the parser and the printers inside the recursion limit of 1000.  A
+# decomposition is shallower still: at most n - 1 <= 19 levels.
 MAX_NESTING = 100
-MAX_DEPTH = 2 * MAX_NESTING + 3
 # Bound on the element count of a whole expression, counted before any leaf
 # tuple is built, so a short text cannot allocate millions of leaves.  It
-# sits far above the size cap `poset.MAX_N` = 20 of `analyze`, which reports
-# its own error below it, and bounds the library folds that run past 20.
+# sits far above the size cap `poset.MAX_N` = 20 of every `Poset`, which
+# `realize` reports below it, and bounds the folds that run past 20.
 MAX_SIZE = 10_000
 
 
@@ -228,7 +228,7 @@ class _Parser:
             return Singleton()
         if kind == "lp":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                raise ParseError(f"more than {MAX_NESTING} levels of parentheses", pos)
             self.depth += 1
             e = self.expr()
             self.expect("rp", "')'")
@@ -264,7 +264,9 @@ def parse_sp(text: str) -> SPExpr:
 
 def realize(e: SPExpr) -> Poset:
     """Build the poset of an expression on elements 0..n-1 in leaf order,
-    placing each node at its offset by the sizes of its elder siblings."""
+    placing each node at its offset by the sizes of its elder siblings;
+    n > `poset.MAX_N` raises LimitExceededError before any of it."""
+    check_size(e.size)
     rel = np.zeros((e.size, e.size), dtype=bool)
     stack = [(e, 0)]
     while stack:
@@ -316,16 +318,15 @@ def sp_decomposition(P: Poset) -> tuple[SPExpr, tuple[int, ...]]:
     index), splits in series after every prefix whose running AND of
     ``succ_masks`` covers the rest of the part.  A part of two or more
     elements that neither splits becomes a ``Block`` of its induced
-    sub-poset, and P itself when P is indecomposable.  One nested deeper
-    than any parsed expression, MAX_DEPTH, raises LimitExceededError, which
-    bounds the printers, the walks that recurse over the result.
+    sub-poset, and P itself when P is indecomposable.  Each level splits off
+    at least one element, so the recursion is at most n - 1 <= 19 deep.
     """
-    expr, leaves = _split(P, (1 << P.n) - 1, 0)
+    expr, leaves = _split(P, (1 << P.n) - 1)
     return expr, tuple(leaves)
 
 
-def _split(P: Poset, part: int, depth: int) -> tuple[SPExpr, list[int]]:
-    """The expression and leaf order of P on the bitmask part, depth levels down."""
+def _split(P: Poset, part: int) -> tuple[SPExpr, list[int]]:
+    """The expression and leaf order of P on the bitmask part."""
     elems = _elements(part)
     if len(elems) == 1:
         return Singleton(), elems
@@ -350,12 +351,9 @@ def _split(P: Poset, part: int, depth: int) -> tuple[SPExpr, list[int]]:
                 last = rest
         if len(pieces) == 1:
             return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
-    if depth >= MAX_DEPTH:
-        raise LimitExceededError(
-            f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
     children, leaves = [], []
     for piece in pieces:
-        child, piece_leaves = _split(P, piece, depth + 1)
+        child, piece_leaves = _split(P, piece)
         children.append(child)
         leaves.extend(piece_leaves)
     return compose(*children), leaves

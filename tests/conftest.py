@@ -17,7 +17,6 @@ from sortbounds import (
     Block,
     DomainError,
     EntropySolution,
-    LimitExceededError,
     LinearExtension,
     NonConvergenceError,
     Poset,
@@ -37,7 +36,6 @@ from sortbounds import (
 from sortbounds.orderstats import sorted_uniforms
 from sortbounds.polytopes import chain_point_batch, entropy_bracket, transfer_batch
 from sortbounds.quantum import DENSE_MAX, AdversaryMatrix, _bracket, _window_matrix, _window_types
-from sortbounds.spexpr import MAX_DEPTH
 
 # Property tests draw the same examples on every run and leave no example
 # database behind.
@@ -293,7 +291,7 @@ def matrix_sp_decomposition(P):
     comparable = P.rel | P.rel.T
     preds = P.rel.sum(axis=0).tolist()
 
-    def split(elems, depth):
+    def split(elems):
         sub = comparable[np.ix_(elems, elems)]
         comps = _matrix_components(sub)
         if len(comps) > 1:
@@ -306,17 +304,14 @@ def matrix_sp_decomposition(P):
                 return Block(P if len(elems) == P.n else Poset(P.rel[np.ix_(elems, elems)])), elems
             compose, parts = series, [[elems[t] for t in comp] for comp in co]
             parts.sort(key=lambda part: preds[part[0]])
-        if depth >= MAX_DEPTH:
-            raise LimitExceededError(
-                f"series-parallel decomposition nested deeper than {MAX_DEPTH} levels")
         children, leaves = [], []
         for part in parts:
-            child, part_leaves = split(part, depth + 1)
+            child, part_leaves = split(part)
             children.append(child)
             leaves.extend(part_leaves)
         return compose(*children), leaves
 
-    expr, leaves = split(list(range(P.n)), 0)
+    expr, leaves = split(list(range(P.n)))
     return expr, tuple(leaves)
 
 

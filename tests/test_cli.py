@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sortbounds
-from sortbounds import Parallel, Series, Singleton, build_poset, fence_poset, realize, write_poset
+from sortbounds import build_poset, fence_poset, write_poset
 from sortbounds import quantum
 from sortbounds.cli import exit_code_for_report, main
 from sortbounds.orderstats import harmonic
@@ -85,17 +85,12 @@ def test_analyze_size_failure_exits_1(capsys):
     assert err == "error: n=25 exceeds the size cap 20\n"
 
 
-def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path, monkeypatch):
-    import sortbounds.cli as cli
-    import sortbounds.poset as poset
-
-    def built(*_):
-        pytest.fail("a relation was allocated before the size check")
-
+def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path):
+    # `realize` and `build_poset` check n before they allocate a relation
+    # (test_poset.py::test_refusal_allocates_nothing)
     fence = tmp_path / "fence40.poset"
-    write_poset(fence_poset(40), fence)
-    for mod, name in ((cli, "realize"), (cli, "build_poset"), (poset, "build_poset")):
-        monkeypatch.setattr(mod, name, built, raising=False)
+    fence.write_text("40\n" + "".join(f"{i} {i + 1}\n" if i % 2 else f"{i + 1} {i}\n"
+                                      for i in range(1, 40)), encoding="ascii")
     big = tmp_path / "big.poset"
     big.write_text("800\n1 2\n")
     for n, source in ((25, ("--expr", "antichain(25)")), (800, ("--expr", "chain(800)")),
@@ -130,13 +125,12 @@ def test_analyze_deep_nesting_exits_1(capsys):
 
 def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
     # 200 alternating series/parallel levels, 401 elements: refused by the
-    # size cap before the decomposition, which refuses it too
-    # (test_spexpr.py::test_decompose_refuses_past_max_depth)
-    e = Singleton()
-    for _ in range(200):
-        e = Parallel((Series((e, Singleton())), Singleton()))
+    # size cap before any relation is built.  Level k adds x_k = 2k + 2 above
+    # every element so far and an isolated y_k = 2k + 3 (1-based), so x_k
+    # covers 1 at k = 0 and x_{k-1}, y_{k-1} after it.
+    covers = [(1, 2)] + [(p, 2 * k + 2) for k in range(1, 200) for p in (2 * k, 2 * k + 1)]
     deep = tmp_path / "deep.poset"
-    write_poset(realize(e), deep)
+    deep.write_text("401\n" + "".join(f"{i} {j}\n" for i, j in covers), encoding="ascii")
     code, out, err = run_cli(capsys, "analyze", str(deep))
     assert code == 1 and out == ""
     assert err == "error: n=401 exceeds the size cap 20\n"
@@ -145,9 +139,8 @@ def test_analyze_deep_sp_file_exits_1(capsys, tmp_path):
 def test_analyze_exponential_chain_set_exits_1(capsys, tmp_path):
     # 12 antichain(3) factors in series (3**12 maximal chains) and the
     # layered block of 36 elements (121393) are past the size cap, which
-    # refuses both first; the library folds and the chain cap still take
-    # them (test_quantum.py::test_sp_folds_run_past_the_size_cap and
-    # test_polytopes.py::test_layered_block_refused_from_its_chain_count)
+    # refuses both first; the folds on the expression still take the first
+    # (test_quantum.py::test_sp_folds_run_past_the_size_cap)
     expr = "*".join(["antichain(3)"] * 12)
     code, out, err = run_cli(capsys, "analyze", "--expr", expr)
     assert code == 1 and out == ""

@@ -101,3 +101,28 @@ def test_no_module_reads_the_environment():
     read = [(module, node.attr) for module, tree in MODULES.items() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv", "environb")]
     assert read == []
+
+
+def _holders(tree, hit):
+    """(innermost enclosing function or "<module>") of each node hit(node) accepts."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so inner ones overwrite
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update({id(node): fn.name for node in ast.walk(fn)})
+    return {owner.get(id(node), "<module>") for node in ast.walk(tree) if hit(node)}
+
+
+def _holds_size_cap(node):
+    if isinstance(node, ast.Compare):
+        return any(isinstance(x, ast.Name) and x.id == "MAX_N"
+                   or isinstance(x, ast.Attribute) and x.attr == "MAX_N"
+                   for x in (node.left, *node.comparators))
+    return isinstance(node, ast.Constant) and "exceeds the size cap" in str(node.value)
+
+
+def test_one_function_holds_the_size_cap():
+    # every Poset has n <= MAX_N because one check guards every way to build
+    # one: no other code compares with MAX_N or raises the size cap's message
+    found = {(module, fn) for module, tree in MODULES.items()
+             for fn in _holders(tree, _holds_size_cap)}
+    assert found == {("poset", "check_size")}

@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from sortbounds import (
-    Block,
     DomainError,
     LimitExceededError,
     NonConvergenceError,
     NotConsistentError,
     NotInChainPolytopeError,
-    Poset,
     antichain_poset,
     build_poset,
     chain2_plus_point,
@@ -35,14 +33,12 @@ from sortbounds import (
     sample_chain_point,
     sample_extension,
     sample_order_point,
-    sp_decomposition,
     standard_family,
     transfer,
     transfer_inverse,
 )
 from sortbounds import polytopes
 from sortbounds.orderstats import ks_critical, ks_statistic
-from sortbounds.poset import MAX_CHAINS
 from sortbounds.polytopes import (
     chain_point_batch,
     order_point_batch,
@@ -275,39 +271,17 @@ def test_entropy_finishing_step_is_exact_on_antichains():
         assert sol.H == 0.0 and (sol.z_star == 1.0).all()
 
 
-def test_exponential_chain_sets_refused():
-    # antichain(3)^11: 3**11 = 177147 maximal chains on 33 elements
-    P = realize(parse_sp("*".join(["antichain(3)"] * 11)))
-    assert 3**11 > MAX_CHAINS
-    for call in (lambda: chain_matrix(P), lambda: entropy(P),
-                 lambda: chain_polytope_volume_mc(P, 10, 0)):
-        with pytest.raises(LimitExceededError, match="maximal chains"):
-            call()
-
-
-def test_layered_block_refused_from_its_chain_count():
-    # 12 layers of 3, each element below every element of the next layer but
-    # the first below the last: one indecomposable block of 36 elements,
-    # refused from its chain count before the chains are listed
-    pairs = [(3 * k + a + 1, 3 * k + b + 4) for k in range(11)
-             for a in range(3) for b in range(3) if (a, b) != (0, 2)]
-    P = build_poset(36, pairs)
-    expr = sp_decomposition(P)[0]
-    assert isinstance(expr, Block) and expr.size == 36
-    for call in (lambda: entropy(P), lambda: entropy_sp(expr)):
-        with pytest.raises(LimitExceededError, match="121393 maximal chains exceed the chain cap"):
-            call()
-
-
-def test_transfer_inverse_lists_no_chains():
-    # antichain(3)^12: 3**12 = 531441 maximal chains, each summing to 12/13
-    P = realize(parse_sp("*".join(["antichain(3)"] * 12)))
-    z = np.full(P.n, 1 / 13)
+def test_transfer_inverse_lists_no_chains(monkeypatch):
+    # antichain(3)^6: 3**6 = 729 maximal chains, each summing to 6/7, none
+    # of them listed
+    P = realize(parse_sp("*".join(["antichain(3)"] * 6)))
+    monkeypatch.setattr(polytopes, "maximal_chains", lambda P: pytest.fail("chains listed"))
+    z = np.full(P.n, 1 / 7)
     y = transfer_inverse(P, z)
-    assert y.max() == pytest.approx(12 / 13, abs=1e-15)
+    assert y.max() == pytest.approx(6 / 7, abs=1e-15)
     np.testing.assert_allclose(transfer(P, y), z, atol=1e-15)
     with pytest.raises(NotInChainPolytopeError, match="chain sum"):
-        transfer_inverse(P, np.full(P.n, 1 / 11))  # chain sums 12/11
+        transfer_inverse(P, np.full(P.n, 1 / 5))  # chain sums 6/5
 
 
 def test_lb_examples(wedge):
@@ -315,9 +289,12 @@ def test_lb_examples(wedge):
     assert lb(chain_poset(20)) == 0.0  # exactly: the fold's n**n / R is 1
     assert lb(antichain_poset(4)) == pytest.approx(4 * math.log(4), abs=1e-7)
     assert lb(wedge) == pytest.approx(3 * (math.log(3) - (2 / 3) * math.log(2)), abs=1e-7)
-    # 36 elements and 3**12 maximal chains, but no block: no count, no chain list
-    P = realize(parse_sp("*".join(["antichain(3)"] * 12)))
-    assert lb(P) == pytest.approx(36 * math.log(3), abs=1e-12)
+    # 18 elements and 3**6 maximal chains, but no block: no count, no chain
+    # list; the fold on the expression itself runs past the size cap
+    P = realize(parse_sp("*".join(["antichain(3)"] * 6)))
+    assert lb(P) == pytest.approx(18 * math.log(3), abs=1e-12)
+    assert entropy_sp(parse_sp("*".join(["antichain(3)"] * 12))).lb == pytest.approx(
+        36 * math.log(3), abs=1e-12)
 
 
 def test_sample_order_point_respects_order():
@@ -327,20 +304,17 @@ def test_sample_order_point_respects_order():
         assert y[0] <= y[1]
 
 
-def test_single_point_samplers_cap_n(monkeypatch):
-    # n = 21 is over the cap MAX_N = 20, which the ideal table checks before
-    # it reads anything of P
-    P = antichain_poset(21)
-
-    def reached(_):
-        pytest.fail("the lattice was built before the n cap was checked")
-
-    monkeypatch.setattr(Poset, "succ_masks", property(reached))
-    for sampler in (sample_order_point, sample_chain_point, sample_extension):
-        with pytest.raises(LimitExceededError, match="n=21 exceeds the counting cap 20"):
-            sampler(P, 0)
-    with pytest.raises(LimitExceededError, match="n=21 exceeds the counting cap 20"):
-        orders_by_rank(P, [0])
+def test_single_point_samplers_cap_n():
+    # n = 21 is over the cap MAX_N = 20, so no poset reaches a sampler; at
+    # the cap each draws
+    with pytest.raises(LimitExceededError, match="n=21 exceeds the size cap 20"):
+        antichain_poset(21)
+    P = realize(parse_sp("chain(3) + chain(17)"))
+    assert P.n == 20
+    for sampler in (sample_order_point, sample_chain_point):
+        assert sampler(P, 0).shape == (20,)
+    assert sorted(sample_extension(P, 0).rank) == list(range(1, 21))
+    assert orders_by_rank(P, [0]).shape == (1, 20)
 
 
 def test_sample_order_point_uniform_marginals():

@@ -30,10 +30,10 @@ from sortbounds import (
     standard_family,
 )
 from sortbounds.polytopes import order_point_batch
-from sortbounds.poset import _IS_PATH, _QUAD_PAIRS, _quad_index, count_maximal_chains
+from sortbounds.poset import _IS_PATH, _QUAD_PAIRS, MAX_N, _quad_index
 from sortbounds.spexpr import parse_sp, realize
 
-from conftest import recursive_maximal_chains, warshall_closure
+from conftest import census, recursive_maximal_chains, warshall_closure
 
 
 def test_build_single_pair(wedge):
@@ -97,7 +97,7 @@ def test_empty_or_non_square_relation_rejected(rel):
         Poset(rel)
 
 
-@pytest.mark.parametrize("n, p", [(1, 0.5), (9, 0.3), (64, 0.1), (65, 0.05), (150, 0.02)])
+@pytest.mark.parametrize("n, p", [(1, 0.5), (9, 0.3), (20, 0.1)])
 def test_bitmasks_match_relation(n, p):
     P = random_poset(n, np.random.default_rng(n), p=p)
     for e in range(n):
@@ -157,29 +157,53 @@ def test_maximal_chains_match_recursion(family8):
         assert maximal_chains(P) == recursive_maximal_chains(P), name
 
 
-def test_count_maximal_chains(family8, monkeypatch):
-    for name, P in family8:
-        assert count_maximal_chains(P) == len(maximal_chains(P)), name
-    layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
-    assert count_maximal_chains(layered) == len(maximal_chains(layered)) == 1458
-    # far past int64: counted exactly, refused before any walk
-    wide = realize(parse_sp("*".join(["antichain(3)"] * 45)))
-    assert count_maximal_chains(wide) == 3**45
-    with pytest.raises(LimitExceededError, match="maximal chains"):
-        maximal_chains(wide)
-    import sortbounds.poset as poset
-    monkeypatch.setattr(poset, "MAX_CHAINS", 1458)
-    assert len(maximal_chains(layered)) == 1458
-    monkeypatch.setattr(poset, "MAX_CHAINS", 1457)
-    with pytest.raises(LimitExceededError):
-        maximal_chains(layered)
+def test_refusal_allocates_nothing():
+    # the one size check runs before any n x n relation (or pair list) is
+    # allocated
+    rel, expr = np.zeros((21, 21)), parse_sp("chain(800)")
+    for n, build in ((21, lambda: Poset(rel)), (10**9, lambda: build_poset(10**9, [])),
+                     (800, lambda: realize(expr)), (10**9, lambda: chain_poset(10**9))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceededError, match=f"^n={n} exceeds the size cap 20$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, n
+
+
+def moon_moser(n):
+    """Most maximal cliques of an n-vertex graph (Moon and Moser, 1965), so
+    most maximal chains of an n-element poset: 1458 at n = 20."""
+    q, r = divmod(n, 3)
+    return 1 if n == 1 else (3**q, 4 * 3 ** (q - 1), 2 * 3**q)[r]
+
+
+def test_maximal_chains_meet_the_moon_moser_bound():
+    # a maximal chain is a maximal clique of the comparability graph
+    for P in census(6):
+        assert len(maximal_chains(P)) <= moon_moser(P.n)
+
+
+def test_layered_poset_reaches_the_moon_moser_bound():
+    # layers of 3, with one of 4 as 2 * 2 or one of 2 left over, each below
+    # the next: at n = MAX_N the most chains any poset can have
+    assert moon_moser(MAX_N) == 1458
+    for n in range(1, MAX_N + 1):
+        q, r = divmod(n, 3)
+        layers = [1] if n == 1 else [3] * (q - (r == 1)) + [[], [2, 2], [2]][r]
+        P = realize(parse_sp("*".join(f"antichain({k})" for k in layers)))
+        assert P.n == n
+        assert len(maximal_chains(P)) == moon_moser(n), n
 
 
 def test_closure_of_a_long_chain_matches_warshall():
-    rel = np.eye(1500, k=1, dtype=bool)
+    # the longest chain the cap admits: its closure needs the most squarings
+    rel = np.eye(MAX_N, k=1, dtype=bool)
     want = warshall_closure(rel)
-    np.testing.assert_array_equal(chain_poset(1500).rel, want)
-    np.testing.assert_array_equal(want, np.triu(np.ones((1500, 1500), dtype=bool), 1))
+    np.testing.assert_array_equal(chain_poset(MAX_N).rel, want)
+    np.testing.assert_array_equal(want, np.triu(np.ones((MAX_N, MAX_N), dtype=bool), 1))
 
 
 def test_extends_basic():
@@ -246,21 +270,6 @@ def test_quad_index_is_every_4_subset_in_lex_order():
         quads = np.array(list(itertools.combinations(range(n), 4)))
         p, q = np.array(_QUAD_PAIRS).T
         np.testing.assert_array_equal(_quad_index(n), quads[:, p] * n + quads[:, q])
-
-
-def test_cold_count_induced_N_peaks_near_its_index():
-    # the 4-subsets are written in place and the pair bits packed in uint8,
-    # so a cold call holds little beyond the index it caches (48 bytes a
-    # 4-subset); a list of subset tuples peaked at 3x
-    P = random_poset(60, np.random.default_rng(0), 0.3)
-    _quad_index.cache_clear()
-    tracemalloc.start()
-    try:
-        count_induced_N(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * _quad_index(60).nbytes
 
 
 def test_relabel_roundtrip():

@@ -142,7 +142,7 @@ def test_qlb_exact_at_large_counts(text, monkeypatch):
 
 def test_sp_folds_run_past_the_size_cap():
     # 12 antichain(3) factors in series have 3**12 maximal chains on 36
-    # elements, past the size cap of `analyze`, but no block: the library
+    # elements, past the size cap that `realize` holds, but no block: the
     # folds list no chain, and H = ln 12 (R = 12**36),
     # LB = ln(36**36 / 12**36) = 36 ln 3, QLB = 12 (3 H_3 - 3) = 30
     expr = parse_sp("*".join(["antichain(3)"] * 12))

@@ -66,8 +66,7 @@ def test_readme_constants_match_the_code():
     quoted = re.findall(r"`(?:(\w+)\.)?([A-Z][A-Z0-9_]*)`\s+=\s+(\d+(?:,\d{3})*(?:\^\d+)?)",
                         README.read_text(encoding="utf-8"))
     assert {name for _, name, _ in quoted} == {
-        "MAX_SAMPLES", "DENSE_MAX", "MAX_DEPTH", "MAX_CHAINS",
-        "MAX_N", "ENUM_CAP", "MATRIX_CAP"}
+        "MAX_SAMPLES", "DENSE_MAX", "MAX_N", "ENUM_CAP", "MATRIX_CAP"}
     owners = _module_constants()
     for module, name, text in quoted:
         assert len(owners[name]) == 1, f"{name} is assigned in {owners[name]}"

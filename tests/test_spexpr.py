@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sortbounds import (
-    LimitExceededError,
     NBlock,
     Parallel,
     ParseError,
@@ -29,7 +28,8 @@ from sortbounds import (
     relabel,
     sp_decomposition,
 )
-from sortbounds.spexpr import MAX_DEPTH, MAX_NESTING, nodes
+from sortbounds.poset import MAX_N
+from sortbounds.spexpr import MAX_NESTING, nodes
 
 from conftest import matrix_sp_decomposition
 
@@ -123,16 +123,14 @@ def test_recognize_roundtrip_random():
 
 def test_decompose_deepest_parsed_expression():
     # MAX_NESTING parenthesis levels, each a parallel over a series, with an
-    # antichain in the innermost series: MAX_DEPTH composition nodes deep
+    # antichain in the innermost series: 2 MAX_NESTING + 3 composition nodes
+    # deep and 204 elements, so folded but never realized
     text = "antichain(2) * . + ."
     for _ in range(MAX_NESTING):
         text = f"({text}) * . + ."
     with pytest.raises(ParseError):
         parse_sp(f"({text}) * . + .")
-    P = realize(parse_sp(text))
-    expr2, leaves = sp_decomposition(P)
-    perm = np.asarray(leaves)
-    assert (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all()
+    e = parse_sp(text)
 
     def spine_sizes(node):
         # the size of every node on the path down the largest children
@@ -143,32 +141,43 @@ def test_decompose_deepest_parsed_expression():
         return sizes
 
     folds = (spine_sizes, count_extensions_sp, qlb_sp_fraction)
-    want = [fold(expr2) for fold in folds]
-    assert len(want[0]) == MAX_DEPTH + 1 and want[0][0] == P.n
+    want = [fold(e) for fold in folds]
+    assert len(want[0]) == 2 * MAX_NESTING + 4 and want[0][0] == e.size == 204
     assert want[1] > 0 and want[2] > 0
     # sizes are read off the nodes and the folds sum over `nodes`: a recursion
-    # limit a few frames above the caller, far below MAX_DEPTH, leaves them
-    # the same values
+    # limit a few frames above the caller, far below the tree's depth, leaves
+    # them the same values
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 25)
     try:
-        got = [fold(expr2) for fold in folds]
+        got = [fold(e) for fold in folds]
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
 
 
-def test_decompose_refuses_past_max_depth():
-    # 200 alternating series/parallel levels, 401 elements: twice as deep as
-    # any expression the parser accepts, so the decomposition is refused
-    # before a structural recursion walks it
-    e = Singleton()
-    for _ in range(200):
+def test_decompose_deepest_poset():
+    # alternating series/parallel levels over an antichain of 2: at n = 20,
+    # n - 1 = 19 composition nodes deep, as deep as a decomposition can be,
+    # so `_split` recurses at most 19 times and needs no depth guard
+    e = Parallel((Singleton(), Singleton()))
+    for _ in range(9):
         e = Parallel((Series((e, Singleton())), Singleton()))
     P = realize(e)
-    assert P.n == 401
-    with pytest.raises(LimitExceededError, match=f"nested deeper than {MAX_DEPTH} levels"):
-        sp_decomposition(P)
+    assert P.n == MAX_N
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 2 * MAX_N)
+    try:
+        expr2, leaves = sp_decomposition(P)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert expr2 == e
+    node, depth = expr2, 0
+    while not isinstance(node, Singleton):
+        node, depth = node.children[0], depth + 1
+    assert depth == MAX_N - 1
+    perm = np.asarray(leaves)
+    assert (realize(expr2).rel == P.rel[np.ix_(perm, perm)]).all()
 
 
 def test_folds_share_one_n_leaf(monkeypatch):
@@ -205,9 +214,9 @@ def test_split_matches_matrix_oracle():
         assert sp_decomposition(P) == matrix_sp_decomposition(P)
 
 
-@pytest.mark.parametrize("text", ["chain(300)", "antichain(300)", "N(75)",
-                                  "chain(2) * (antichain(150) + N(10)) * N(25)"])
-def test_split_matches_matrix_oracle_at_hundreds(text):
+@pytest.mark.parametrize("text", ["chain(20)", "antichain(20)", "N(5)",
+                                  "chain(2)*(antichain(6)+N(2))*N(1)"])
+def test_split_matches_matrix_oracle_at_the_cap(text):
     P = realize(parse_sp(text))
     Q = relabel(P, np.random.default_rng(5).permutation(P.n).tolist())
     for R in (P, Q):
