@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linext import count_extensions_sp
-from .poset import Poset, build_poset
+from .poset import Poset, build_poset, check_size
 from .spexpr import NBlock, Singleton, SPExpr, parallel, realize, series
 
 
@@ -52,6 +52,7 @@ def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
     random topological order, each kept with probability 0 <= p <= 1."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must lie in [0, 1], got {p}")
+    check_size(n)
     order = rng.permutation(n)
     a, b = _upper_pairs(n)
     rel = np.zeros((n, n), dtype=bool)

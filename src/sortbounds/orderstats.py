@@ -11,12 +11,11 @@ law E[ln(z_{i+d} - z_i)] = H_{d-1} - H_n behind QLB).  Both read the one
 seeded gap draw `_gaps`.
 
 Each quantity has its one implementation here: `harmonic_table` holds every
-harmonic number over one common denominator (`harmonic`,
-`quantum.qlb_fraction` and `quantum.tech_constant` all read it), `quad` is
-the one quadrature and `density_cdf` the one binomial tail.  The module
-depends on no poset layer: it imports nothing from the package but its
-errors, and a caller reads an element's gap off an extension with
-`quantum.d_vector`.
+harmonic number over one common denominator (`harmonic` and
+`quantum.tech_constant` read it), `quad` is the one quadrature and
+`density_cdf` the one binomial tail.  The module depends on no poset layer:
+it imports nothing from the package but its errors, and a caller reads an
+element's gap off an extension with `quantum.d_vector`.
 """
 from __future__ import annotations
 

@@ -30,8 +30,8 @@ MAX_N = 20
 
 def check_size(n: int) -> None:
     """The one size check: n > MAX_N raises LimitExceededError.  `Poset`,
-    `build_poset` and `spexpr.realize` call it before they allocate an
-    n x n relation."""
+    `build_poset`, `spexpr.realize` and `families.random_poset` call it
+    before they allocate an n x n relation."""
     if n > MAX_N:
         raise LimitExceededError(f"n={n} exceeds the size cap {MAX_N}")
 
@@ -287,14 +287,17 @@ def parse_poset_text(text: str) -> tuple[int, list[tuple[int, int]]]:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
+        if len(fields) != (1 if n is None else 2):
+            want = "the element count" if n is None else "'i j'"
+            raise ValueError(f"line {lineno}: expected {want}, got {line!r}")
+        try:
+            values = [int(field) for field in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if n is None:
-            if len(fields) != 1:
-                raise ValueError(f"line {lineno}: expected the element count, got {line!r}")
-            n = int(fields[0])
+            n = values[0]
             continue
-        if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
-        i, j = int(fields[0]), int(fields[1])
+        i, j = values
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"line {lineno}: element pair ({i}, {j}) out of range 1..{n}")
         pairs.append((i, j))

@@ -66,8 +66,8 @@ def d_vector(P: Poset, ext: LinearExtension) -> tuple[int, ...]:
 
 
 def qlb_fraction(P: Poset) -> Fraction:
-    """Exact rational QLB from a gap DP over the lattice of ideals of P;
-    raises LimitExceededError when P has more than ENUM_CAP extensions.
+    """Exact rational QLB from a DP over the lattice of ideals of P; raises
+    LimitExceededError when P has more than ENUM_CAP extensions.
 
     The prefixes of the extensions are the paths up `Poset.lattice`, one
     element placed per edge D -> D | e; the table holds c(D), the
@@ -75,22 +75,21 @@ def qlb_fraction(P: Poset) -> Fraction:
     H_k(D, i) counts the completions of D in which i, whose predecessors are
     in D and which is not, follows k more elements; filled backward, it is
     c(D | i) at k = 0 and the sum of H_{k-1}(D | e, i) over the edges of D at
-    k > 0.  Over an edge D' -> D placing the last predecessor of i,
-    f(D') H_k(D, i) extensions have gap d_i = k + 1 (H_k(0, i) for a minimal
-    i), so QLB = sum_k C[k] H_k / N for the sums C[k] of those counts, each
-    H_k read off `harmonic_table(n - 1)` over its common denominator.
+    k > 0.  Element i is available for d_i steps; at each but its own, with
+    k elements still to come before it, it adds 1/k, and those terms sum to
+    H_{d_i - 1}.  So N QLB = sum_D f(D) sum_i sum_{k>=1} H_k(D, i) / k,
+    added one layer of sizes at a time over L = lcm(1..n-1).
 
-    The ideals are walked one layer of sizes at a time, in int64: every
-    entry, product and sum over a layer is a count of (prefixes of)
-    extensions, at most N <= 20! < 2**63, and the layers are added in
-    Python ints.
+    In int64 every entry is a count of (prefixes of) extensions, at most
+    N <= 20! < 2**63.  A layer's sum at one k counts (extension, element)
+    pairs, one element per extension, so it is at most N too; summed over
+    the layers it reaches n N, so the layers are added in Python ints.
     """
     num = count_extensions(P)  # the table caps n at 20, so every count fits in int64
     if num > ENUM_CAP:
         raise LimitExceededError(f"{num} extensions exceed the enumeration cap {ENUM_CAP}")
     n, lattice = P.n, P.lattice
-    # sum_k C[k] H_k over the common denominator L = lcm(1..n-1)
-    L, LH = harmonic_table(n - 1)
+    L = math.lcm(*range(1, n))
     f, deg = [np.ones(1, dtype=np.int64)], [layer.start[1:] - layer.start[:-1] for layer in lattice]
     for layer, up, d in zip(lattice, lattice[1:], deg):
         reach = np.zeros(len(up.masks), dtype=np.int64)
@@ -101,15 +100,12 @@ def qlb_fraction(P: Poset) -> Fraction:
     for s in range(n - 1, -1, -1):
         layer, up, d = lattice[s], lattice[s + 1], deg[s]
         ahead = H[layer.dst]
-        # the i whose last predecessor the edge places: not available before it
-        last = P.rel[layer.elem]
-        C = np.einsum("e,ei,eik->k", f[s].repeat(d), last, ahead).tolist()
-        total += sum(c * w for c, w in zip(C, LH))
-        ahead[last] = 0
+        ahead[P.rel[layer.elem]] = 0  # i above the placed e is not available at D
         H = np.zeros((len(d), n, n - s), dtype=np.int64)
         H[:, :, 1:] = np.add.reduceat(ahead, layer.start[:-1])
         H[np.arange(len(d)).repeat(d), layer.elem, 0] = up.counts[layer.dst]
-    total += sum(c * w for c, w in zip(H[0].sum(axis=0).tolist(), LH))
+        pairs = (f[s] @ H[:, :, 1:].sum(axis=1)).tolist()  # for k = 1, 2, ...
+        total += sum(t * (L // k) for k, t in enumerate(pairs, 1))
     return Fraction(total, L * num)
 
 

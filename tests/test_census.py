@@ -1,6 +1,9 @@
 """Exhaustive sweeps over `conftest.census`: every poset with n <= 6, one
 per isomorphism class, so no small counterexample can hide."""
 import math
+from fractions import Fraction
+
+import numpy as np
 
 from sortbounds import (
     certify_sandwich,
@@ -8,13 +11,14 @@ from sortbounds import (
     count_extensions_sp,
     count_induced_N,
     entropy_sp,
+    extension_orders,
     qlb_fraction,
     qlb_sp_fraction,
     recognize_sp,
     sp_decomposition,
 )
 
-from conftest import brute_force_induced_N, census, matrix_sp_decomposition
+from conftest import brute_force_induced_N, brute_force_qlb, census, matrix_sp_decomposition
 
 
 def test_census_counts_every_poset_once():
@@ -30,7 +34,38 @@ def test_series_parallel_layer_on_every_small_poset():
         assert (recognize_sp(P) is None) == (count_induced_N(P) > 0)
         assert sp_decomposition(P) == matrix_sp_decomposition(P)
         assert count_extensions_sp(expr) == count_extensions(P)
-        assert qlb_sp_fraction(expr) == qlb_fraction(P)
+        assert qlb_sp_fraction(expr) == qlb_fraction(P) == brute_force_qlb(P.n, P.pairs())
+
+
+def test_position_counts_are_log_concave_on_every_small_poset():
+    # Stanley (1981): the extensions with element x at position k are
+    # log-concave in k, with no internal zero
+    for P in census(6):
+        orders = extension_orders(P)
+        counts = np.zeros((P.n, P.n), dtype=np.int64)
+        np.add.at(counts, (orders, np.arange(P.n)), 1)  # counts[x, k]
+        for row in counts.tolist():
+            support = [k for k, c in enumerate(row) if c]
+            assert support == list(range(support[0], support[-1] + 1))
+            assert all(row[k] ** 2 >= row[k - 1] * row[k + 1] for k in range(1, P.n - 1))
+
+
+def test_qlb_at_least_itlb_on_every_small_poset():
+    # QLB >= ITLB is e^QLB >= N: every Taylor partial sum of e^QLB lies below
+    # it when QLB > 0, so one that passes N proves QLB > ITLB exactly; a
+    # chain has QLB = ITLB = 0
+    for P in census(6):
+        q, num = qlb_fraction(P), count_extensions(P)
+        if num == 1:
+            assert q == 0
+            continue
+        assert q > 0
+        partial, term, k = Fraction(1), Fraction(1), 0
+        while partial <= num:
+            k += 1
+            term *= q / k
+            partial += term
+            assert k <= 100, P.pairs()
 
 
 def test_exact_sandwich_agrees_with_float_on_every_small_poset():

@@ -160,9 +160,10 @@ def test_maximal_chains_match_recursion(family8):
 def test_refusal_allocates_nothing():
     # the one size check runs before any n x n relation (or pair list) is
     # allocated
-    rel, expr = np.zeros((21, 21)), parse_sp("chain(800)")
+    rel, expr, rng = np.zeros((21, 21)), parse_sp("chain(800)"), np.random.default_rng(0)
     for n, build in ((21, lambda: Poset(rel)), (10**9, lambda: build_poset(10**9, [])),
-                     (800, lambda: realize(expr)), (10**9, lambda: chain_poset(10**9))):
+                     (800, lambda: realize(expr)), (10**9, lambda: chain_poset(10**9)),
+                     (10**4, lambda: random_poset(10**4, rng))):
         tracemalloc.start()
         try:
             with pytest.raises(LimitExceededError, match=f"^n={n} exceeds the size cap 20$"):
@@ -306,6 +307,8 @@ def test_text_format_errors():
         poset_from_text("2\n1 2\n2 1\n")
     with pytest.raises(ValueError, match="line 3"):
         poset_from_text("2\n1 2\n1 5\n")
+    with pytest.raises(ValueError, match="line 2"):
+        poset_from_text("2\n1 x\n")
 
 
 def test_file_roundtrip(tmp_path):
