@@ -24,7 +24,6 @@ from .families import (
     chain_poset,
     diamond_poset,
     fence_poset,
-    n_poset,
     random_poset,
     random_sp_expr,
     standard_family,
@@ -98,11 +97,11 @@ from .quantum import (
 )
 from .spexpr import (
     Block,
-    NBlock,
     Parallel,
     Series,
     Singleton,
     SPExpr,
+    n_poset,
     parallel,
     parse_sp,
     realize,

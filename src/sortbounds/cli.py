@@ -10,10 +10,10 @@ Three commands, each with only the flags it reads:
 `analyze` prints one report with every bound for an input of at most 20
 elements, the size cap of every `Poset`; qlb and qh are null when a block
 of its series-parallel decomposition has more than 10**6 extensions, and
-adversary fields are null then too, or when the extension count exceeds
-4000.  It is deterministic and takes no seed, tolerance or cap.  `verify`
-takes S >= 0 and 1 <= K <= 10**6 (no tolerance either), and
-`tech-constant` 2 <= N <= 1000.
+the adversary fields exactly when the extension count exceeds 4000.  It
+is deterministic and takes no seed, tolerance or cap.  `verify` takes
+S >= 0 and 1 <= K <= 10**6 (no tolerance either), and `tech-constant`
+2 <= N <= 1000.
 Exit codes: 1 on parse or size failures or when `analyze` runs out of memory,
 2 on a usage error or when a certified property is false.  Floats are
 written with 17 significant digits (by `json.dumps`, the shortest repr, in

@@ -8,7 +8,7 @@ import numpy as np
 from .errors import DomainError
 from .linext import count_extensions_sp
 from .poset import Poset, build_poset, check_size
-from .spexpr import NBlock, Singleton, SPExpr, parallel, realize, series
+from .spexpr import Singleton, SPExpr, n_poset, parallel, realize, series
 
 
 def chain_poset(n: int) -> Poset:
@@ -23,12 +23,6 @@ def chain2_plus_point() -> Poset:
     """Two comparable elements plus one isolated: the smallest poset where
     every bound here is nontrivial (entropy (2/3) ln 2, 3 extensions)."""
     return build_poset(3, [(2, 1)])
-
-
-def n_poset(k: int = 1) -> Poset:
-    """The 4-element N poset (a<b, c<b, c<d), each element blown up into a
-    k-chain."""
-    return realize(NBlock(k))
 
 
 def diamond_poset() -> Poset:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, LimitExceededError
 from .poset import Poset
-from .spexpr import Block, NBlock, Parallel, SPExpr, nodes
+from .spexpr import Block, Parallel, SPExpr, nodes
 
 ENUM_CAP = 10**6
 
@@ -116,12 +116,11 @@ def count_extensions_sp(e: SPExpr) -> int:
 
     Series multiplies counts; parallel multiplies counts and the multinomial
     of the block sizes, so the count is the product of the multinomials of
-    the parallel nodes and of the counts of the Block and NBlock leaves,
-    which `Poset.lattice` gives for leaves of at most 20 elements.
+    the parallel nodes and of the Block leaves' counts, from `Poset.lattice`.
     """
     total = 1
     for node in nodes(e):
-        if isinstance(node, (Block, NBlock)):
+        if isinstance(node, Block):
             total *= count_extensions(node.poset)
         if isinstance(node, Parallel):
             total *= math.factorial(node.size) // math.prod(math.factorial(c.size)

@@ -30,8 +30,8 @@ MAX_N = 20
 
 def check_size(n: int) -> None:
     """The one size check: n > MAX_N raises LimitExceededError.  `Poset`,
-    `build_poset`, `spexpr.realize` and `families.random_poset` call it
-    before they allocate an n x n relation."""
+    `build_poset`, `spexpr.realize`, `spexpr.n_poset` and
+    `families.random_poset` call it before they allocate an n x n relation."""
     if n > MAX_N:
         raise LimitExceededError(f"n={n} exceeds the size cap {MAX_N}")
 

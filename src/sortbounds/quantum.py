@@ -47,7 +47,7 @@ from .linext import (
 from .orderstats import harmonic, harmonic_table
 from .polytopes import EntropySolution, chain_point_batch, entropy, transfer_batch
 from .poset import MAX_N, Poset
-from .spexpr import Block, NBlock, Parallel, Series, SPExpr, nodes, sp_decomposition
+from .spexpr import Block, Parallel, Series, SPExpr, nodes, sp_decomposition
 
 MATRIX_CAP = 4000
 
@@ -143,12 +143,12 @@ def qlb_sp_fraction(e: SPExpr) -> Fraction:
     Series adds the parts, so a Series node adds nothing; a Parallel node
     adds the harmonic merge cost n H_n - sum_c n_c H_{n_c} of its children
     (the binary n H_n - n1 H_{n1} - n2 H_{n2} summed over a left fold).  Each
-    Block and NBlock leaf adds the ideal DP of `qlb_fraction`, which refuses
-    a leaf of more than ENUM_CAP extensions.
+    Block leaf adds the ideal DP of `qlb_fraction`, which refuses a leaf of
+    more than ENUM_CAP extensions.
     """
     total = Fraction(0)
     for node in nodes(e):
-        if isinstance(node, (Block, NBlock)):
+        if isinstance(node, Block):
             total += qlb_fraction(node.poset)
         elif isinstance(node, Parallel):
             total += node.size * harmonic(node.size)
@@ -174,17 +174,16 @@ def entropy_sp(e: SPExpr) -> EntropyFold:
     A parallel composition is a product of chain polytopes, so a Parallel
     node adds nothing to n H; a Series node of size m is a join, split at
     alpha_c = n_c / m, and multiplies the rational R by prod_c (m / n_c)**n_c;
-    each Block and NBlock leaf adds n_b H_b, H_b from `entropy(node.poset)`,
-    the only interior-point solves (and chain lists).  So
-    n H = ln R + sum_b n_b H_b and LB = ln(top) - sum_b n_b H_b for
-    top = n**n / R, clamped at 0; each log of a Fraction is taken from its
-    numerator and denominator, so an antichain has H = 0.0 and a chain
-    LB = 0.0 exactly.  The fold also returns top and the solved leaves, from
-    which `certify_sandwich` decides the sandwich.
+    each Block leaf adds n_b H_b, H_b from `entropy(node.poset)`, the only
+    interior-point solves (and chain lists).  So n H = ln R + sum_b n_b H_b
+    and LB = ln(top) - sum_b n_b H_b for top = n**n / R, clamped at 0; each
+    log of a Fraction is taken from its numerator and denominator, so an
+    antichain has H = 0.0 and a chain LB = 0.0 exactly.  The fold also
+    returns top and the solved leaves, the inputs of `certify_sandwich`.
     """
     R, leaves = Fraction(1), []
     for node in nodes(e):
-        if isinstance(node, (Block, NBlock)):
+        if isinstance(node, Block):
             leaves.append(entropy(node.poset))
         elif isinstance(node, Series):
             R *= Fraction(node.size**node.size, math.prod(c.size**c.size for c in node.children))
@@ -474,8 +473,8 @@ class BoundsReport:
     """Flat summary of every bound and certificate for one poset.
 
     QLB and QH are None when a block of the decomposition has more than
-    ENUM_CAP extensions; the adversary fields are None then, and when the
-    count exceeds MATRIX_CAP.
+    ENUM_CAP extensions; the adversary fields are None exactly when the
+    count exceeds MATRIX_CAP, as no block has more extensions than P.
     """
 
     n: int
@@ -603,12 +602,13 @@ def analyze(P: Poset) -> BoundsReport:
     Block leaves take the up-set count and the gap DP over their ideals
     (P, a `Poset`, has at most MAX_N elements); QLB and QH are None when a
     block has more than ENUM_CAP extensions.  Only the adversary matrix
-    enumerates the extensions, and it is built only when
-    the count is within MATRIX_CAP and QLB is known, else its fields are
-    None.  Each norm is a side of its `norm_bracket`: `gamma_norm` is the
-    lower side of ||Gamma||, `max_gamma_ij_norm` the upper side over the
-    masks.  H(P) and LB fold the same decomposition (`entropy_sp`), so only
-    its Block leaves list maximal chains and run the interior-point method.
+    enumerates the extensions, and it is built exactly when the count is
+    within MATRIX_CAP (so is each block's, and QLB is known), else its
+    fields are None.  Each norm is a side of its `norm_bracket`:
+    `gamma_norm` is the lower side of ||Gamma||, `max_gamma_ij_norm` the
+    upper side over the masks.  H(P) and LB fold the same decomposition
+    (`entropy_sp`), so only its Block leaves list maximal chains and run the
+    interior-point method.
     QLB is the exact `Fraction` of `qlb_sp_fraction` and QH the exact
     H_n - QLB / n, each rounded once to a float.  The certificates, each an
     exact comparison of exact values, are
@@ -634,7 +634,7 @@ def analyze(P: Poset) -> BoundsReport:
 
     gnorm = mnorm = None
     lemma1 = lemma2 = lemma3 = None
-    if num <= MATRIX_CAP and qlb is not None:
+    if num <= MATRIX_CAP:
         gamma = build_adversary(P)
         gnorm = norm_bracket(gamma)[0]
         mnorm = max_gamma_ij_norm(gamma, P)

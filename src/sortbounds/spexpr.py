@@ -12,21 +12,21 @@ Grammar, whitespace-insensitive::
 
 Both compositions are n-ary and flattened, so every expression has a unique
 normal form; the binary compositions of the literature are recovered by a
-left fold.  ``realize`` numbers elements 0..n-1 in left-to-right leaf order:
-a series places every element of an earlier block below every element of a
-later block, a parallel adds no cross relations.  ``sp_decomposition`` inverts it up to
-renumbering for any ``Poset`` (n >= 1), splitting on the poset's cached
+left fold.  An N(k) parses to a ``Block`` leaf holding ``n_poset(k)``.
+``realize`` numbers elements 0..n-1 in left-to-right leaf order: a series
+places every element of an earlier block below every element of a later
+block, a parallel adds no cross relations.  ``sp_decomposition`` inverts it
+up to renumbering for any ``Poset`` (n >= 1), splitting on the poset's cached
 ``pred_masks`` and ``succ_masks``.  ``nodes`` walks an expression without
 recursion, and the folds over an expression sum along it.  Every node carries
-its ``size``, the element count of its realized poset: 1 for a singleton, 4k
-for N(k), n for a Block, and for a series or parallel node the sum of its
+its ``size``, the element count of its realized poset: 1 for a singleton, n
+for a Block (4k for N(k)), and for a series or parallel node the sum of its
 children's, set when the node is built; every builder makes children first.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Union
 
 import numpy as np
@@ -68,39 +68,23 @@ class Parallel(_Composition):
 
 
 @dataclass(frozen=True)
-class NBlock:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"N block size must be >= 1, got {self.k}")
-
-    def __str__(self) -> str:
-        return f"N({self.k})"
-
-    @property
-    def size(self) -> int:
-        return 4 * self.k
-
-    @cached_property
-    def poset(self) -> Poset:
-        """The realized N block, built once per node."""
-        return realize(self)
-
-
-@dataclass(frozen=True)
 class Block:
-    """An indecomposable part of a decomposed poset: its comparability and
-    incomparability graphs are both connected."""
+    """A leaf holding a poset: a part of a decomposed poset whose comparability
+    and incomparability graphs are both connected, or a parsed N(k) (printed
+    as its ``text``, which equality ignores)."""
 
     poset: Poset
+    text: str = field(default="", compare=False, repr=False)
+
+    def __str__(self) -> str:
+        return self.text or repr(self)
 
     @property
     def size(self) -> int:
         return self.poset.n
 
 
-SPExpr = Union[Singleton, Series, Parallel, NBlock, Block]
+SPExpr = Union[Singleton, Series, Parallel, Block]
 
 
 def _paren(e: SPExpr, *, inside_series: bool) -> str:
@@ -175,7 +159,6 @@ MAX_SIZE = 10_000
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -245,7 +228,7 @@ class _Parser:
                 raise ValueError(f"{value}({k}): size must be >= 1")
             self.grow(4 * k if value == "N" else k, pos)
             if value == "N":
-                return NBlock(k)
+                return Block(n_poset(k), f"N({k})")
             if k == 1:
                 return Singleton()
             leaves = tuple(Singleton() for _ in range(k))
@@ -262,6 +245,18 @@ def parse_sp(text: str) -> SPExpr:
 # Realization
 # ---------------------------------------------------------------------------
 
+def n_poset(k: int = 1) -> Poset:
+    """The N(k) of the grammar above, its chains A, B, C, D on 0..4k-1 in that
+    order; 4k > `poset.MAX_N` raises LimitExceededError before any of it."""
+    if k < 1:
+        raise ValueError(f"N block size must be >= 1, got {k}")
+    check_size(4 * k)
+    rel = np.triu(np.ones((4 * k, 4 * k), dtype=bool), 1)  # the chain A < B < C < D
+    rel[: 2 * k, 2 * k :] = False  # but A and B lie below neither C nor D
+    rel[2 * k : 3 * k, k : 2 * k] = True  # and C < B
+    return Poset(rel)
+
+
 def realize(e: SPExpr) -> Poset:
     """Build the poset of an expression on elements 0..n-1 in leaf order,
     placing each node at its offset by the sizes of its elder siblings;
@@ -271,14 +266,7 @@ def realize(e: SPExpr) -> Poset:
     stack = [(e, 0)]
     while stack:
         node, offset = stack.pop()
-        if isinstance(node, NBlock):
-            k = node.k
-            a, b, c, d = (slice(offset + t * k, offset + (t + 1) * k) for t in range(4))
-            for chain_block in (a, b, c, d):
-                rel[chain_block, chain_block] = np.triu(np.ones((k, k), dtype=bool), 1)
-            for lo_block, hi_block in ((a, b), (c, b), (c, d)):
-                rel[lo_block, hi_block] = True
-        elif isinstance(node, Block):
+        if isinstance(node, Block):
             block = slice(offset, offset + node.size)
             rel[block, block] = node.poset.rel
         elif not isinstance(node, Singleton):

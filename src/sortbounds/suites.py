@@ -332,7 +332,7 @@ def suite_adversary(seed: int, samples: int) -> list[CheckResult]:
         P = families.random_poset(int(rng.integers(2, 6)), rng, p=0.4)
         g = quantum.build_adversary(P)
         lo, hi = quantum.norm_bracket(g)
-        exact = float(np.abs(np.linalg.eigvalsh(g.to_dense())).max()) if g.dim else 0.0
+        exact = float(np.abs(np.linalg.eigvalsh(g.to_dense())).max())
         slack = 1e-6 * max(exact, 1.0)
         if not lo - slack <= exact <= hi + slack:
             dense_bad += 1

@@ -68,6 +68,33 @@ def test_qlb_at_least_itlb_on_every_small_poset():
             assert k <= 100, P.pairs()
 
 
+def test_geometric_comparison_on_every_small_poset():
+    # ROADMAP item 16, step 4: for a minimal x with 0 < pi_x < 1, where
+    # pi_x = c_1 / N and c_k counts the extensions with x at position k,
+    # g_x = sum_{k>=2} c_k / ((k - 1) N) >= -pi_x ln pi_x, that is
+    # e^(g_x / pi_x) >= 1 / pi_x, decided by Taylor partial sums as above.
+    # Each rest P - D of a census poset is a census class too, so this
+    # covers the step for every ideal of every poset with n <= 6.
+    cases = 0
+    for P in census(6):
+        orders = extension_orders(P)
+        counts = np.zeros((P.n, P.n + 1), dtype=np.int64)
+        np.add.at(counts, (orders, np.arange(1, P.n + 1)), 1)  # counts[x, k], k >= 1
+        for x in np.flatnonzero(~P.rel.any(axis=0)).tolist():
+            c = counts[x].tolist()
+            if c[1] == len(orders):
+                continue
+            t = sum(Fraction(c[k], k - 1) for k in range(2, P.n + 1)) / c[1]
+            partial, term, k = Fraction(1), Fraction(1), 0
+            while partial < Fraction(len(orders), c[1]):
+                k += 1
+                term *= t / k
+                partial += term
+                assert k <= 100, (P.pairs(), x)
+            cases += 1
+    assert cases == 827
+
+
 def test_exact_sandwich_agrees_with_float_on_every_small_poset():
     on_a_side = 0
     for P in census(6):

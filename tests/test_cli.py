@@ -83,6 +83,10 @@ def test_analyze_size_failure_exits_1(capsys):
     code, _, err = run_cli(capsys, "analyze", "--expr", "antichain(25)")
     assert code == 1
     assert err == "error: n=25 exceeds the size cap 20\n"
+    # the parser builds an N(k) leaf, so it refuses N(6) on its own
+    for expr in ("N(6)", "N(6)+."):
+        assert run_cli(capsys, "analyze", "--expr", expr)[::2] == (
+            1, "error: n=24 exceeds the size cap 20\n")
 
 
 def test_analyze_rejects_oversized_input_before_building(capsys, tmp_path):

@@ -163,7 +163,8 @@ def test_refusal_allocates_nothing():
     rel, expr, rng = np.zeros((21, 21)), parse_sp("chain(800)"), np.random.default_rng(0)
     for n, build in ((21, lambda: Poset(rel)), (10**9, lambda: build_poset(10**9, [])),
                      (800, lambda: realize(expr)), (10**9, lambda: chain_poset(10**9)),
-                     (10**4, lambda: random_poset(10**4, rng))):
+                     (10**4, lambda: random_poset(10**4, rng)),
+                     (4 * 10**4, lambda: n_poset(10**4))):
         tracemalloc.start()
         try:
             with pytest.raises(LimitExceededError, match=f"^n={n} exceeds the size cap 20$"):

@@ -49,7 +49,7 @@ from sortbounds import polytopes, quantum
 from sortbounds.polytopes import _order_points, entropy_bracket, order_point_batch
 from sortbounds.poset import transitive_closure
 from sortbounds.quantum import DENSE_MAX, _window_types, max_gamma_ij_norm
-from sortbounds.spexpr import Block, NBlock, nodes
+from sortbounds.spexpr import Block, nodes
 
 from conftest import (
     all_types_max_gamma_ij_norm,
@@ -156,9 +156,14 @@ def test_lattice_matches_dict_oracle(case):
 
 @pytest.mark.parametrize("text", ["chain(21)", "N(6)"])
 def test_lattice_refuses_past_max_n(text):
-    # past MAX_N = 20 no poset is built, so no table is either
+    # past MAX_N = 20 no poset is built, so no table is either: `realize`
+    # refuses chain(21), and the parser, which builds each N(k) leaf, N(6)
+    if text == "N(6)":
+        with pytest.raises(LimitExceededError, match="^n=24 exceeds the size cap 20$"):
+            parse_sp(text)
+        return
     e = parse_sp(text)
-    with pytest.raises(LimitExceededError, match=f"n={e.size} exceeds the size cap 20"):
+    with pytest.raises(LimitExceededError, match=f"^n={e.size} exceeds the size cap 20$"):
         realize(e)
 
 
@@ -550,7 +555,7 @@ def test_entropy_takes_the_seed_loops_iterates_on_the_corpus(family8):
     # inputs, the standard family, and the 1458 chains of the widest layered
     # poset at n = 20, from a loose tol to a tight one
     leaves = [(name, node.poset) for name, _, P in _reference_reports()
-              for node in nodes(sp_decomposition(P)[0]) if isinstance(node, (Block, NBlock))]
+              for node in nodes(sp_decomposition(P)[0]) if isinstance(node, Block)]
     assert len(leaves) == 94
     layered = realize(parse_sp("*".join(["antichain(3)"] * 6 + ["antichain(2)"])))
     for name, P in [*family8, ("layered", layered), *leaves]:

@@ -11,10 +11,25 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_library_block_runs():
-    # the Library example must only use names the package still exports
+    # the Library example must only use names the package still exports,
+    # and each expression line's comment must begin with the repr of its
+    # value, or with the leading digits of a float shown as "1.0986..."
     library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
     block = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
-    exec(compile(block, "README.md", "exec"), {})
+    lines, scope, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            continue
+        got = repr(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope))
+        shown = lines[stmt.end_lineno - 1].split("#", 1)[1].strip()
+        digits = re.match(r"(\d+\.\d+)\.\.\.", shown)
+        if digits:
+            assert got.startswith(digits.group(1)), (shown, got)
+        else:
+            assert re.match(re.escape(got) + r"(?:$|[,:\s])", shown), (shown, got)
+        checked += 1
+    assert checked == 8
 
 
 def test_readme_command_lines_parse():

@@ -20,6 +20,7 @@ import pytest
 
 from sortbounds import (analyze, cli, entropy_sp, harmonic, lb, parse_sp, poset_from_text,
                         qlb_sp_fraction, realize, sp_decomposition)
+from sortbounds.quantum import MATRIX_CAP
 
 OPS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "ops.py"
 # compiled from source, so that no bytecode cache is written under bench/
@@ -46,6 +47,9 @@ def test_analyze_matches_reference(name, tmp_path):
     assert (code, err.getvalue()) == (0, "")
     rep = json.loads(out.getvalue())
     assert ops.check_report(rep, entry["report"]) is None
+    # every block has at most N extensions, so QLB is known whenever N is
+    # within the matrix cap: the adversary fields are null exactly past it
+    assert (rep["gamma_norm"] is None) == (rep["num_extensions"] > MATRIX_CAP)
     text = entry["text"]
     P = poset_from_text(text) if entry["fmt"] == "poset" else realize(parse_sp(text))
     assert rep["lb"] == lb(P)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sortbounds import (
-    NBlock,
+    Block,
     Parallel,
     ParseError,
     Poset,
@@ -48,7 +48,9 @@ def test_parse_sugar():
     assert parse_sp("chain(3)") == Series((Singleton(),) * 3)
     assert parse_sp("antichain(4)") == Parallel((Singleton(),) * 4)
     assert parse_sp("chain(1)") == Singleton()
-    assert parse_sp("N(2)") == NBlock(2)
+    # an N(k) is a Block of n_poset(k) that prints as it was written
+    assert parse_sp("N(2)") == Block(n_poset(2))
+    assert str(parse_sp("N(2)")) == "N(2)"
 
 
 def test_parse_errors_carry_position():
@@ -95,10 +97,13 @@ def test_realize_basics():
 
 
 def test_realize_n_block_pair_count():
-    for k in (1, 2, 3, 4):
-        P = realize(NBlock(k))
+    for k in range(1, 6):
+        P = n_poset(k)
         assert P.n == 4 * k
         assert len(P.pairs()) == 3 * k * k + 4 * (k * (k - 1) // 2)
+        assert realize(parse_sp(f"N({k})")) == P
+        # N(k) is indecomposable: its decomposition is the parsed Block
+        assert sp_decomposition(P)[0] == parse_sp(f"N({k})")
 
 
 def test_recognize_antichain():
@@ -181,8 +186,8 @@ def test_decompose_deepest_poset():
 
 
 def test_folds_share_one_n_leaf(monkeypatch):
-    # an N(k) leaf realizes its poset once, so the count and the QLB fold
-    # read one ideal lattice
+    # an N(k) leaf holds its poset from the parse on, so the count and the
+    # QLB fold read its one ideal lattice
     want = qlb_fraction(n_poset(2)) + 9 * harmonic(9) - 8 * harmonic(8) - harmonic(1)
     built = []
     fill = Poset.lattice.func
@@ -195,8 +200,7 @@ def test_folds_share_one_n_leaf(monkeypatch):
     lattice.__set_name__(Poset, "lattice")
     monkeypatch.setattr(Poset, "lattice", lattice)
     e = parse_sp("N(2)+.")
-    leaf = next(node for node in nodes(e) if isinstance(node, NBlock))
-    assert leaf.poset is leaf.poset
+    leaf = next(node for node in nodes(e) if isinstance(node, Block))
     assert count_extensions_sp(e) == 53 * 9
     assert qlb_sp_fraction(e) == want
     assert len(built) == 1 and built[0] is leaf.poset
