@@ -46,6 +46,7 @@ from .orderstats import (
     density_f,
     exp_ln_gap_check,
     gap_distribution_check,
+    gap_distribution_family,
     harmonic,
     harmonic_table,
     ks_critical,

@@ -4,11 +4,12 @@ Provides exact harmonic numbers, the gap density
 
     f_{n,k}(s) = n * C(n-1, k) * s**k * (1-s)**(n-k-1),    0 <= k < n,
 
-its closed-form integrals, and two Monte-Carlo checks of the gap law for
-the gap z_{i+d} - z_i of n sorted uniforms: `gap_distribution_check` (it is
-f_{n,d-1}-distributed regardless of i) and `exp_ln_gap_check` (the harmonic
-law E[ln(z_{i+d} - z_i)] = H_{d-1} - H_n behind QLB).  Both read the one
-seeded gap draw `_gaps`.
+its closed-form integrals, and Monte-Carlo checks of the gap law for the
+gap z_{i+d} - z_i of n sorted uniforms: `gap_distribution_check` (it is
+f_{n,d-1}-distributed regardless of i), `gap_distribution_family` (the same
+KS test for every gap of one draw) and `exp_ln_gap_check` (the harmonic law
+E[ln(z_{i+d} - z_i)] = H_{d-1} - H_n behind QLB).  All three read a gap off
+the sorted rows through the one helper `_gap`.
 
 Each quantity has its one implementation here: `harmonic_table` holds every
 harmonic number over one common denominator (`harmonic` and
@@ -188,30 +189,46 @@ def ks_critical(samples: int, alpha: float = 0.001) -> float:
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(samples)
 
 
-def _gaps(n: int, i: int, d: int, samples: int, seed: int) -> np.ndarray:
-    """The gap z_{i+d} - z_i in each of `samples` rows of n sorted uniforms
-    drawn from default_rng(seed).
+def _gap(z: np.ndarray, i: int, d: int) -> np.ndarray:
+    """The gap z_{i+d} - z_i in each row of sorted uniforms z.
 
     i and d are 1-based with 0 <= i < i + d <= n; at i = 0 the gap is
     measured from the fixed lower boundary z_0 = 0, so it is z_d itself.
     """
+    return z[:, i + d - 1] - (z[:, i - 1] if i >= 1 else 0.0)
+
+
+def _gaps(n: int, i: int, d: int, samples: int, seed: int) -> np.ndarray:
+    """The gap `_gap(z, i, d)` in each of `samples` rows z of n sorted
+    uniforms drawn from default_rng(seed)."""
     if not 0 <= i < i + d <= n:
         raise DomainError(f"need 0 <= i < i+d <= n, got n={n}, i={i}, d={d}")
     if samples < 1:
         raise DomainError(f"need at least 1 sample, got {samples}")
-    z = sorted_uniforms(n, samples, np.random.default_rng(seed))
-    return z[:, i + d - 1] - (z[:, i - 1] if i >= 1 else 0.0)
+    return _gap(sorted_uniforms(n, samples, np.random.default_rng(seed)), i, d)
 
 
 def gap_distribution_check(n: int, i: int, d: int, samples: int, seed: int) -> float:
-    """KS distance of the sorted-uniform gap z_{i+d} - z_i (see `_gaps`)
+    """KS distance of the sorted-uniform gap z_{i+d} - z_i (see `_gap`)
     against f_{n,d-1}, whose CDF is the binomial tail density_cdf."""
     return ks_statistic(_gaps(n, i, d, samples, seed), lambda x: density_cdf(n, d - 1, x))
 
 
+def gap_distribution_family(n: int, samples: int, seed: int) -> dict[tuple[int, int], float]:
+    """{(i, d): KS distance of z_{i+d} - z_i against f_{n,d-1}} for every
+    1 <= i < i + d <= n, all read off one draw of `samples` rows of n sorted
+    uniforms from default_rng(seed).  The distances share the draw, so they
+    are dependent: judge them together at a family-wise rate (Bonferroni)."""
+    if samples < 1:
+        raise DomainError(f"need at least 1 sample, got {samples}")
+    z = sorted_uniforms(n, samples, np.random.default_rng(seed))
+    return {(i, d): ks_statistic(_gap(z, i, d), lambda x: density_cdf(n, d - 1, x))
+            for i in range(1, n) for d in range(1, n - i + 1)}
+
+
 def exp_ln_gap_check(n: int, i: int, d: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo check of the harmonic gap law E[ln(z_{i+d} - z_i)] =
-    H_{d-1} - H_n, with i and d as in `_gaps`: (|MC mean - target|, standard
+    H_{d-1} - H_n, with i and d as in `_gap`: (|MC mean - target|, standard
     error of the MC mean) from at least 2 samples.  An element of rank r and
     predecessor gap d (`quantum.d_vector`) in an extension is the case i = r - d.
     """

@@ -1,11 +1,13 @@
 """Exhaustive sweeps over `conftest.census`: every poset with n <= 6, one
 per isomorphism class, so no small counterexample can hide."""
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from sortbounds import (
+    analyze,
     certify_sandwich,
     count_extensions,
     count_extensions_sp,
@@ -111,3 +113,11 @@ def test_exact_sandwich_agrees_with_float_on_every_small_poset():
         assert min(margins) == 0.0 and not fold.leaves
         on_a_side += 1
     assert on_a_side == 32
+
+
+def test_analyze_certifies_every_small_poset():
+    # n <= 6 keeps every count under MATRIX_CAP, so no report field is null
+    for P in census(6):
+        rep = analyze(P)
+        assert None not in dataclasses.astuple(rep), rep
+        assert (rep.lemma1_ok, rep.lemma2_ok, rep.lemma3_ok, rep.sandwich_ok) == (True,) * 4, rep

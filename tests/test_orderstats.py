@@ -17,6 +17,7 @@ from sortbounds import (
     density_f,
     exp_ln_gap_check,
     gap_distribution_check,
+    gap_distribution_family,
     harmonic,
     harmonic_table,
     ks_critical,
@@ -168,6 +169,8 @@ def test_gap_checks_refuse_sample_counts_below_one(samples):
         gap_distribution_check(4, 1, 1, samples, 0)
     with pytest.raises(DomainError, match="at least 2 samples"):
         exp_ln_gap_check(4, 1, 1, samples, 0)
+    with pytest.raises(DomainError, match="at least 1 sample"):
+        gap_distribution_family(4, samples, 0)
     # one sample is enough for a KS distance
     assert 0.0 < gap_distribution_check(4, 1, 1, 1, 0) <= 1.0
 
@@ -307,3 +310,26 @@ def test_seeded_gap_checks_are_pinned(key):
     assert gap_distribution_check(*key[:3], 10**4, key[3]) == ks
     # exp_ln_gap_check averages np.log, whose last bit may differ between SIMD builds
     assert exp_ln_gap_check(*key[:3], 10**4, key[3]) == pytest.approx(expln, rel=1e-13)
+
+
+# a few of the family's distances at (n, seed) with 10^4 samples, so that any
+# change to the shared draw or to the columns it reads shows
+GAP_FAMILY_PINS = {
+    (2, 0): {(1, 1): 0.01062810206868292},
+    (4, 7): {(1, 1): 0.006011710706610662, (2, 2): 0.011098654887329917,
+             (1, 3): 0.010826011383603007},
+    (6, 2024): {(1, 5): 0.013678915956757631, (3, 2): 0.015216920476453955,
+                (5, 1): 0.010734555335601081},
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(GAP_FAMILY_PINS))
+def test_gap_distribution_family_reads_one_draw(n, seed):
+    # every gap 1 <= i < i+d <= n, each tested on the columns of one draw
+    z = sorted_uniforms(n, 10**4, np.random.default_rng(seed))
+    want = {(i, d): ks_statistic(z[:, i + d - 1] - z[:, i - 1], lambda x: density_cdf(n, d - 1, x))
+            for i in range(1, n) for d in range(1, n - i + 1)}
+    assert len(want) == math.comb(n, 2)
+    family = gap_distribution_family(n, 10**4, seed)
+    assert family == want
+    assert {gap: family[gap] for gap in GAP_FAMILY_PINS[n, seed]} == GAP_FAMILY_PINS[n, seed]

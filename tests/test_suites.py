@@ -1,8 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
-from sortbounds import families, linext, quantum
+from sortbounds import families, linext, orderstats, quantum
 from sortbounds.cli import main
 from sortbounds.suites import SUITES, CheckResult, run_suites, suite_adversary
 
@@ -82,3 +83,26 @@ def test_uniform_rayleigh_floor_reads_analyze_lemma1(monkeypatch):
     assert checks["uniform_rayleigh_floor"] is False
     assert checks["norm_certificates"] is False
     assert checks["hilbert_below_pi"] and checks["power_iteration_vs_dense"]
+
+
+def _gap_of_next_d(z, i, d, gap=orderstats._gap):
+    # reads the gap of d + 1 for d wherever the row has one: the 20 tests with
+    # i + d < n are affected, the 15 with i + d = n are not
+    return gap(z, i, min(d + 1, z.shape[1] - i))
+
+
+def _one_uniform_dropped(n, samples, rng, draw=orderstats.sorted_uniforms):
+    # n - 1 uniforms a row, padded with the upper boundary 1.0: all 35 affected
+    return np.hstack([draw(n - 1, samples, rng), np.ones((samples, 1))])
+
+
+@pytest.mark.parametrize("samples", [10**5, 10**4])
+@pytest.mark.parametrize("name, defect, passed", [("_gap", _gap_of_next_d, 15),
+                                                   ("sorted_uniforms", _one_uniform_dropped, 0)])
+def test_gap_family_fails_each_planted_defect(monkeypatch, name, defect, passed, samples):
+    monkeypatch.setattr(orderstats, name, defect)
+    ks = next(r for r in run_suites(["orderstats"], seed=11, samples=samples)
+              if r.name == "gap_distribution_ks")
+    assert not ks.ok
+    # every affected test fails
+    assert ks.detail.startswith(f"{passed}/35 gap tests below"), ks.detail
