@@ -14,9 +14,10 @@ the sorted rows through the one helper `_gap`.
 Each quantity has its one implementation here: `harmonic_table` holds every
 harmonic number over one common denominator (`harmonic` and
 `quantum.tech_constant` read it), `quad` is the one quadrature and
-`density_cdf` the one binomial tail.  The module depends on no poset layer:
-it imports nothing from the package but its errors, and a caller reads an
-element's gap off an extension with `quantum.d_vector`.
+`density_cdf` the one binomial tail.  `quad` is a fixed numpy rule, so the
+module depends on no part of scipy, and on no poset layer: it imports
+nothing from the package but its errors, and a caller reads an element's gap
+off an extension with `quantum.d_vector`.
 """
 from __future__ import annotations
 
@@ -48,55 +49,93 @@ def harmonic(q: int) -> Fraction:
     return Fraction(LH[q], L)
 
 
-def _check_nk(n: int, k: int, s: float = 0.0) -> None:
+def _check_nk(n: int, k: int) -> None:
     if not 0 <= k < n:
         raise DomainError(f"need 0 <= k < n, got n={n}, k={k}")
-    if not 0.0 <= s <= 1.0:
-        raise DomainError(f"s must lie in [0, 1], got {s}")
 
 
-def density_f(n: int, k: int, s: float) -> float:
-    """Density of the (k+1)-st gap shape: n*C(n-1,k)*s^k*(1-s)^(n-k-1)."""
-    _check_nk(n, k, s)
-    return n * math.comb(n - 1, k) * s**k * (1.0 - s) ** (n - k - 1)
-
-
-def density_cdf(n: int, k: int, x) -> np.ndarray | float:
-    """CDF of density_f: the binomial tail sum_{l>k} C(n,l) x^l (1-x)^(n-l);
-    raises DomainError, as density_f does, for any x outside [0, 1] or NaN."""
-    _check_nk(n, k)
+def _unit_points(x) -> np.ndarray:
+    """x as a float array; raises DomainError for any point outside [0, 1] or NaN."""
     x = np.asarray(x, dtype=float)
     outside = ~((x >= 0.0) & (x <= 1.0))
     if outside.any():
         raise DomainError(f"x must lie in [0, 1], got {x[outside].flat[0]}")
-    # x^(k+1) sum_j C(n, k+1+j) x^j y^(m-j), y = 1 - x, m = n-k-1, nested in y
+    return x
+
+
+def density_f(n: int, k: int, s) -> np.ndarray:
+    """Density of the (k+1)-st gap shape: n*C(n-1,k)*s^k*(1-s)^(n-k-1), at
+    every point of s."""
+    _check_nk(n, k)
+    s = _unit_points(s)
+    return n * math.comb(n - 1, k) * s**k * (1.0 - s) ** (n - k - 1)
+
+
+def density_cdf(n: int, k: int, x) -> np.ndarray:
+    """CDF of density_f: the binomial tail sum_{l>k} C(n,l) x^l (1-x)^(n-l),
+    at every point of x; raises DomainError, as density_f does, for any x
+    outside [0, 1] or NaN."""
+    _check_nk(n, k)
+    x = _unit_points(x)
+    # x^(k+1) sum_j C(n, k+1+j) x^j y^(m-j), y = 1 - x, m = n-k-1, nested in y;
+    # each term and x^(k+1) go through the one buffer `term`
     y = 1.0 - x
     xp = np.ones_like(x)
+    term = np.empty_like(x)
     acc = np.full_like(x, math.comb(n, k + 1))
     for l in range(k + 2, n + 1):
         acc *= y
         xp *= x
-        acc += math.comb(n, l) * xp
-    acc *= x ** (k + 1)
+        acc += np.multiply(xp, math.comb(n, l), out=term)
+    acc *= np.power(x, k + 1, out=term)
     return acc
 
 
-QUAD_TOL = 1e-12  # absolute and relative target of every gap-integral quadrature
+QUAD_PANELS = 52   # halvings toward a of `quad`'s panels
+QUAD_ERROR = 1e-8  # largest |20-node sum - 10-node sum| that `quad` accepts
 
 
-def quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive quadrature of f over [a, b] at QUAD_TOL; raises
-    QuadratureFailureError when the error estimate exceeds 1e-8."""
+@lru_cache(maxsize=1)
+def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+    """(nodes u, weights W) of the graded Gauss-Legendre rule on [0, 1]:
+    W[0] @ f(u) is the 10-node sum and W[1] @ f(u) the 20-node sum over the
+    panels [2^-(j+1), 2^-j] for j < QUAD_PANELS and [0, 2^-QUAD_PANELS]."""
+    edges = np.append(2.0 ** -np.arange(QUAD_PANELS + 1), 0.0)
+    lo, width = edges[1:], edges[:-1] - edges[1:]
+    nodes, weights = [], []
+    for order in (10, 20):
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes.append((lo[:, None] + width[:, None] * (x + 1.0) / 2.0).ravel())
+        weights.append((width[:, None] * w / 2.0).ravel())
+    u = np.concatenate(nodes)
+    W = np.zeros((2, len(u)))
+    W[0, :len(nodes[0])], W[1, len(nodes[0]):] = weights
+    u.flags.writeable = W.flags.writeable = False  # shared by every call
+    return u, W
+
+
+def quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integral of f over [a, b] by a graded Gauss-Legendre rule.
+
+    [a, b] is split into panels that halve toward a, [a + h 2^-(j+1),
+    a + h 2^-j] for j < QUAD_PANELS and [a, a + h 2^-QUAD_PANELS], h = b - a,
+    and both the 10- and the 20-node rule run on every panel; f is called
+    once, on the array of all their nodes.  The 20-node sum is returned, and
+    its gap to the 10-node sum is the error estimate: above QUAD_ERROR, or
+    not finite, it raises QuadratureFailureError.  The rule is exact to
+    rounding for polynomials of degree <= 19, such as the gap densities, and
+    the grading resolves an integrable singularity at a (ln t at a = 0, as
+    in E[ln z]); f must be smooth everywhere else on [a, b].
+    """
     if a >= b:
         return 0.0
-    # imported at the first quadrature: scipy.integrate brings scipy.optimize
-    # and scipy.special, about 0.25 s that `analyze` would pay for nothing
-    from scipy import integrate
-
-    val, err = integrate.quad(f, a, b, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-    if err > 1e-8:
-        raise QuadratureFailureError(f"quadrature error estimate {err:.2e} too large")
-    return val
+    u, W = _graded_rule()
+    h = b - a
+    lo, hi = h * (W @ f(a + h * u))
+    if not abs(hi - lo) <= QUAD_ERROR:
+        raise QuadratureFailureError(
+            f"quadrature error estimate {abs(hi - lo):.2e} above {QUAD_ERROR:.0e}")
+    return float(hi)
 
 
 @dataclass(frozen=True)
@@ -124,17 +163,13 @@ def _integral_J(n: int, k: int, s: float) -> float:
     )
 
 
-_LOG_EPS = 1e-6  # split point isolating the ln t endpoint singularity
-
-
 @lru_cache(maxsize=4096)
 def _integral_H(n: int, k: int) -> float:
-    """E[ln z] under density_f, by quadrature with the t = exp(-u) substitution
-    on (0, eps) to remove the logarithmic singularity at 0."""
-    body = quad(lambda t: t**k * (1.0 - t) ** (n - k - 1) * math.log(t), _LOG_EPS, 1.0)
-    tail = quad(lambda u: -u * math.exp(-(k + 1) * u) * (1.0 - math.exp(-u)) ** (n - k - 1),
-                -math.log(_LOG_EPS), np.inf)
-    return n * math.comb(n - 1, k) * (body + tail)
+    """E[ln z] under density_f, by one quadrature over [0, 1]: the graded
+    rule resolves the logarithmic singularity at 0."""
+    return n * math.comb(n - 1, k) * quad(
+        lambda t: t**k * (1.0 - t) ** (n - k - 1) * np.log(t), 0.0, 1.0
+    )
 
 
 def _closed_H(n: int, k: int) -> float:
@@ -148,7 +183,8 @@ def closed_form_checks(n: int, k: int, s: float) -> ClosedFormResiduals:
     the expectation-of-log integral does not depend on s.  The closed form
     of the second is the binomial tail density_cdf(n, k, 1 - s).
     """
-    _check_nk(n, k, s)
+    _check_nk(n, k)
+    _unit_points(s)
     i_res = None
     if k >= 1:
         i_res = abs(_integral_I(n, k, s) - _closed_I(n, k, s))

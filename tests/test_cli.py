@@ -494,26 +494,29 @@ LAYERS2X10 = "(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)*(.+.)"
 
 
 def test_import_loads_only_what_analyze_runs():
-    # a fresh interpreter: this one has long loaded scipy.integrate.  The
-    # layered input sends a 1,024-vertex component to eigsh, so analyze
-    # reaches every scipy module it uses.
+    # a fresh interpreter: this one has loaded scipy.integrate for the
+    # quadrature oracles.  The layered input sends a 1,024-vertex component
+    # to eigsh, so analyze reaches every scipy module it uses; the orderstats
+    # suite runs every quadrature, which is numpy only.
     script = textwrap.dedent(f"""
-        import math, sys
+        import sys
+        import numpy as np
         import sortbounds.cli
-        from sortbounds import orderstats
+        from sortbounds import orderstats, suites
         quadrature = ("scipy.integrate", "scipy.optimize", "scipy.special")
         print(sorted(m for m in quadrature if m in sys.modules))
         before = set(sys.modules)
         assert sortbounds.cli.main(["analyze", "--expr", "{LAYERS2X10}"]) == 0
         print(sorted(set(sys.modules) - before))
-        print(abs(orderstats.quad(math.sin, 0, math.pi) - 2) <= 1e-12)
-        print("scipy.integrate" in sys.modules)
+        assert all(r.ok for r in suites.run_suites(["orderstats"], 42, 10**5))
+        print(abs(orderstats.quad(np.sin, 0, np.pi) - 2) <= 1e-12)
+        print(sorted(m for m in quadrature if m in sys.modules))
     """)
     child = subprocess.run([sys.executable, "-c", script], env=child_env(),
                            capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    loaded, report, added, quad_ok, integrate_loaded = child.stdout.splitlines()
+    loaded, report, added, quad_ok, quadrature_loaded = child.stdout.splitlines()
     assert loaded == "[]"
     assert json.loads(report)["num_extensions"] == 1024
     assert added == "[]"
-    assert quad_ok == "True" and integrate_loaded == "True"
+    assert quad_ok == "True" and quadrature_loaded == "[]"

@@ -43,12 +43,33 @@ def test_orderstats_is_a_leaf():
 
 @pytest.mark.parametrize("module", sorted(MODULES))
 def test_no_function_imports_a_package_module(module):
-    # lazy imports of third-party modules (scipy.integrate in `quad`) are fine
+    # a function may import a third-party module lazily, but no package module
     lazy = [(fn.name, node.lineno)
             for fn in ast.walk(MODULES[module])
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(fn) if _package_imports(node)]
     assert lazy == []
+
+
+def _imported_modules(tree):
+    """Absolute names of every module an import statement anywhere in tree reads."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_scipy_quadrature_or_optimization(module):
+    # `orderstats.quad` is numpy only; scipy.integrate, which loads
+    # scipy.optimize with it, is an oracle of the tests alone
+    banned = ("scipy.integrate", "scipy.optimize")
+    assert [name for name in _imported_modules(MODULES[module])
+            if any(name == b or name.startswith(b + ".") for b in banned)] == []
 
 
 def test_import_graph_has_no_cycle():

@@ -9,6 +9,7 @@ from scipy import integrate
 from sortbounds import (
     DomainError,
     LinearExtension,
+    QuadratureFailureError,
     antichain_poset,
     chain_poset,
     closed_form_checks,
@@ -23,7 +24,8 @@ from sortbounds import (
     ks_critical,
     ks_statistic,
 )
-from sortbounds.orderstats import sorted_uniforms
+from sortbounds import orderstats, suites
+from sortbounds.orderstats import quad, sorted_uniforms
 
 from conftest import seed_exp_ln_gap_check
 
@@ -64,6 +66,17 @@ def test_density_examples():
         density_f(3, 3, 0.5)
     with pytest.raises(DomainError):
         density_f(3, 1, 1.5)
+
+
+def test_density_f_takes_arrays():
+    grid = np.linspace(0.0, 1.0, 101)
+    for n in range(1, 13):
+        for k in range(n):
+            want = [n * math.comb(n - 1, k) * s**k * (1.0 - s) ** (n - k - 1) for s in grid]
+            np.testing.assert_allclose(density_f(n, k, grid), want, rtol=1e-15, atol=0.0)
+    assert density_f(5, 2, [[0.5]]).shape == (1, 1)
+    with pytest.raises(DomainError, match="got 1.5"):
+        density_f(5, 2, [0.2, 1.5])
 
 
 def test_density_integrates_to_one():
@@ -147,6 +160,76 @@ def test_closed_form_domain():
     with pytest.raises(DomainError):
         closed_form_checks(4, 1, 1.2)
     assert closed_form_checks(4, 0, 0.5).i_residual is None
+
+
+def test_quad_matches_scipy_on_every_gap_integrand(monkeypatch):
+    # every quadrature of closed_form_checks on n <= 12 and of the suite's
+    # density_normalized, against scipy's adaptive QUADPACK as an independent oracle
+    calls = []
+
+    def recording(f, a, b):
+        calls.append((f, a, b))
+        return quad(f, a, b)
+
+    monkeypatch.setattr(orderstats, "quad", recording)
+    orderstats._integral_H.cache_clear()
+    for n in range(2, 13):
+        for k in range(n):
+            for s in (0.0, 0.3, 0.5):
+                closed_form_checks(n, k, s)
+    suites.suite_orderstats(42, 10**4)
+    orderstats._integral_H.cache_clear()
+    assert {f.__qualname__.split(".")[0] for f, _, _ in calls} == {
+        "_integral_I", "_integral_J", "_integral_H", "suite_orderstats"}
+    for f, a, b in calls:
+        want, _ = integrate.quad(lambda t: float(f(t)), a, b,
+                                 epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert abs(quad(f, a, b) - want) <= 1e-12, (a, b)
+
+
+def test_quad_rule():
+    # exact to rounding for degree <= 19, and the grading resolves ln t at a
+    assert quad(lambda t: t**19, 0.0, 1.0) == pytest.approx(1 / 20, abs=1e-15)
+    assert quad(lambda t: 20 * (t - 1.0) ** 19, 1.0, 2.0) == pytest.approx(1.0, abs=1e-14)
+    assert quad(np.log, 0.0, 1.0) == pytest.approx(-1.0, abs=1e-15)
+    assert quad(np.sin, 0.0, np.pi) == pytest.approx(2.0, abs=1e-15)
+    assert quad(np.sin, 1.0, 1.0) == quad(np.sin, 1.0, 0.0) == 0.0
+    calls = []
+    quad(lambda t: calls.append(t.shape) or np.ones_like(t), 0.0, 1.0)
+    assert calls == [((10 + 20) * 53,)]  # f is called once, on every node
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: np.sin(400 * t),        # oscillates faster than 10 nodes per panel resolve
+    lambda t: (1.0 - t) ** -0.5,      # singular at b, where the panels are widest
+    lambda t: np.full_like(t, np.nan),
+], ids=["sin400t", "singular_at_b", "nan"])
+def test_quad_refuses_where_the_two_orders_disagree(f):
+    with pytest.raises(QuadratureFailureError, match="error estimate"):
+        quad(f, 0.0, 1.0)
+
+
+def _suite_check(name):
+    return next(r for r in suites.suite_orderstats(42, 10**4) if r.name == name)
+
+
+def test_closed_form_residuals_fails_on_a_planted_closed_form(monkeypatch):
+    # the quadrature residuals are at rounding level, so the 1e-8 threshold
+    # is sharp: a closed form 1e-9 inside it passes and 1e-9 past it fails
+    closed_H = orderstats._closed_H
+    for offset, ok in ((1e-8 - 1e-9, True), (1e-8 + 1e-9, False)):
+        monkeypatch.setattr(orderstats, "_closed_H",
+                            lambda n, k, offset=offset: closed_H(n, k) + offset)
+        assert _suite_check("closed_form_residuals").ok is ok, offset
+
+
+def test_density_normalized_fails_on_a_planted_density(monkeypatch):
+    # a density whose integral is 1e-9 off fails the 1e-10 threshold
+    density = orderstats.density_f
+    monkeypatch.setattr(orderstats, "density_f",
+                        lambda n, k, s: density(n, k, s) * (1.0 + 1e-9))
+    check = _suite_check("density_normalized")
+    assert not check.ok and check.detail == "worst |integral - 1| = 1.00e-09"
 
 
 def test_ks_statistic_against_known():
