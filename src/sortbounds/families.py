@@ -46,6 +46,8 @@ def random_poset(n: int, rng: np.random.Generator, p: float = 0.3) -> Poset:
     random topological order, each kept with probability 0 <= p <= 1."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must lie in [0, 1], got {p}")
+    if n < 1:
+        raise DomainError(f"a poset needs n >= 1 elements, got {n}")
     check_size(n)
     order = rng.permutation(n)
     a, b = _upper_pairs(n)
@@ -102,7 +104,13 @@ def standard_family(max_n: int = 8, seed: int = 12345) -> list[tuple[str, Poset]
 def sp_pair_family(
     count: int, rng: np.random.Generator, max_total_n: int = 10, max_extensions: int = 20_000
 ) -> list[tuple[SPExpr, SPExpr]]:
-    """Random SP expression pairs whose compositions stay enumerable."""
+    """Random SP expression pairs whose compositions stay enumerable.  Two
+    nonempty parts have at least 2 elements and, in parallel, at least 2
+    extensions, so a smaller cap on either could never be met."""
+    if max_total_n < 2:
+        raise DomainError(f"a pair needs max_total_n >= 2 elements, got {max_total_n}")
+    if max_extensions < 2:
+        raise DomainError(f"a pair has at least 2 extensions, got max_extensions={max_extensions}")
     pairs = []
     while len(pairs) < count:
         total = int(rng.integers(2, max_total_n + 1))

@@ -362,10 +362,17 @@ def build_adversary(P: Poset) -> AdversaryMatrix:
     keys = np.stack([(r[:, :e] > r[:, e, None]).sum(axis=1) for e in range(n)], axis=1) @ f
     passed = orders.ravel()[src * n + ranks.ravel()[move] - 1 - dd]
     flip = np.where(passed < elem, f[elem], -f[passed])
+    del move, elem, passed  # the move-length temporaries go before the search's own
     shift = np.cumsum(flip)
     shift -= (shift - flip)[first]  # restart the running sum at each (s, i)
+    del first, flip
+    shift += keys[src]  # the target keys
     order = keys.argsort()
-    tgt = order[np.searchsorted(keys[order], keys[src] + shift)]
+    # the target keys searched in sorted order (about 4x faster than in move
+    # order, whose queries jump about the table) and scattered back
+    ask = shift.argsort()
+    tgt = np.empty_like(ask)
+    tgt[ask] = order[np.searchsorted(keys[order], shift[ask])]
     keep = (dd > 1) | (src < tgt)
     src, tgt, dd = src[keep], tgt[keep], dd[keep]
     return AdversaryMatrix(
@@ -384,6 +391,20 @@ def _bracket(x: np.ndarray, y: np.ndarray, size: int) -> tuple[float, float]:
     slack = (size + 8) * math.ulp(1.0)  # eps
     return (float(((x * y).sum(axis=-1) / (x * x).sum(axis=-1)).max()) * (1.0 - slack),
             float((y / x).max()) * (1.0 + slack))
+
+
+def _dense_bracket(blocks: np.ndarray) -> tuple[float, float]:
+    """`_bracket` over a stack of same-size dense blocks, x from one batched eigh."""
+    x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
+    return _bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], blocks.shape[-1])
+
+
+def _arpack_bracket(block: sparse.csr_matrix) -> tuple[float, float]:
+    """`_bracket` of one sparse block, x from ARPACK started at the all-ones vector."""
+    size = block.shape[0]
+    vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
+    x = np.maximum(np.abs(vec), np.finfo(float).tiny)
+    return _bracket(x, block @ x, size)
 
 
 def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[float, float]:
@@ -422,11 +443,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
     sizes = np.bincount(labels)
     brackets = [(0.0, 0.0)]
     for c in np.flatnonzero(sizes > DENSE_MAX).tolist():
-        size = int(sizes[c])
-        block = A if size == A.shape[0] else A[labels == c][:, labels == c]
-        vec = eigsh(block, k=1, which="LA", v0=np.ones(size))[1][:, 0]
-        x = np.maximum(np.abs(vec), np.finfo(float).tiny)
-        brackets.append(_bracket(x, block @ x, size))
+        brackets.append(_arpack_bracket(A if sizes[c] == A.shape[0] else A[labels == c][:, labels == c]))
     if sizes.min() <= DENSE_MAX:
         # a vertex's position in its component: its rank by label minus the earlier sizes
         pos = np.argsort(np.argsort(labels, kind="stable")) - (np.cumsum(sizes) - sizes)[labels]
@@ -439,8 +456,7 @@ def norm_bracket(M: AdversaryMatrix | np.ndarray | sparse.spmatrix) -> tuple[flo
             comps, slot = np.unique(comp[sel], return_inverse=True)
             blocks = np.zeros((len(comps), size, size))
             blocks[slot, pos[coo.row[sel]], pos[coo.col[sel]]] = coo.data[sel]
-            x = np.maximum(np.abs(np.linalg.eigh(blocks)[1][:, :, -1]), np.finfo(float).tiny)
-            brackets.append(_bracket(x, np.matmul(blocks, x[:, :, None])[:, :, 0], size))
+            brackets.append(_dense_bracket(blocks))
     return tuple(map(max, zip(*brackets)))
 
 
@@ -515,6 +531,9 @@ def _window_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
     x, y, o = states.T[:, :, None]
     d = np.where(y == y.T, abs(x - x.T), abs(y - y.T)) + 1
     W = np.where((o != o.T) & ((x == x.T) | (y == y.T)), 1.0 / d, 0.0)
+    # `max_gamma_ij_norm` brackets W's blocks with no `norm_bracket`: its input check, once per m
+    if not (np.isfinite(W).all() and (W >= 0).all() and (W == W.T).all()):
+        raise DomainError("the window matrix must be finite, nonnegative and symmetric")
     for a in (W, states):
         a.setflags(write=False)
     return W, states
@@ -539,16 +558,25 @@ def _window_types(gamma: AdversaryMatrix, P: Poset) -> np.ndarray:
     low = r - transfer_batch(P, r)
     high = r + transfer_batch(Poset(P.rel.T), P.n + 1 - r)
     I, J = np.nonzero(np.triu(~(P.rel | P.rel.T), 1))
-    a_i, a_j = low[:, I] - (low[:, I] > r[:, J]), low[:, J] - (low[:, J] > r[:, I])
-    b_i, b_j = high[:, I] - 2 - (high[:, I] > r[:, J]), high[:, J] - 2 - (high[:, J] > r[:, I])
+    # each of low, high and r gathered once at I and once at J, and the
+    # slots then computed in place: a_i = low_i - (low_i > r_j), b_i =
+    # high_i - 2 - (high_i > r_j), both less min(a_i, a_j); a_j, b_j alike
+    a_i, a_j, b_i, b_j, r_i, r_j = low[:, I], low[:, J], high[:, I], high[:, J], r[:, I], r[:, J]
+    for slot, other in ((a_i, r_j), (a_j, r_i), (b_i, r_j), (b_j, r_i)):
+        slot -= slot > other
     shift = np.minimum(a_i, a_j)
-    # 5 bits a slot: Gamma is built only for n <= MAX_N = 20, so every slot
-    # is <= 18 and every key < 2**20 indexes one table of the keys seen
-    seen = np.zeros(1 << 20, dtype=bool)
-    seen[((a_i - shift) << 15) | ((b_i - shift) << 10)
-         | ((a_j - shift) << 5) | (b_j - shift)] = True
+    a_i -= shift
+    a_j -= shift
+    shift += 2
+    b_i -= shift
+    b_j -= shift
+    # one digit a slot in base n - 1: every slot is in 0..n-2, so every key
+    # < (n-1)**4 indexes one table of the keys seen, in the order of the types
+    base = max(P.n - 1, 1)
+    seen = np.zeros(base**4, dtype=bool)
+    seen[((a_i * base + b_i) * base + a_j) * base + b_j] = True
     keys = np.flatnonzero(seen)
-    return (keys[:, None] >> np.array([15, 10, 5, 0])) & 31
+    return keys[:, None] // base ** np.arange(3, -1, -1) % base
 
 
 def _maximal_types(types: np.ndarray) -> np.ndarray:
@@ -582,8 +610,17 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     is transitive, and two distinct types (both shifted to min(a_i, a_j) = 0)
     never contain each other, so every type lies in one that no other type
     contains.  A nonnegative symmetric matrix's Perron root does not grow on
-    a principal submatrix, so one `norm_bracket` call on the block diagonal
-    of those maximal types bounds every mask.
+    a principal submatrix, so the largest upper side over the blocks of
+    those maximal types bounds every mask.
+
+    Each block is bracketed as `norm_bracket` brackets a component, with no
+    sparse matrix: a state with a zero row in its box is dropped (an
+    isolated vertex), the rest are connected (checked for every box of
+    W_m, m <= 18), and the blocks of one size share a batched dense eigh,
+    or ARPACK past DENSE_MAX states.  The bracket is sound whether or not a
+    block is connected: Collatz-Wielandt bounds the Perron root from above
+    for any x > 0.  `_window_matrix` checks that W is finite, nonnegative
+    and symmetric, the input check `norm_bracket` would make.
     """
     types = _maximal_types(_window_types(gamma, P))
     if not len(types):
@@ -592,7 +629,17 @@ def max_gamma_ij_norm(gamma: AdversaryMatrix, P: Poset) -> float:
     a_i, b_i, a_j, b_j = types.T[:, :, None]
     x, y = states[:, 0], states[:, 1]
     inside = (a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j)
-    return norm_bracket(sparse.block_diag([W[np.ix_(row, row)] for row in inside]))[1]
+    inside &= inside @ W > 0  # a state with no weight in its box is a zero row: dropped
+    sizes = inside.sum(axis=1)
+    hi = 0.0
+    for size in np.unique(sizes[sizes > 0]).tolist():
+        at = np.nonzero(inside[sizes == size])[1].reshape(-1, size)
+        blocks = W[at[:, :, None], at[:, None, :]]
+        if size <= DENSE_MAX:
+            hi = max(hi, _dense_bracket(blocks)[1])
+        else:
+            hi = max(hi, *(_arpack_bracket(sparse.csr_matrix(b))[1] for b in blocks))
+    return hi
 
 
 def analyze(P: Poset) -> BoundsReport:

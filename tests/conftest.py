@@ -35,7 +35,14 @@ from sortbounds import (
 )
 from sortbounds.orderstats import sorted_uniforms
 from sortbounds.polytopes import chain_point_batch, entropy_bracket, transfer_batch
-from sortbounds.quantum import DENSE_MAX, AdversaryMatrix, _bracket, _window_matrix, _window_types
+from sortbounds.quantum import (
+    DENSE_MAX,
+    AdversaryMatrix,
+    _bracket,
+    _maximal_types,
+    _window_matrix,
+    _window_types,
+)
 
 # Property tests draw the same examples on every run and leave no example
 # database behind.
@@ -434,6 +441,18 @@ def all_types_max_gamma_ij_norm(gamma, P):
     t, e = np.nonzero(inside[:, r] & inside[:, c])
     A = sparse.csr_matrix((W[r, c][e], (at[t, r[e]], at[t, c[e]])), shape=(at.max() + 1,) * 2)
     return norm_bracket(A)[1]
+
+
+def maximal_types_block_diagonal(gamma, P):
+    """Oracle: the block diagonal (`scipy.sparse.block_diag`, in COO) of
+    W_{n-2}'s principal submatrices on the boxes of the maximal window
+    types, the one matrix whose upper `norm_bracket` side bounds every mask."""
+    types = _maximal_types(_window_types(gamma, P))
+    W, states = _window_matrix(P.n - 2)
+    a_i, b_i, a_j, b_j = types.T[:, :, None]
+    x, y = states[:, 0], states[:, 1]
+    inside = (a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j)
+    return sparse.block_diag([W[np.ix_(row, row)] for row in inside])
 
 
 def seed_norm_bracket(M):

@@ -29,6 +29,7 @@ from sortbounds import (
     sample_extension,
     standard_family,
 )
+from sortbounds.families import sp_pair_family
 from sortbounds.polytopes import order_point_batch
 from sortbounds.poset import _IS_PATH, _QUAD_PAIRS, MAX_N, _quad_index
 from sortbounds.spexpr import parse_sp, realize
@@ -109,6 +110,26 @@ def test_bitmasks_match_relation(n, p):
 def test_random_poset_rejects_p_outside_unit_interval(p):
     with pytest.raises(DomainError):
         random_poset(4, np.random.default_rng(0), p=p)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_poset_refuses_an_empty_poset(n):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match="n >= 1"):
+        random_poset(n, rng)
+    assert rng.random() == np.random.default_rng(0).random()  # refused before any draw
+
+
+@pytest.mark.parametrize("kw", [{"max_extensions": 1}, {"max_extensions": 0},
+                                {"max_total_n": 1}, {"max_total_n": 0}])
+def test_sp_pair_family_refuses_a_cap_no_pair_meets(kw):
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError, match=">= 2|at least 2"):
+        sp_pair_family(1, rng, **kw)
+    assert rng.random() == np.random.default_rng(0).random()  # refused before any draw
+    # the smallest caps still draw: two singletons in parallel
+    e1, e2 = sp_pair_family(1, np.random.default_rng(0), max_total_n=2, max_extensions=2)[0]
+    assert e1.size == e2.size == 1
 
 
 @pytest.mark.parametrize("n", [0, -1])

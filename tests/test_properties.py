@@ -63,6 +63,7 @@ from conftest import (
     lattice_counts,
     loop_adversary,
     loop_window_types,
+    maximal_types_block_diagonal,
     pair_loop_random_poset,
     per_mask_max_gamma_ij_norm,
     recursive_extension_orders,
@@ -375,21 +376,20 @@ def test_max_gamma_ij_norm_matches_per_mask_oracle(case):
     assert got == pytest.approx(per_mask_max_gamma_ij_norm(gamma, P), rel=1e-12, abs=0)
 
 
-def test_norm_bracket_is_the_seed_bracket_on_the_reference_matrices(monkeypatch):
-    # every Gamma that `analyze` brackets on the reference inputs, the block
-    # diagonal of each one's maximal masks, and hilbert_norm's sections
-    bracket, masked = quantum.norm_bracket, []
-    monkeypatch.setattr(quantum, "norm_bracket", lambda M: masked.append(M) or bracket(M))
-    gammas = []
-    for name, report, P in _reference_reports():
-        if report["gamma_norm"] is not None:
-            gammas.append((name, build_adversary(P)))
-            max_gamma_ij_norm(gammas[-1][1], P)
-    assert len(gammas) == len(masked) == 73
-    hilbert = [1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0) for m in (10, 50, 200)]
-    masks = [(f"{name} masks", M) for (name, _), M in zip(gammas, masked)]
-    for name, M in [*gammas, *masks, *zip((10, 50, 200), hilbert)]:
-        assert bracket(M) == seed_norm_bracket(M), name
+def test_norm_bracket_is_the_seed_bracket_on_the_reference_matrices():
+    # every Gamma that `analyze` brackets on the reference inputs, and
+    # hilbert_norm's sections; each Gamma's masked norm is the seed bracket's
+    # upper side on the block diagonal of its maximal masks, to the bit
+    gammas = [(name, P, build_adversary(P)) for name, report, P in _reference_reports()
+              if report["gamma_norm"] is not None]
+    assert len(gammas) == 73
+    for name, P, gamma in gammas:
+        assert norm_bracket(gamma) == seed_norm_bracket(gamma), name
+        diagonal = maximal_types_block_diagonal(gamma, P)
+        assert max_gamma_ij_norm(gamma, P) == seed_norm_bracket(diagonal)[1], name
+    for m in (10, 50, 200):
+        hilbert = 1.0 / np.add.outer(np.arange(m), np.arange(m) + 1.0)
+        assert norm_bracket(hilbert) == seed_norm_bracket(hilbert), m
 
 
 @st.composite

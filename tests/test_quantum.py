@@ -3,10 +3,12 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from sortbounds import (
     Block,
@@ -554,9 +556,14 @@ def test_analyzed_poset_is_freed_without_the_cycle_collector():
 
 def test_lemmas_judged_on_the_safe_side(monkeypatch):
     P = antichain_poset(3)  # QLB = 2.5
+    # the masked norm is the upper side of its blocks' bracket
+    monkeypatch.setattr(quantum, "_dense_bracket", lambda blocks: (TWO_PI, TWO_PI + 2e-6))
+    assert max_gamma_ij_norm(build_adversary(P), P) == TWO_PI + 2e-6
+    monkeypatch.undo()
     # the upper side straddles 2 pi: lemma 2 fails, though the lower side
     # alone would pass it
     monkeypatch.setattr(quantum, "norm_bracket", lambda M: (TWO_PI, TWO_PI + 2e-6))
+    monkeypatch.setattr(quantum, "max_gamma_ij_norm", lambda gamma, P: TWO_PI + 2e-6)
     rep = analyze(P)
     assert rep.max_gamma_ij_norm == TWO_PI + 2e-6
     assert rep.lemma1_ok and rep.lemma2_ok is False
@@ -601,12 +608,14 @@ def test_lemmas_2_and_3_have_no_slack(monkeypatch):
     P = antichain_poset(3)  # QLB = 2.5
     # a masked norm 5e-7 above TWO_PI, the double below 2 pi: lemma 2 fails
     monkeypatch.setattr(quantum, "norm_bracket", lambda M: (TWO_PI, TWO_PI + 5e-7))
+    monkeypatch.setattr(quantum, "max_gamma_ij_norm", lambda gamma, P: TWO_PI + 5e-7)
     rep = analyze(P)
     assert rep.max_gamma_ij_norm == TWO_PI + 5e-7
     assert rep.lemma1_ok and rep.lemma2_ok is False and rep.lemma3_ok
     # a ratio ||Gamma|| / max ||Gamma^{ij}|| 5e-7 below QLB / TWO_PI: lemma 3 fails
     lo = 2.5 / TWO_PI - 5e-7
     monkeypatch.setattr(quantum, "norm_bracket", lambda M: (lo, 1.0))
+    monkeypatch.setattr(quantum, "max_gamma_ij_norm", lambda gamma, P: 1.0)
     rep = analyze(P)
     assert rep.gamma_norm / rep.max_gamma_ij_norm == lo
     assert rep.lemma2_ok and rep.lemma3_ok is False
@@ -627,6 +636,27 @@ def test_window_matrix_is_built_once_and_read_only():
     assert _window_matrix(5)[0] is W
     assert not W.flags.writeable and not states.flags.writeable
     assert W.shape == (len(states),) * 2 == (6 * 6 + 6,) * 2
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_window_boxes_are_connected(m):
+    # `max_gamma_ij_norm` brackets each maximal type's block whole, as
+    # `norm_bracket` brackets one component: in every box with
+    # min(a_i, a_j) = 0, the states with a nonzero row of W_m are connected
+    W, states = _window_matrix(m)
+    x, y = states[:, 0], states[:, 1]
+    windows = [(a, b) for a in range(m + 1) for b in range(a, m + 1)]
+    boxes = 0
+    for (a_i, b_i), (a_j, b_j) in itertools.product(windows, windows):
+        if min(a_i, a_j) == 0:
+            boxes += 1
+            inside = (a_i <= x) & (x <= b_i) & (a_j <= y) & (y <= b_j)
+            block = W[np.ix_(inside, inside)]
+            live = block.any(axis=1)
+            if live.any():
+                block = block[np.ix_(live, live)]
+                assert connected_components(block, directed=False)[0] == 1, (a_i, b_i, a_j, b_j)
+    assert boxes == (m + 1) ** 2 * (m + 2) ** 2 // 4 - m**2 * (m + 1) ** 2 // 4
 
 
 def test_hilbert_norm_matches_dense_eigensolve():
@@ -688,17 +718,23 @@ def test_masked_norms_below_two_pi(family8):
 
 
 def test_max_gamma_ij_norm_matches_per_mask_oracle(family8, monkeypatch):
-    bracket, calls = quantum.norm_bracket, []
-    monkeypatch.setattr(quantum, "norm_bracket", lambda M: calls.append(M) or bracket(M))
+    bracket, calls = quantum._dense_bracket, []
+    monkeypatch.setattr(quantum, "_dense_bracket", lambda blocks: calls.append(blocks) or bracket(blocks))
     cases = [(name, P) for name, P in family8 if count_extensions(P) <= 4000]
-    # n = 20: the slots reach 18, the top of their 5-bit fields, and W_18 is used
+    # n = 20: the slots reach 18, the top digit of their base-19 keys, and W_18 is used
     cases.append(("chain(3)+chain(17)", realize(parse_sp("chain(3)+chain(17)"))))
     for name, P in cases:
         gamma = build_adversary(P)
         calls.clear()
-        got = max_gamma_ij_norm(gamma, P)
+        # no scipy.sparse matrix is built for the masks: with no sparse entry
+        # point in `quantum`, a sparse matrix, csgraph or ARPACK would raise
+        with monkeypatch.context() as no_sparse:
+            for attr, stub in [("sparse", SimpleNamespace()), ("connected_components", None),
+                               ("eigsh", None)]:
+                no_sparse.setattr(quantum, attr, stub)
+            got = max_gamma_ij_norm(gamma, P)
         incomparable = not (P.rel | P.rel.T | np.eye(P.n, dtype=bool)).all()
-        assert len(calls) == incomparable, name  # one bracket per Gamma, none for a chain
+        assert bool(calls) == incomparable, name  # dense blocks, none for a chain
         assert got == all_types_max_gamma_ij_norm(gamma, P), name
         assert got == pytest.approx(per_mask_max_gamma_ij_norm(gamma, P), rel=1e-12, abs=0), name
 
